@@ -58,6 +58,7 @@ from .placement import (
     realify,
     recover_parameters,
     residual,
+    residual_scale,
 )
 from .structure import (
     AdmissibilityReport,
@@ -127,6 +128,7 @@ __all__ = [
     "realify",
     "recover_parameters",
     "residual",
+    "residual_scale",
     "run_bench",
     "schur_triangular",
     "sensitivity_bound_check",

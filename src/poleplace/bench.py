@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PolePlaceError
-from .linalg import DEFAULT_TOL, fro_norm
+from .linalg import DEFAULT_TOL
 from .optimize import ObjectiveSpec, OptOptions, minimize
+from .placement import residual_scale
 from .structure import EigStructure, System, check_admissible, controllability_indices
 from .sysfile import SystemFile, load_system
 
@@ -84,7 +85,7 @@ def run_bench(entries, objective=ObjectiveSpec("condition", 1.0),
                 raise PolePlaceError(f"inadmissible structure: {report.message}")
             result = minimize(objective, sys, spec, opts, tol)
             res = result.placement
-            scale = 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * fro_norm(res.F)
+            scale = residual_scale(sys, res.F)
             rows.append(
                 BenchRow(
                     example=entry.name,

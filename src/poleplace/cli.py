@@ -24,7 +24,12 @@ from .errors import (
 from .linalg import ToleranceConfig, fro_norm
 from .metrics import departure_from_normality, kappa_2, kappa_fro
 from .optimize import ObjectiveSpec, OptOptions, minimize
-from .placement import ParameterMatrix, Placer, chains_from_feedback
+from .placement import (
+    ParameterMatrix,
+    Placer,
+    chains_from_feedback,
+    residual_scale,
+)
 from .report import render_csv, render_markdown, render_report
 from .structure import check_admissible
 from .sysfile import load_feedback, load_parameter, load_structure, load_system
@@ -141,8 +146,7 @@ def _metrics_fields(sys, res, tol):
 
 
 def _residual_ok(sys, res, tol):
-    scale = 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * fro_norm(res.F)
-    return res.residual <= tol.residual_tol * scale
+    return res.residual <= tol.residual_tol * residual_scale(sys, res.F)
 
 
 def cmd_check(args):

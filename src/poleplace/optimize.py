@@ -2,8 +2,11 @@
 
 The placement parameter K has exactly m*n free real coordinates, so
 robustness and gain objectives become unconstrained (nonconvex) functions on
-R^(mn).  Gradients are central finite differences; each restart runs BFGS
-with Armijo backtracking, so accepted steps never increase the objective.
+R^(mn).  Each restart runs BFGS with Armijo backtracking, so accepted steps
+never increase the objective.  The chains are linear in K, so [V; W] = L x
+for one operator L built once per placer (`Placer.operator`); values come
+from L x and F = W V^-1, and gradients are exact, pulled back through L.
+Central finite differences remain as the oracle behind `gradient`.
 Parameter draws that make V singular are a measure-zero set and are treated
 as resample or step-rejection signals, never as fatal errors.
 
@@ -14,7 +17,7 @@ single feedback: dim C(Lambda) = sum_lambda sum_{j,k} min(p_j, p_k) = m*n.
 There the objective is evaluated once, at the well-conditioned parameter K*
 of `unique_parameter`, instead of from each draw's own (possibly
 ill-conditioned) V, so every nonsingular draw returns the same value and
-`minimize` reports the placement at K*.
+`minimize` returns the placement at K* without searching.
 """
 
 from dataclasses import dataclass, field
@@ -74,18 +77,11 @@ class OptResult:
     restart_values: tuple
     placement: object
     metrics: dict = field(default_factory=dict)
-
-
-def _f1_from_placement(res, alpha):
-    s = np.linalg.svd(res.V, compute_uv=False)
-    v2 = float(np.sum(s**2))
-    vinv2 = float(np.sum(s**-2))
-    return alpha * (v2 + vinv2) + (1.0 - alpha) * fro_norm(res.F) ** 2
-
-
-def _f2_from_placement(res, alpha, sys):
-    delta = departure_from_normality(sys.A + sys.B @ res.F)
-    return alpha * delta**2 + (1.0 - alpha) * fro_norm(res.F) ** 2
+    # per restart, aligned with traces: why it stopped ("grad_tol",
+    # "max_iters", "line_search" or "zero_slope") and how many objective
+    # values it computed, start draws included
+    terminations: tuple = ()
+    evaluations: tuple = ()
 
 
 def is_f_unique(spec, m):
@@ -125,14 +121,26 @@ def unique_parameter(spec, m):
     return ParameterMatrix(blocks, spec.sigma)
 
 
-class _Evaluator:
-    """Objective as a function of the free coordinate vector.
+@dataclass(frozen=True)
+class _Point:
+    """One nonsingular evaluation: V, its inverse, the feedback and value."""
 
-    Returns (value, ok); singular placements yield (+inf, False) so line
-    searches reject the step and move on.  For an F-only objective on an
-    F-unique structure the value is computed once at K* (see
-    `unique_parameter`) and returned for every nonsingular x; x is still
-    placed first, so a singular draw remains a resample signal.
+    V: np.ndarray
+    Vi: np.ndarray
+    F: np.ndarray
+    value: float
+
+
+class _Evaluator:
+    """Objective and its exact gradient over the free coordinate vector.
+
+    Evaluations form [V; W] = L x through the placer's linear operator (see
+    `Placer.operator`), then F = W V^-1.  Calling the evaluator returns
+    (value, ok); singular placements yield (+inf, False) so line searches
+    reject the step and move on.  For an F-only objective on an F-unique
+    structure the value is computed once at K* (see `unique_parameter`) and
+    returned for every nonsingular x; x is still checked first, so a
+    singular draw remains a resample signal.
     """
 
     def __init__(self, obj, placer):
@@ -152,23 +160,71 @@ class _Evaluator:
                 # evaluating per draw, where better-conditioned draws pass
                 return
             self.K_star = K_star
-            self.fixed = self._value(self.placement_star)
+            res = self.placement_star
+            self.fixed = self._value(res.V, res.F)
 
-    def _value(self, res):
+    def _value(self, V, F, s=None):
+        alpha = self.obj.alpha
         if self.obj.method == "condition":
-            return _f1_from_placement(res, self.obj.alpha)
-        return _f2_from_placement(res, self.obj.alpha, self.sys)
+            if s is None:
+                s = np.linalg.svd(V, compute_uv=False)
+            robust = float(np.sum(s**2)) + float(np.sum(s**-2))
+        else:
+            robust = departure_from_normality(self.sys.A + self.sys.B @ F) ** 2
+        return alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
 
     def at(self, K):
         """Objective at K; raises SingularMatrixError when V_K is singular."""
         res = self.placer.place(K)
-        return self._value(res) if self.fixed is None else self.fixed
+        return self._value(res.V, res.F) if self.fixed is None else self.fixed
+
+    def point(self, x):
+        """The evaluation at x, or None when V is singular."""
+        n = self.sys.n
+        VW = (self.placer.operator() @ x).reshape(n + self.m, n)
+        V, W = VW[:n], VW[n:]
+        s = np.linalg.svd(V, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+        if not cond <= self.placer.tol.singular_cond_limit:
+            return None
+        if self.fixed is not None:
+            return _Point(V, None, None, self.fixed)
+        Vi = np.linalg.inv(V)
+        F = W @ Vi
+        return _Point(V, Vi, F, self._value(V, F, s))
+
+    def grad(self, pt):
+        """Exact gradient at an evaluated point.
+
+        With F = W V^-1 and G = df/dF, the chain rule gives df/dW = G V^-T
+        and df/dV = -F^T G V^-T, plus the explicit 2 alpha (V - V^-T V^-1
+        V^-T) of ||V||_F^2 + ||V^-1||_F^2 for the condition method.  For the
+        normality method the spectrum is assigned exactly, so
+        delta_fro^2 = ||A + B F||_F^2 - const and G = 2 alpha B^T (A + B F)
+        + 2 (1 - alpha) F.  Both partials are pulled back through L.
+        """
+        if self.fixed is not None:
+            return np.zeros(self.m * self.sys.n)
+        alpha, V, Vi, F = self.obj.alpha, pt.V, pt.Vi, pt.F
+        G = 2.0 * (1.0 - alpha) * F
+        if self.obj.method == "normality":
+            G += 2.0 * alpha * self.sys.B.T @ (self.sys.A + self.sys.B @ F)
+        dW = G @ Vi.T
+        dV = -F.T @ dW
+        if self.obj.method == "condition":
+            dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
+        return np.vstack([dV, dW]).ravel() @ self.placer.operator()
+
+    def value_and_grad(self, x):
+        """(value, gradient) at x, or (+inf, None) when V is singular."""
+        pt = self.point(x)
+        if pt is None:
+            return float("inf"), None
+        return pt.value, self.grad(pt)
 
     def __call__(self, x):
-        try:
-            return self.at(ParameterMatrix.from_vector(self.spec, self.m, x)), True
-        except SingularMatrixError:
-            return float("inf"), False
+        pt = self.point(x)
+        return (float("inf"), False) if pt is None else (pt.value, True)
 
 
 def _objective(method, K, sys, spec, alpha, tol):
@@ -229,6 +285,7 @@ def gradient(obj, K, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL,
              return_flags=False):
     """Numerical gradient of the objective over the mn free coordinates.
 
+    The finite-difference oracle for the exact gradient `minimize` uses.
     Central differences with relative step grad_step * (1 + |coordinate|);
     a probe that lands on a singular placement falls back to a one-sided
     difference (flag raised for that coordinate).  Values come from the
@@ -245,17 +302,23 @@ def gradient(obj, K, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL,
     return (g, flags) if return_flags else g
 
 
-def _bfgs_restart(evaluate, x0, opts):
-    """One monotone quasi-Newton descent; returns (x, value, trace)."""
+def _bfgs_restart(evaluate, x0, pt0, opts):
+    """One monotone quasi-Newton descent from the evaluated start pt0.
+
+    Returns (x, value, trace, termination, probes).  Line-search probes are
+    value-only; the gradient is formed only at accepted points.
+    """
     dim = x0.size
     eye = np.eye(dim)
     Hinv = eye.copy()
     x = x0.copy()
-    fx, ok = evaluate(x)
+    probes = 0
+    fx, g = pt0.value, evaluate.grad(pt0)
     trace = [fx]
-    g, _ = _fd_gradient(evaluate, x, opts.grad_step, fx)
+    termination = "max_iters"
     for _ in range(opts.max_iters):
         if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+            termination = "grad_tol"
             break
         p = -Hinv @ g
         slope = float(g @ p)
@@ -264,29 +327,35 @@ def _bfgs_restart(evaluate, x0, opts):
             p = -g
             slope = -float(g @ g)
             if slope == 0.0:
+                termination = "zero_slope"
                 break
         t = 1.0
-        accepted = False
+        accepted = None
         for _ in range(_MAX_BACKTRACKS):
-            fc, okc = evaluate(x + t * p)
-            if okc and fc <= fx + _ARMIJO_C1 * t * slope:
-                accepted = True
+            pc = evaluate.point(x + t * p)
+            probes += 1
+            if pc is not None and pc.value <= fx + _ARMIJO_C1 * t * slope:
+                accepted = pc
                 break
             t *= 0.5
-        if not accepted:
+        if accepted is None:
+            termination = "line_search"
             break
         s = t * p
         x_new = x + s
-        g_new, _ = _fd_gradient(evaluate, x_new, opts.grad_step, fc)
+        g_new = evaluate.grad(accepted)
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             rho = 1.0 / sy
             left = eye - rho * np.outer(s, y)
             Hinv = left @ Hinv @ left.T + rho * np.outer(s, s)
-        x, fx, g = x_new, fc, g_new
+        x, fx, g = x_new, accepted.value, g_new
         trace.append(fx)
-    return x, fx, trace
+    else:
+        if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+            termination = "grad_tol"
+    return x, fx, trace, termination, probes
 
 
 def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
@@ -297,31 +366,47 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
     restart wins.  Deterministic for a fixed seed.
 
     For an F-only objective on an F-unique structure every nonsingular
-    point has the value at K*, so the gradient is zero and each restart
-    stops at its start; best_K is then K* and the placement the one at
-    K*, so best_value, placement.F and metrics describe one feedback.
+    point has the value at K*, so there is nothing to search: best_K is K*
+    and the placement the one at K*, and each restart reports the single
+    trace (value,) with termination "grad_tol" and no evaluations.
     """
     placer = Placer(sys, spec, tol)
     evaluate = _Evaluator(obj, placer)
+    if evaluate.K_star is not None:
+        res = evaluate.placement_star
+        return OptResult(
+            evaluate.K_star,
+            evaluate.fixed,
+            ((evaluate.fixed,),) * opts.restarts,
+            (evaluate.fixed,) * opts.restarts,
+            res,
+            _metrics(sys, res, tol),
+            ("grad_tol",) * opts.restarts,
+            (0,) * opts.restarts,
+        )
+
     dim = sys.m * sys.n
     streams = np.random.SeedSequence(opts.seed).spawn(opts.restarts)
-
-    traces = []
-    finals = []
+    traces, finals, terminations, evaluations = [], [], [], []
     best_x, best_val = None, float("inf")
     for stream in streams:
         rng = np.random.default_rng(stream)
-        x0 = None
-        for _ in range(_RESAMPLE_LIMIT):
+        x0 = pt0 = None
+        for draws in range(1, _RESAMPLE_LIMIT + 1):
             cand = rng.standard_normal(dim)
-            if evaluate(cand)[1]:
+            pt0 = evaluate.point(cand)
+            if pt0 is not None:
                 x0 = cand
                 break
         if x0 is None:
             continue
-        x, val, trace = _bfgs_restart(evaluate, x0, opts)
+        x, val, trace, termination, probes = _bfgs_restart(
+            evaluate, x0, pt0, opts
+        )
         traces.append(tuple(trace))
         finals.append(val)
+        terminations.append(termination)
+        evaluations.append(draws + probes)
         if val < best_val:
             best_x, best_val = x, val
     if best_x is None:
@@ -329,16 +414,18 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
             "all restarts produced singular placements at initialization"
         )
 
-    if evaluate.K_star is None:
-        best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
-        res = placer.place(best_K)
-    else:
-        best_K, res = evaluate.K_star, evaluate.placement_star
-    metrics = {
+    best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
+    res = placer.place(best_K)
+    return OptResult(best_K, best_val, tuple(traces), tuple(finals), res,
+                     _metrics(sys, res, tol), tuple(terminations),
+                     tuple(evaluations))
+
+
+def _metrics(sys, res, tol):
+    return {
         "kappa_fro": kappa_fro(res.V, tol),
         "kappa_2": kappa_2(res.V, tol),
         "kappa_fro_X": kappa_fro(res.X, tol),
         "delta_fro": departure_from_normality(sys.A + sys.B @ res.F),
         "gain_fro": fro_norm(res.F),
     }
-    return OptResult(best_K, best_val, tuple(traces), tuple(finals), res, metrics)

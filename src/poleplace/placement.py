@@ -5,7 +5,8 @@ feedback F assigning that structure is reached from an m x n-parameter block
 matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
 closed with F = W V^{-1}.  The map K -> chains is exactly invertible, which
-`recover_parameters` exploits.
+`recover_parameters` exploits, and linear in the free coordinates of K, which
+`Placer.operator` exploits.
 """
 
 from dataclasses import dataclass
@@ -179,6 +180,7 @@ class Placer:
         self.spec = spec
         self.tol = tol
         self.Lambda = jordan_matrix(spec)
+        self._operator = None
         self.pencils = []
         for i, lam in enumerate(spec.eigenvalues):
             if i % 2 == 1 and i < 2 * spec.sigma:
@@ -225,15 +227,21 @@ class Placer:
             groups[i] = tuple(blocks)
         return ChainSet(self.spec, tuple(groups))
 
-    def realify(self, chain_set):
-        """Split the chain matrix into its real top and bottom parts.
+    def operator(self):
+        """The placement map as one real matrix L, built on first use.
 
-        Pair column blocks (i, i+1) become the elementwise real and
-        imaginary parts of block i; real blocks pass through.  Returns
-        (V, W): the first n and last m rows.  A conjugate-symmetry violation
-        beyond 1e-12 * ||H|| raises ChainConsistencyError.
+        The chain recursion and realification are linear in the m*n free
+        coordinates x = K.to_vector(), so np.vstack([V, W]).ravel() = L @ x
+        with L of shape ((n+m)*n, m*n); column j is the image of the j-th
+        unit vector.
         """
-        return realify(chain_set)
+        if self._operator is None:
+            cols = []
+            for e in np.eye(self.sys.m * self.sys.n):
+                K = ParameterMatrix.from_vector(self.spec, self.sys.m, e)
+                cols.append(np.vstack(realify(self.build_chains(K))).ravel())
+            self._operator = np.column_stack(cols)
+        return self._operator
 
     def place(self, K):
         chain_set = self.build_chains(K)
@@ -251,7 +259,7 @@ class Placer:
         return PlacementResult(V, W, X, F, res, cond)
 
     def residual_scale(self, F):
-        return 1.0 + fro_norm(self.sys.A) + fro_norm(self.sys.B) * fro_norm(F)
+        return residual_scale(self.sys, F)
 
     def _chain_tolerance(self, lam, column_norm):
         scale = (
@@ -321,8 +329,14 @@ class Placer:
         return ParameterMatrix(blocks, self.spec.sigma)
 
 
-def realify(chain_set, tol=DEFAULT_TOL):
-    """Realify a conformably ordered chain matrix into (V, W)."""
+def realify(chain_set):
+    """Split a conformably ordered chain matrix into its real (V, W).
+
+    Pair column blocks (i, i+1) become the elementwise real and imaginary
+    parts of block i; real blocks pass through.  V and W are the first n and
+    last m rows.  A conjugate-symmetry violation beyond 1e-12 * ||H|| raises
+    ChainConsistencyError.
+    """
     spec = chain_set.spec
     H = chain_set.H
     n = spec.n
@@ -365,6 +379,11 @@ def place(sys, spec, K, tol=DEFAULT_TOL):
 def recover_parameters(sys, spec, chain_set, tol=DEFAULT_TOL):
     """One-shot parameter recovery (see Placer.recover_parameters)."""
     return Placer(sys, spec, tol).recover_parameters(chain_set)
+
+
+def residual_scale(sys, F):
+    """1 + ||A||_F + ||B||_F ||F||_F, the scale residual_tol is relative to."""
+    return 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * fro_norm(F)
 
 
 def residual(sys, F, X, spec):

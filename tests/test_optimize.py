@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace.bench import defective_zero_structure
 from poleplace.linalg import fro_norm
 from poleplace.optimize import (
     _Evaluator,
@@ -11,9 +14,48 @@ from poleplace.optimize import (
 )
 from conftest import random_reachable
 
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
 
 def double_integrator():
     return pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+
+
+def gradient_structures(m):
+    """Simple, complex-pair and defective 4-state structures for m inputs."""
+    if m == 1:
+        defective = pp.EigStructure((-1.0, -2.0), ((2,), (2,)))
+    else:
+        defective = pp.EigStructure((-1.0, -2.0), ((2, 1), (1,)))
+    return {
+        "simple": pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4),
+        "complex_pair": pp.EigStructure(
+            (-1 + 2j, -1 - 2j, -2.0, -3.0), ((1,),) * 4
+        ),
+        "defective": defective,
+    }
+
+
+GRADIENT_CASES = [
+    (m, name) for m in (1, 2, 3) for name in ("simple", "complex_pair", "defective")
+]
+
+
+def well_conditioned_probes(placer, rng, count, cond_limit=1e3):
+    """Free-coordinate vectors whose V has cond(V) <= cond_limit."""
+    m, n = placer.sys.m, placer.sys.n
+    probes = []
+    for _ in range(200):
+        x = rng.standard_normal(m * n)
+        K = pp.ParameterMatrix.from_vector(placer.spec, m, x)
+        try:
+            if placer.place(K).cond_V <= cond_limit:
+                probes.append(x)
+        except pp.SingularMatrixError:
+            continue
+        if len(probes) == count:
+            return probes
+    raise RuntimeError("too few well-conditioned probes")
 
 
 class TestSpecs:
@@ -152,6 +194,75 @@ class TestGradient:
         assert checked >= 10
 
 
+class TestAnalyticGradient:
+    @pytest.mark.parametrize("m,name", GRADIENT_CASES)
+    def test_operator_is_the_placement_map(self, m, name):
+        spec = gradient_structures(m)[name]
+        sys = random_reachable(np.random.default_rng(60 + m), 4, m)
+        placer = pp.Placer(sys, spec)
+        L = placer.operator()
+        assert L.shape == ((4 + m) * 4, m * 4)
+        assert placer.operator() is L
+        rng = np.random.default_rng(61)
+        for _ in range(5):
+            K = pp.ParameterMatrix.random(spec, m, rng)
+            VW = np.vstack(pp.realify(placer.build_chains(K))).ravel()
+            err = np.linalg.norm(L @ K.to_vector() - VW)
+            assert err <= 1e-12 * np.linalg.norm(VW)
+
+    @pytest.mark.parametrize("m,name", GRADIENT_CASES)
+    def test_matches_finite_differences(self, m, name):
+        spec = gradient_structures(m)[name]
+        sys = random_reachable(np.random.default_rng(100 + m), 4, m)
+        assert pp.check_admissible(spec, sys).satisfied
+        placer = pp.Placer(sys, spec)
+        rng = np.random.default_rng(62)
+        for x in well_conditioned_probes(placer, rng, 3):
+            K = pp.ParameterMatrix.from_vector(spec, m, x)
+            for method in ("condition", "normality"):
+                for alpha in (0.0, 0.6, 1.0):
+                    obj = pp.ObjectiveSpec(method, alpha)
+                    value, g = _Evaluator(obj, placer).value_and_grad(x)
+                    assert value == _Evaluator(obj, placer)(x)[0]
+                    fd = pp.gradient(obj, K, sys, spec)
+                    err = np.linalg.norm(g - fd)
+                    assert err <= 1e-5 * np.linalg.norm(fd), (method, alpha)
+
+    def test_singular_point_has_no_gradient(self):
+        sys = random_reachable(np.random.default_rng(63), 4, 2)
+        spec = gradient_structures(2)["simple"]
+        evaluate = _Evaluator(pp.ObjectiveSpec("condition", 1.0), pp.Placer(sys, spec))
+        assert evaluate.value_and_grad(np.zeros(8)) == (float("inf"), None)
+        assert evaluate(np.zeros(8)) == (float("inf"), False)
+
+
+class TestTerminations:
+    @staticmethod
+    def corpus_case(name):
+        sf = pp.load_system(CORPUS / f"{name}.json")
+        return sf.system, defective_zero_structure(sf.system)
+
+    def test_bn01_restarts_reach_gradient_tolerance(self):
+        sys, spec = self.corpus_case("bn01_reactor")
+        result = pp.minimize(
+            pp.ObjectiveSpec("condition", 1.0), sys, spec,
+            pp.OptOptions(restarts=3, seed=0),
+        )
+        assert result.terminations == ("grad_tol",) * 3
+        assert len(result.evaluations) == 3
+        for count, trace in zip(result.evaluations, result.traces):
+            assert count >= len(trace)
+
+    def test_iteration_cap_reported(self):
+        sys, spec = self.corpus_case("bn02_distillation")
+        result = pp.minimize(
+            pp.ObjectiveSpec("condition", 1.0), sys, spec,
+            pp.OptOptions(restarts=2, max_iters=3, seed=0),
+        )
+        assert result.terminations == ("max_iters",) * 2
+        assert all(len(trace) == 4 for trace in result.traces)
+
+
 class TestMinimize:
     def test_single_input_gain_matches_unique_feedback(self):
         sys = double_integrator()
@@ -286,6 +397,29 @@ class TestFUnique:
         rng = np.random.default_rng(55)
         values = {evaluate(rng.standard_normal(8))[0] for _ in range(20)}
         assert len(values) == 20
+
+    def test_search_skipped(self, monkeypatch):
+        spec = F_UNIQUE_CASES["real_defective"]
+        sys = random_reachable(np.random.default_rng(53), 4, 2)
+        calls = []
+        place = pp.Placer.place
+
+        def counted(self, K):
+            calls.append(K)
+            return place(self, K)
+
+        monkeypatch.setattr(pp.Placer, "place", counted)
+        result = pp.minimize(
+            pp.ObjectiveSpec("normality", 1.0), sys, spec,
+            pp.OptOptions(restarts=10, seed=9),
+        )
+        assert len(calls) <= 2
+        assert result.traces == ((result.best_value,),) * 10
+        assert result.restart_values == (result.best_value,) * 10
+        assert result.terminations == ("grad_tol",) * 10
+        assert np.array_equal(
+            result.best_K.to_vector(), unique_parameter(spec, 2).to_vector()
+        )
 
     def test_singular_k_star_falls_back_to_per_draw_values(self):
         spec = F_UNIQUE_CASES["complex_pair"]

@@ -58,7 +58,6 @@ from .placement import (
     realify,
     recover_parameters,
     residual,
-    residual_scale,
 )
 from .structure import (
     AdmissibilityReport,
@@ -128,7 +127,6 @@ __all__ = [
     "realify",
     "recover_parameters",
     "residual",
-    "residual_scale",
     "run_bench",
     "schur_triangular",
     "sensitivity_bound_check",

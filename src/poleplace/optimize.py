@@ -173,11 +173,6 @@ class _Evaluator:
             robust = departure_from_normality(self.sys.A + self.sys.B @ F) ** 2
         return alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
 
-    def at(self, K):
-        """Objective at K; raises SingularMatrixError when V_K is singular."""
-        res = self.placer.place(K)
-        return self._value(res.V, res.F) if self.fixed is None else self.fixed
-
     def point(self, x):
         """The evaluation at x, or None when V is singular."""
         n = self.sys.n
@@ -202,9 +197,9 @@ class _Evaluator:
         normality method the spectrum is assigned exactly, so
         delta_fro^2 = ||A + B F||_F^2 - const and G = 2 alpha B^T (A + B F)
         + 2 (1 - alpha) F.  Both partials are pulled back through L.
+        Not defined for an evaluator with a value fixed at K*: `minimize`
+        does not search there.
         """
-        if self.fixed is not None:
-            return np.zeros(self.m * self.sys.n)
         alpha, V, Vi, F = self.obj.alpha, pt.V, pt.Vi, pt.F
         G = 2.0 * (1.0 - alpha) * F
         if self.obj.method == "normality":
@@ -215,13 +210,6 @@ class _Evaluator:
             dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
         return np.vstack([dV, dW]).ravel() @ self.placer.operator()
 
-    def value_and_grad(self, x):
-        """(value, gradient) at x, or (+inf, None) when V is singular."""
-        pt = self.point(x)
-        if pt is None:
-            return float("inf"), None
-        return pt.value, self.grad(pt)
-
     def __call__(self, x):
         pt = self.point(x)
         return (float("inf"), False) if pt is None else (pt.value, True)
@@ -229,7 +217,10 @@ class _Evaluator:
 
 def _objective(method, K, sys, spec, alpha, tol):
     evaluate = _Evaluator(ObjectiveSpec(method, alpha), Placer(sys, spec, tol))
-    return evaluate.at(K)
+    value, ok = evaluate(K.to_vector())
+    if not ok:
+        raise SingularMatrixError("parameter matrix yields singular V_K")
+    return value
 
 
 def objective_f1(K, sys, spec, alpha, tol=DEFAULT_TOL):

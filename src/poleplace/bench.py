@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PolePlaceError
 from .linalg import DEFAULT_TOL
 from .optimize import ObjectiveSpec, OptOptions, minimize
-from .placement import residual_scale
+from .placement import residual_ok
 from .structure import EigStructure, System, check_admissible, controllability_indices
 from .sysfile import SystemFile, load_system
 
@@ -85,7 +85,6 @@ def run_bench(entries, objective=ObjectiveSpec("condition", 1.0),
                 raise PolePlaceError(f"inadmissible structure: {report.message}")
             result = minimize(objective, sys, spec, opts, tol)
             res = result.placement
-            scale = residual_scale(sys, res.F)
             rows.append(
                 BenchRow(
                     example=entry.name,
@@ -95,7 +94,7 @@ def run_bench(entries, objective=ObjectiveSpec("condition", 1.0),
                     delta_fro=result.metrics["delta_fro"],
                     residual=res.residual,
                     runtime_s=time.perf_counter() - start,
-                    ok=res.residual <= tol.residual_tol * scale,
+                    ok=residual_ok(sys, res, tol),
                     baseline=entry.baseline,
                 )
             )

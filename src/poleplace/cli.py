@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: check, place, optimize, bench, recover.  Exit codes: 0 success,
-1 parse or usage error, 2 inadmissible structure, 3 unreachable pair,
-4 singular or failed numerics.  All commands are deterministic for a fixed
---seed.
+1 parse or usage error (out-of-range flag values and non-finite file entries
+included), 2 inadmissible structure, 3 unreachable pair, 4 singular or failed
+numerics.  All commands are deterministic for a fixed --seed.
 """
 
 import argparse
@@ -19,17 +19,10 @@ from .errors import (
     ParseError,
     PolePlaceError,
     SingularMatrixError,
-    StructureError,
 )
 from .linalg import ToleranceConfig, fro_norm
-from .metrics import departure_from_normality, kappa_2, kappa_fro
-from .optimize import ObjectiveSpec, OptOptions, minimize
-from .placement import (
-    ParameterMatrix,
-    Placer,
-    chains_from_feedback,
-    residual_scale,
-)
+from .optimize import ObjectiveSpec, OptOptions, minimize, placement_metrics
+from .placement import ParameterMatrix, Placer, chains_from_feedback, residual_ok
 from .report import render_csv, render_markdown, render_report
 from .structure import check_admissible
 from .sysfile import load_feedback, load_parameter, load_structure, load_system
@@ -39,6 +32,13 @@ EXIT_USAGE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_UNREACHABLE = 3
 EXIT_SINGULAR = 4
+
+# exception type -> exit code, first match wins; any other PolePlaceError
+# (parse and structure errors included) is a usage error
+_EXIT_CODES = (
+    (NotReachableError, EXIT_UNREACHABLE),
+    ((SingularMatrixError, ChainConsistencyError), EXIT_SINGULAR),
+)
 
 _PLACE_DRAWS = 20
 
@@ -120,6 +120,24 @@ def _emit(text, out):
         _sys.stdout.write(text)
 
 
+def _options(args):
+    """Tolerance, objective and optimizer options from the flags.
+
+    Commands without optimizer flags get (tol, None, None).  Out-of-range
+    values raise ParseError, so they exit 1 like any other usage error.
+    """
+    try:
+        tol = ToleranceConfig(residual_tol=args.tol)
+        if "method" not in args:
+            return tol, None, None
+        obj = ObjectiveSpec(args.method, args.alpha)
+        opts = OptOptions(restarts=args.restarts, max_iters=args.max_iters,
+                          seed=args.seed)
+    except ValueError as exc:
+        raise ParseError(f"invalid option value: {exc}") from None
+    return tol, obj, opts
+
+
 def _load_inputs(args):
     sf = load_system(args.system)
     if args.spec:
@@ -130,27 +148,16 @@ def _load_inputs(args):
         raise ParseError(
             f"{args.system}: no structure given (embed one or pass --spec)"
         )
-    return sf, spec, ToleranceConfig(residual_tol=args.tol)
+    return sf, spec
 
 
-def _metrics_fields(sys, res, tol):
-    return [
-        ("residual", res.residual),
-        ("cond_V", res.cond_V),
-        ("kappa_fro", kappa_fro(res.V, tol)),
-        ("kappa_2", kappa_2(res.V, tol)),
-        ("kappa_fro_X", kappa_fro(res.X, tol)),
-        ("delta_fro", departure_from_normality(sys.A + sys.B @ res.F)),
-        ("gain_fro", fro_norm(res.F)),
-    ]
-
-
-def _residual_ok(sys, res, tol):
-    return res.residual <= tol.residual_tol * residual_scale(sys, res.F)
+def _metrics_fields(res, metrics):
+    return [("residual", res.residual), ("cond_V", res.cond_V), *metrics.items()]
 
 
 def cmd_check(args):
-    sf, spec, tol = _load_inputs(args)
+    tol, _, _ = _options(args)
+    sf, spec = _load_inputs(args)
     report = check_admissible(spec, sf.system, tol)
     text = render_report(
         [
@@ -169,7 +176,8 @@ def cmd_check(args):
 
 
 def cmd_place(args):
-    sf, spec, tol = _load_inputs(args)
+    tol, _, _ = _options(args)
+    sf, spec = _load_inputs(args)
     sys = sf.system
     report = check_admissible(spec, sys, tol)
     if not report.satisfied:
@@ -196,7 +204,7 @@ def cmd_place(args):
             )
         source = ("seed", args.seed)
 
-    ok = _residual_ok(sys, res, tol)
+    ok = residual_ok(sys, res, tol)
     fields = [
         ("command", "place"),
         ("system", sf.name),
@@ -204,25 +212,23 @@ def cmd_place(args):
         ("m", sys.m),
         source,
         ("status", "ok" if ok else "failed"),
-    ] + _metrics_fields(sys, res, tol)
+    ] + _metrics_fields(res, placement_metrics(sys, res, tol))
     _emit(render_report(fields, [("F", res.F), ("V", res.V), ("X", res.X)]),
           args.out)
     return EXIT_OK if ok else EXIT_SINGULAR
 
 
 def cmd_optimize(args):
-    sf, spec, tol = _load_inputs(args)
+    tol, obj, opts = _options(args)
+    sf, spec = _load_inputs(args)
     sys = sf.system
     report = check_admissible(spec, sys, tol)
     if not report.satisfied:
         _sys.stderr.write(f"inadmissible structure: {report.message}\n")
         return EXIT_INADMISSIBLE
-    obj = ObjectiveSpec(args.method, args.alpha)
-    opts = OptOptions(restarts=args.restarts, max_iters=args.max_iters,
-                      seed=args.seed)
     result = minimize(obj, sys, spec, opts, tol)
     res = result.placement
-    ok = _residual_ok(sys, res, tol)
+    ok = residual_ok(sys, res, tol)
     fields = [
         ("command", "optimize"),
         ("system", sf.name),
@@ -236,24 +242,23 @@ def cmd_optimize(args):
     for i, (final, trace) in enumerate(zip(result.restart_values, result.traces)):
         fields.append((f"restart_{i}_final", final))
         fields.append((f"restart_{i}_steps", len(trace) - 1))
-    fields += _metrics_fields(sys, res, tol)
+    fields += _metrics_fields(res, result.metrics)
     _emit(render_report(fields, [("F", res.F)]), args.out)
     return EXIT_OK if ok else EXIT_SINGULAR
 
 
 def cmd_bench(args):
+    tol, obj, opts = _options(args)
     entries = load_corpus(args.corpus) if args.corpus else builtin_systems()
-    obj = ObjectiveSpec(args.method, args.alpha)
-    opts = OptOptions(restarts=args.restarts, max_iters=args.max_iters,
-                      seed=args.seed)
-    rows = run_bench(entries, obj, opts, ToleranceConfig(residual_tol=args.tol))
+    rows = run_bench(entries, obj, opts, tol)
     text = render_markdown(rows) if args.format == "md" else render_csv(rows)
     _emit(text, args.out)
     return EXIT_OK
 
 
 def cmd_recover(args):
-    sf, spec, tol = _load_inputs(args)
+    tol, _, _ = _options(args)
+    sf, spec = _load_inputs(args)
     sys = sf.system
     F = load_feedback(args.feedback, sys)
     chains = chains_from_feedback(sys, spec, F, tol)
@@ -267,7 +272,7 @@ def cmd_recover(args):
         ("system", sf.name),
         ("status", "ok" if ok else "failed"),
         ("reproduction_error", err),
-    ] + _metrics_fields(sys, res, tol)
+    ] + _metrics_fields(res, placement_metrics(sys, res, tol))
     matrices = [("F", F), ("F_reproduced", res.F)]
     for i, blk in enumerate(K.blocks):
         matrices.append((f"K_{i}", blk))
@@ -283,20 +288,11 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except NotReachableError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNREACHABLE
-    except (SingularMatrixError, ChainConsistencyError) as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SINGULAR
-    except StructureError as exc:
-        _sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except PolePlaceError as exc:
         _sys.stderr.write(f"error: {exc}\n")
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                return code
         return EXIT_USAGE
 
 

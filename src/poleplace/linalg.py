@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .errors import SingularMatrixError
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -27,7 +29,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("rank_tol_factor", "residual_tol", "singular_cond_limit"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
     def rank_threshold(self, shape, sigma_max):
@@ -35,6 +37,20 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def checked_svals(M, tol=DEFAULT_TOL):
+    """Singular values of a square array, largest first; the one singularity
+    test.  M is singular when sigma_min = 0 or sigma_max / sigma_min (NaN
+    included) exceeds tol.singular_cond_limit: SingularMatrixError(cond=...).
+    """
+    s = np.linalg.svd(M, compute_uv=False)
+    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    if not (s[-1] > 0 and cond <= tol.singular_cond_limit):
+        raise SingularMatrixError(
+            f"matrix numerically singular (cond={cond:.3e})", cond=float(cond)
+        )
+    return s
 
 
 def fro_norm(M):

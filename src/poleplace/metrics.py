@@ -7,33 +7,26 @@ perturbations; the gain norm measures control effort.
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linalg import DEFAULT_TOL, fro_norm, schur_triangular, two_norm
+from .linalg import DEFAULT_TOL, checked_svals, fro_norm, schur_triangular, two_norm
 from .structure import jordan_matrix
 
 
-def _sing_vals(X, tol):
+def _square(X):
     X = np.atleast_2d(np.asarray(X))
     if X.shape[0] != X.shape[1]:
         raise ValueError("condition numbers require a square matrix")
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > tol.singular_cond_limit:
-        cond = float("inf") if s[-1] <= 0 else float(s[0] / s[-1])
-        raise SingularMatrixError(
-            f"matrix numerically singular (cond={cond:.3e})", cond=cond
-        )
-    return s
+    return X
 
 
 def kappa_fro(X, tol=DEFAULT_TOL):
     """Frobenius condition number ||X||_F ||X^-1||_F."""
-    s = _sing_vals(X, tol)
+    s = checked_svals(_square(X), tol)
     return float(np.sqrt(np.sum(s**2) * np.sum(s**-2)))
 
 
 def kappa_2(X, tol=DEFAULT_TOL):
     """Spectral condition number sigma_max / sigma_min."""
-    s = _sing_vals(X, tol)
+    s = checked_svals(_square(X), tol)
     return float(s[0] / s[-1])
 
 

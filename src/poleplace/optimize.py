@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import DEFAULT_TOL, fro_norm
+from .linalg import DEFAULT_TOL, checked_svals, fro_norm
 from .metrics import departure_from_normality, kappa_2, kappa_fro
 from .placement import ParameterMatrix, Placer
 
@@ -58,15 +58,14 @@ class ObjectiveSpec:
 class OptOptions:
     restarts: int = 10
     max_iters: int = 500
-    grad_step: float = float(np.finfo(float).eps ** (1.0 / 3.0))
     tol_grad: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.grad_step <= 0 or self.tol_grad <= 0:
-            raise ValueError("grad_step and tol_grad must be positive")
+        if not self.tol_grad > 0:
+            raise ValueError("tol_grad must be positive")
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,9 @@ class _Evaluator:
         n = self.sys.n
         VW = (self.placer.operator() @ x).reshape(n + self.m, n)
         V, W = VW[:n], VW[n:]
-        s = np.linalg.svd(V, compute_uv=False)
-        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-        if not cond <= self.placer.tol.singular_cond_limit:
+        try:
+            s = checked_svals(V, self.placer.tol)
+        except SingularMatrixError:
             return None
         if self.fixed is not None:
             return _Point(V, None, None, self.fixed)
@@ -241,6 +240,10 @@ def objective_f2(K, sys, spec, alpha, tol=DEFAULT_TOL):
     return _objective("normality", K, sys, spec, alpha, tol)
 
 
+# relative central-difference step of `gradient`, eps^(1/3)
+_FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
+
+
 def _fd_gradient(evaluate, x, step, f0=None):
     """Central differences with one-sided fallback at singular probes."""
     g = np.zeros_like(x)
@@ -272,16 +275,14 @@ def _fd_gradient(evaluate, x, step, f0=None):
     return g, flags
 
 
-def gradient(obj, K, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL,
-             return_flags=False):
+def gradient(obj, K, sys, spec, tol=DEFAULT_TOL):
     """Numerical gradient of the objective over the mn free coordinates.
 
     The finite-difference oracle for the exact gradient `minimize` uses.
-    Central differences with relative step grad_step * (1 + |coordinate|);
+    Central differences with relative step eps^(1/3) * (1 + |coordinate|);
     a probe that lands on a singular placement falls back to a one-sided
-    difference (flag raised for that coordinate).  Values come from the
-    same evaluation as `minimize`, so an F-only objective on an F-unique
-    structure has gradient exactly zero.
+    difference.  Values come from the same evaluation as `minimize`, so an
+    F-only objective on an F-unique structure has gradient exactly zero.
     """
     placer = Placer(sys, spec, tol)
     evaluate = _Evaluator(obj, placer)
@@ -289,8 +290,8 @@ def gradient(obj, K, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL,
     f0, ok = evaluate(x)
     if not ok:
         raise SingularMatrixError("objective singular at the evaluation point")
-    g, flags = _fd_gradient(evaluate, x, opts.grad_step, f0)
-    return (g, flags) if return_flags else g
+    g, _ = _fd_gradient(evaluate, x, _FD_STEP, f0)
+    return g
 
 
 def _bfgs_restart(evaluate, x0, pt0, opts):
@@ -371,7 +372,7 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
             ((evaluate.fixed,),) * opts.restarts,
             (evaluate.fixed,) * opts.restarts,
             res,
-            _metrics(sys, res, tol),
+            placement_metrics(sys, res, tol),
             ("grad_tol",) * opts.restarts,
             (0,) * opts.restarts,
         )
@@ -408,11 +409,12 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
     best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
     res = placer.place(best_K)
     return OptResult(best_K, best_val, tuple(traces), tuple(finals), res,
-                     _metrics(sys, res, tol), tuple(terminations),
+                     placement_metrics(sys, res, tol), tuple(terminations),
                      tuple(evaluations))
 
 
-def _metrics(sys, res, tol):
+def placement_metrics(sys, res, tol):
+    """The robustness and gain figures reported for a placement."""
     return {
         "kappa_fro": kappa_fro(res.V, tol),
         "kappa_2": kappa_2(res.V, tol),

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChainConsistencyError,
-    NotReachableError,
-    SingularMatrixError,
-    StructureError,
-)
-from .linalg import DEFAULT_TOL, fro_norm, kernel_basis, pseudo_inverse
+from .errors import ChainConsistencyError, NotReachableError, StructureError
+from .linalg import DEFAULT_TOL, checked_svals, fro_norm, kernel_basis, pseudo_inverse
 from .structure import conformable_column_blocks, jordan_matrix
 
 
@@ -246,17 +241,11 @@ class Placer:
     def place(self, K):
         chain_set = self.build_chains(K)
         V, W = realify(chain_set)
-        s = np.linalg.svd(V, compute_uv=False)
-        cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
-        if not np.isfinite(cond) or cond > self.tol.singular_cond_limit:
-            raise SingularMatrixError(
-                f"parameter matrix yields singular V_K (cond={cond:.3e})",
-                cond=cond,
-            )
+        s = checked_svals(V, self.tol)
         F = np.linalg.solve(V.T, W.T).T
         X = chain_set.X
-        res = residual(self.sys, F, X, self.spec)
-        return PlacementResult(V, W, X, F, res, cond)
+        res = _residual(self.sys, F, X, self.Lambda)
+        return PlacementResult(V, W, X, F, res, float(s[0] / s[-1]))
 
     def residual_scale(self, F):
         # kept as a method for callers outside the package (the perfbench
@@ -389,9 +378,17 @@ def residual_scale(sys, F):
     return 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * fro_norm(F)
 
 
+def residual_ok(sys, res, tol):
+    """Whether a placement is accepted: residual <= residual_tol * scale."""
+    return res.residual <= tol.residual_tol * residual_scale(sys, res.F)
+
+
 def residual(sys, F, X, spec):
     """Closed-loop residual ||(A + B F) X - X Lambda||_F."""
-    Lam = jordan_matrix(spec)
+    return _residual(sys, F, X, jordan_matrix(spec))
+
+
+def _residual(sys, F, X, Lam):
     return fro_norm((sys.A + sys.B @ F) @ X - X @ Lam)
 
 

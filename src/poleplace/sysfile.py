@@ -41,6 +41,15 @@ class SystemFile:
     path: str = ""
 
 
+def _read_json(path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+
+
 def _as_matrix(raw, field, path):
     try:
         M = np.array(raw, dtype=float)
@@ -48,6 +57,9 @@ def _as_matrix(raw, field, path):
         raise ParseError(f"{path}: field '{field}' is not a numeric matrix: {exc}")
     if M.ndim != 2:
         raise ParseError(f"{path}: field '{field}' must be a list of rows")
+    # json reads NaN and Infinity; no matrix of the package may hold them
+    if not np.isfinite(M).all():
+        raise ParseError(f"{path}: field '{field}' has non-finite entries")
     return M
 
 def structure_from_records(records, n=None, path="<records>"):
@@ -85,12 +97,7 @@ def structure_from_records(records, n=None, path="<records>"):
 def load_system(path):
     """Load and validate a system file."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: top level must be an object")
     for field in ("A", "B"):
@@ -123,12 +130,7 @@ def load_system(path):
 def load_structure(path, n=None):
     """Load a structure-only file (record list or {'structure': [...]})."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = _read_json(path)
     records = data.get("structure") if isinstance(data, dict) else data
     return structure_from_records(records, n, str(path))
 
@@ -140,12 +142,7 @@ def load_parameter(path, spec, m):
     omitted for real blocks.  Conjugate-pair consistency is validated.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = _read_json(path)
     raw = data.get("blocks") if isinstance(data, dict) else None
     if not isinstance(raw, list):
         raise ParseError(f"{path}: expected object with a 'blocks' list")
@@ -179,12 +176,7 @@ def load_parameter(path, spec, m):
 def load_feedback(path, sys):
     """Load a feedback matrix file: {"F": [[..]]}."""
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    data = _read_json(path)
     if not isinstance(data, dict) or "F" not in data:
         raise ParseError(f"{path}: expected object with field 'F'")
     F = _as_matrix(data["F"], "F", path)

@@ -222,3 +222,32 @@ class TestRecover:
         )
         assert code == 1
         assert "simple spectrum" in err
+
+
+class TestBadInputValues:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--alpha", "2"],
+            ["optimize", "--alpha", "nan"],
+            ["optimize", "--max-iters", "0"],
+            ["bench", "--restarts", "0"],
+            ["place", "--tol", "0"],
+            ["place", "--tol", "nan"],
+        ],
+    )
+    def test_out_of_range_flag_exits_one(self, tmp_path, capsys, argv):
+        if argv[0] != "bench":
+            argv = argv[:1] + ["--system", write(tmp_path, "di.json", DI)] + argv[1:]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert "error" in err
+
+    def test_non_finite_k_file_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "di.json", DI)
+        k_path = write(
+            tmp_path, "k.json", {"blocks": [{"re": [[float("nan")]]}, {"re": [[1.5]]}]}
+        )
+        code, _, err = run(capsys, ["place", "--system", path, "--k-file", k_path])
+        assert code == 1
+        assert "non-finite" in err

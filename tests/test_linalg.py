@@ -16,6 +16,8 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(rank_tol_factor=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(residual_tol=-1e-8)
+    with pytest.raises(ValueError):
+        ToleranceConfig(residual_tol=float("nan"))
 
 
 class TestKernelBasis:

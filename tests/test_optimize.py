@@ -70,6 +70,8 @@ class TestSpecs:
             pp.OptOptions(restarts=0)
         with pytest.raises(ValueError):
             pp.OptOptions(tol_grad=0.0)
+        with pytest.raises(ValueError):
+            pp.OptOptions(tol_grad=float("nan"))
 
 
 class TestObjectives:

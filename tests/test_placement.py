@@ -3,6 +3,8 @@ import pytest
 import scipy.signal
 
 import poleplace as pp
+from poleplace import placement
+from poleplace.optimize import _Evaluator
 from conftest import (
     eigenvalue_match_errors,
     place_random,
@@ -273,6 +275,47 @@ class TestResidualOp:
         assert res.residual <= 1e-10 * upper
         assert bumped <= upper * (1 + 1e-9)
         assert bumped >= 1e-3 * upper / 100.0
+
+
+class TestSingleOwners:
+    def test_one_singularity_test(self):
+        # place, the optimizer's evaluator and kappa_fro/kappa_2 draw the
+        # line at the same singular_cond_limit for the same V
+        rng = np.random.default_rng(25)
+        sys = random_reachable(rng, 3, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
+        K, res = place_random(rng, sys, spec)
+        cond = res.cond_V
+        obj = pp.ObjectiveSpec("condition", 1.0)
+        x = K.to_vector()
+
+        below = pp.ToleranceConfig(singular_cond_limit=cond * (1 - 1e-6))
+        with pytest.raises(pp.SingularMatrixError) as exc:
+            pp.Placer(sys, spec, below).place(K)
+        assert exc.value.cond == pytest.approx(cond, rel=1e-12)
+        assert _Evaluator(obj, pp.Placer(sys, spec, below)).point(x) is None
+        with pytest.raises(pp.SingularMatrixError):
+            pp.kappa_fro(res.V, below)
+
+        above = pp.ToleranceConfig(singular_cond_limit=cond * (1 + 1e-6))
+        assert pp.Placer(sys, spec, above).place(K).cond_V == cond
+        assert _Evaluator(obj, pp.Placer(sys, spec, above)).point(x) is not None
+        assert pp.kappa_2(res.V, above) == cond
+
+    def test_place_reuses_the_placers_jordan_matrix(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        sys = random_reachable(rng, 4, 2)
+        spec = pp.EigStructure((-1.0, -2.0), ((2, 1), (1,)))
+        placer = pp.Placer(sys, spec)
+        K = pp.ParameterMatrix.random(spec, 2, rng)
+        calls = []
+        build = placement.jordan_matrix
+        monkeypatch.setattr(
+            placement, "jordan_matrix", lambda s: calls.append(s) or build(s)
+        )
+        res = placer.place(K)
+        assert calls == []
+        assert res.residual == pp.residual(sys, res.F, res.X, spec)
 
 
 class TestRecoverParameters:

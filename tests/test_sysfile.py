@@ -110,6 +110,17 @@ class TestLoadParameter:
         with pytest.raises(pp.ParseError, match="shape"):
             load_parameter(write(tmp_path, "k.json", payload), spec, 1)
 
+    @pytest.mark.parametrize(
+        "block",
+        [{"re": [[float("nan")]], "im": [[2.0]]},
+         {"re": [[1.0]], "im": [[float("inf")]]}],
+    )
+    def test_non_finite_rejected(self, tmp_path, block):
+        spec = pp.EigStructure((1j, -1j), ((1,), (1,)))
+        payload = {"blocks": [block, {"re": [[1.0]], "im": [[-2.0]]}]}
+        with pytest.raises(pp.ParseError, match="non-finite"):
+            load_parameter(write(tmp_path, "k.json", payload), spec, 1)
+
     def test_conjugate_violation(self, tmp_path):
         spec = pp.EigStructure((1j, -1j), ((1,), (1,)))
         payload = {
@@ -134,3 +145,9 @@ class TestLoadFeedback:
         sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
         with pytest.raises(pp.ParseError, match="shape"):
             load_feedback(write(tmp_path, "f.json", {"F": [[1.0]]}), sys)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+        with pytest.raises(pp.ParseError, match="non-finite"):
+            load_feedback(write(tmp_path, "f.json", {"F": [[bad, -3.0]]}), sys)

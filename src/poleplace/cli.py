@@ -124,9 +124,12 @@ def _options(args):
     """Tolerance, objective and optimizer options from the flags.
 
     Commands without optimizer flags get (tol, None, None).  Out-of-range
-    values raise ParseError, so they exit 1 like any other usage error.
+    values, a negative --seed included, raise ParseError, so they exit 1
+    like any other usage error.
     """
     try:
+        if "seed" in args and args.seed < 0:
+            raise ValueError("seed must be nonnegative")
         tol = ToleranceConfig(residual_tol=args.tol)
         if "method" not in args:
             return tol, None, None
@@ -239,9 +242,13 @@ def cmd_optimize(args):
         ("status", "ok" if ok else "failed"),
         ("best_value", result.best_value),
     ]
-    for i, (final, trace) in enumerate(zip(result.restart_values, result.traces)):
+    per_restart = zip(result.restart_values, result.traces,
+                      result.terminations, result.evaluations)
+    for i, (final, trace, termination, evals) in enumerate(per_restart):
         fields.append((f"restart_{i}_final", final))
         fields.append((f"restart_{i}_steps", len(trace) - 1))
+        fields.append((f"restart_{i}_termination", termination))
+        fields.append((f"restart_{i}_evals", evals))
     fields += _metrics_fields(res, result.metrics)
     _emit(render_report(fields, [("F", res.F)]), args.out)
     return EXIT_OK if ok else EXIT_SINGULAR

@@ -3,9 +3,17 @@
 The placement parameter K has exactly m*n free real coordinates, so
 robustness and gain objectives become unconstrained (nonconvex) functions on
 R^(mn).  Each restart runs BFGS with Armijo backtracking, so accepted steps
-never increase the objective.  The chains are linear in K, so [V; W] = L x
-for one operator L built once per placer (`Placer.operator`); values come
-from L x and F = W V^-1, and gradients are exact, pulled back through L.
+never increase the objective.  A restart ends "grad_tol" when the gradient
+is below tol_grad, "max_iters" at the iteration cap, "line_search" when
+all _MAX_BACKTRACKS probes are singular or rejected, "zero_slope" when the
+steepest-descent fallback has zero slope, and "roundoff" when the full step
+is rejected and the Armijo threshold of the next shorter step rounds to the
+current value: no shorter step can certify a decrease in floating point, so
+the restart sits at the objective's roundoff floor.
+
+The chains are linear in K, so [V; W] = L x for one operator L built once
+per placer (`Placer.operator`); values come from L x and F = W V^-1, and
+gradients are exact, pulled back through L.
 Central finite differences remain as the oracle behind `gradient`.
 Parameter draws that make V singular are a measure-zero set and are treated
 as resample or step-rejection signals, never as fatal errors.
@@ -66,6 +74,8 @@ class OptOptions:
             raise ValueError("restarts and max_iters must be positive")
         if not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,9 @@ class OptResult:
     placement: object
     metrics: dict = field(default_factory=dict)
     # per restart, aligned with traces: why it stopped ("grad_tol",
-    # "max_iters", "line_search" or "zero_slope") and how many objective
-    # values it computed, start draws included
+    # "max_iters", "line_search", "zero_slope" or "roundoff", the floating-
+    # point floor of the objective; see the module docstring) and how many
+    # objective values it computed, start draws included
     terminations: tuple = ()
     evaluations: tuple = ()
 
@@ -323,6 +334,7 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
                 break
         t = 1.0
         accepted = None
+        stop = "line_search"
         for _ in range(_MAX_BACKTRACKS):
             pc = evaluate.point(x + t * p)
             probes += 1
@@ -330,8 +342,12 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
                 accepted = pc
                 break
             t *= 0.5
+            # no shorter step can certify a decrease in floating point
+            if not fx + _ARMIJO_C1 * t * slope < fx:
+                stop = "roundoff"
+                break
         if accepted is None:
-            termination = "line_search"
+            termination = stop
             break
         s = t * p
         x_new = x + s

@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poleplace.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 DI = {
     "name": "di",
@@ -173,6 +176,26 @@ class TestOptimize:
         _, out2, _ = run(capsys, args)
         assert out1 == out2
 
+    def test_restart_terminations_reported(self, tmp_path, capsys):
+        # the bench's structure for the corpus: all poles at zero, blocks
+        # equal to the controllability indices
+        spec = write(tmp_path, "s.json", [{"re": 0.0, "im": 0.0, "blocks": [3, 2]}])
+        path = str(CORPUS / "bn02_distillation.json")
+        code, out, _ = run(
+            capsys,
+            ["optimize", "--system", path, "--spec", spec, "--restarts", "2"],
+        )
+        assert code == 0
+        fields = [l.split(": ", 1) for l in out.splitlines() if ": " in l]
+        keys, values = [k for k, _ in fields], dict(fields)
+        for i in range(2):
+            at = keys.index(f"restart_{i}_steps")
+            assert keys[at + 1:at + 3] == [
+                f"restart_{i}_termination", f"restart_{i}_evals"
+            ]
+            assert values[f"restart_{i}_termination"] in ("grad_tol", "roundoff")
+            assert int(values[f"restart_{i}_evals"]) > 0
+
 
 class TestBench:
     def test_builtin_rows(self, capsys):
@@ -234,6 +257,9 @@ class TestBadInputValues:
             ["bench", "--restarts", "0"],
             ["place", "--tol", "0"],
             ["place", "--tol", "nan"],
+            ["place", "--seed", "-1"],
+            ["optimize", "--seed", "-1"],
+            ["bench", "--seed", "-1"],
         ],
     )
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, argv):
@@ -249,5 +275,17 @@ class TestBadInputValues:
             tmp_path, "k.json", {"blocks": [{"re": [[float("nan")]]}, {"re": [[1.5]]}]}
         )
         code, _, err = run(capsys, ["place", "--system", path, "--k-file", k_path])
+        assert code == 1
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["check", "place"])
+    def test_non_finite_eigenvalue_exits_one(self, tmp_path, capsys, command):
+        payload = dict(DI)
+        payload["structure"] = [
+            {"re": float("nan"), "im": 0.0, "blocks": [1]},
+            {"re": -2.0, "im": 0.0, "blocks": [1]},
+        ]
+        path = write(tmp_path, "nan.json", payload)
+        code, _, err = run(capsys, [command, "--system", path])
         assert code == 1
         assert "non-finite" in err

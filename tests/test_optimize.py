@@ -72,6 +72,8 @@ class TestSpecs:
             pp.OptOptions(tol_grad=0.0)
         with pytest.raises(ValueError):
             pp.OptOptions(tol_grad=float("nan"))
+        with pytest.raises(ValueError):
+            pp.OptOptions(seed=-1)
 
 
 class TestObjectives:
@@ -269,6 +271,18 @@ class TestTerminations:
         )
         assert result.terminations == ("max_iters",) * 2
         assert all(len(trace) == 4 for trace in result.traces)
+
+    def test_bn02_restarts_end_at_roundoff_floor(self):
+        # 98.51495372173828 is the floor value these restarts reach when run
+        # on to max_iters=500 (116,541 evaluations in all)
+        sys, spec = self.corpus_case("bn02_distillation")
+        result = pp.minimize(
+            pp.ObjectiveSpec("condition", 1.0), sys, spec, pp.OptOptions()
+        )
+        assert set(result.terminations) <= {"grad_tol", "roundoff"}
+        assert "roundoff" in result.terminations
+        assert sum(result.evaluations) < 10_000
+        assert result.best_value == pytest.approx(98.51495372173828, rel=1e-12)
 
 
 class TestMinimize:

@@ -71,6 +71,16 @@ class TestLoadSystem:
         sf = load_system(write(tmp_path, "b.json", payload))
         assert sf.baseline["kappa_fro"] == 16.73
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_eigenvalue_rejected(self, tmp_path, part, bad):
+        payload = dict(BASE)
+        record = {"re": -1.0, "im": 0.0, "blocks": [1]}
+        record[part] = bad
+        payload["structure"] = [record, {"re": -2.0, "im": 0.0, "blocks": [1]}]
+        with pytest.raises(pp.ParseError, match="non-finite"):
+            load_system(write(tmp_path, "nan.json", payload))
+
 
 class TestLoadStructure:
     def test_bare_list(self, tmp_path):

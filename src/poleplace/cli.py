@@ -215,7 +215,7 @@ def cmd_place(args):
         ("m", sys.m),
         source,
         ("status", "ok" if ok else "failed"),
-    ] + _metrics_fields(res, placement_metrics(sys, res, tol))
+    ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
     _emit(render_report(fields, [("F", res.F), ("V", res.V), ("X", res.X)]),
           args.out)
     return EXIT_OK if ok else EXIT_SINGULAR
@@ -246,7 +246,8 @@ def cmd_optimize(args):
                       result.terminations, result.evaluations)
     for i, (final, trace, termination, evals) in enumerate(per_restart):
         fields.append((f"restart_{i}_final", final))
-        fields.append((f"restart_{i}_steps", len(trace) - 1))
+        # a singular_start restart has the empty trace: 0 steps
+        fields.append((f"restart_{i}_steps", max(len(trace) - 1, 0)))
         fields.append((f"restart_{i}_termination", termination))
         fields.append((f"restart_{i}_evals", evals))
     fields += _metrics_fields(res, result.metrics)
@@ -279,7 +280,7 @@ def cmd_recover(args):
         ("system", sf.name),
         ("status", "ok" if ok else "failed"),
         ("reproduction_error", err),
-    ] + _metrics_fields(res, placement_metrics(sys, res, tol))
+    ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
     matrices = [("F", F), ("F_reproduced", res.F)]
     for i, blk in enumerate(K.blocks):
         matrices.append((f"K_{i}", blk))

@@ -1,15 +1,16 @@
 """Dense matrix primitives: nullspaces, pseudoinverses, Schur form, norms.
 
-Everything here is a thin, tolerance-aware layer over LAPACK via numpy and
-scipy.  Rank decisions use the singular-value threshold
-``rank_tol_factor * max(dims) * eps * sigma_max`` throughout, so callers get
-one consistent notion of numerical rank.
+Everything here is a thin, tolerance-aware layer over LAPACK via numpy.
+Only the complex Schur form needs scipy; `schur_triangular` imports it on
+first call, so importing the package does not load scipy.  Rank decisions
+use the singular-value threshold ``rank_tol_factor * max(dims) * eps *
+sigma_max`` throughout, so callers get one consistent notion of numerical
+rank.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
@@ -107,6 +108,8 @@ def schur_triangular(A):
     Returns (U, T) with U unitary and T upper triangular; entries below the
     diagonal of T are zeroed exactly.
     """
+    import scipy.linalg  # ~0.3 s to import, so only when a Schur form is needed
+
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("schur_triangular expects a square matrix")

@@ -10,6 +10,10 @@ import numpy as np
 from .linalg import DEFAULT_TOL, checked_svals, fro_norm, schur_triangular, two_norm
 from .structure import jordan_matrix
 
+# Below this share of ||A||_F^2 the Henrici identity's roundoff, about
+# eps * ||A||_F^2, is no longer small against the departure it computes
+_IDENTITY_FLOOR = 1e-6
+
 
 def _square(X):
     X = np.atleast_2d(np.asarray(X))
@@ -39,6 +43,30 @@ def departure_from_normality(A):
     """
     _, T = schur_triangular(A)
     return fro_norm(np.triu(T, 1))
+
+
+def spectrum_mass(spec):
+    """sum |lambda|^2 over the spectrum of spec, with algebraic multiplicity."""
+    return float(sum(
+        abs(lam) ** 2 * mult
+        for lam, mult in zip(spec.eigenvalues, spec.multiplicities)
+    ))
+
+
+def assigned_departure_sq(A, mass):
+    """Squared departure from normality of A whose spectrum is known.
+
+    mass is `spectrum_mass` of that spectrum; Henrici's identity gives
+    delta_fro^2 = ||A||_F^2 - mass without a Schur form.  When that
+    difference is below _IDENTITY_FLOOR * ||A||_F^2 (A nearly normal) the
+    identity's roundoff would dominate, and the Schur form decides.
+    """
+    a = np.ravel(A)
+    total = float(a @ a)
+    value = total - mass
+    if value < _IDENTITY_FLOOR * total:
+        return departure_from_normality(A) ** 2
+    return value
 
 
 def sensitivity_bound_check(X, H, spec, tol=DEFAULT_TOL):

@@ -9,11 +9,16 @@ all _MAX_BACKTRACKS probes are singular or rejected, "zero_slope" when the
 steepest-descent fallback has zero slope, and "roundoff" when the full step
 is rejected and the Armijo threshold of the next shorter step rounds to the
 current value: no shorter step can certify a decrease in floating point, so
-the restart sits at the objective's roundoff floor.
+the restart sits at the objective's roundoff floor.  A restart whose
+_RESAMPLE_LIMIT start draws are all singular is reported as "singular_start"
+with an empty trace and value +inf.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
 per placer (`Placer.operator`); values come from L x and F = W V^-1, and
-gradients are exact, pulled back through L.
+gradients are exact, pulled back through L.  Every placement assigns the
+requested spectrum, so the normality objective needs no Schur form:
+delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
+gives its value and its gradient alike.
 Central finite differences remain as the oracle behind `gradient`.
 Parameter draws that make V singular are a measure-zero set and are treated
 as resample or step-rejection signals, never as fatal errors.
@@ -34,8 +39,14 @@ import numpy as np
 
 from .errors import SingularMatrixError
 from .linalg import DEFAULT_TOL, checked_svals, fro_norm
-from .metrics import departure_from_normality, kappa_2, kappa_fro
-from .placement import ParameterMatrix, Placer
+from .metrics import (
+    assigned_departure_sq,
+    departure_from_normality,
+    kappa_2,
+    kappa_fro,
+    spectrum_mass,
+)
+from .placement import ParameterMatrix, Placer, residual_ok
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -87,9 +98,10 @@ class OptResult:
     placement: object
     metrics: dict = field(default_factory=dict)
     # per restart, aligned with traces: why it stopped ("grad_tol",
-    # "max_iters", "line_search", "zero_slope" or "roundoff", the floating-
-    # point floor of the objective; see the module docstring) and how many
-    # objective values it computed, start draws included
+    # "max_iters", "line_search", "zero_slope", "roundoff", the floating-
+    # point floor of the objective, or "singular_start"; see the module
+    # docstring) and how many objective values it computed, start draws
+    # included
     terminations: tuple = ()
     evaluations: tuple = ()
 
@@ -145,12 +157,15 @@ class _Evaluator:
     """Objective and its exact gradient over the free coordinate vector.
 
     Evaluations form [V; W] = L x through the placer's linear operator (see
-    `Placer.operator`), then F = W V^-1.  Calling the evaluator returns
-    (value, ok); singular placements yield (+inf, False) so line searches
-    reject the step and move on.  For an F-only objective on an F-unique
-    structure the value is computed once at K* (see `unique_parameter`) and
-    returned for every nonsingular x; x is still checked first, so a
-    singular draw remains a resample signal.
+    `Placer.operator`), then F = W V^-1.  The normality value and gradient
+    both use Henrici's identity with the assigned spectrum, whose mass
+    sum mult |lambda|^2 is computed once here.  Calling the evaluator
+    returns (value, ok); singular placements yield (+inf, False) so line
+    searches reject the step and move on.  For an F-only objective on an
+    F-unique structure the value is computed once at K* (see
+    `unique_parameter`), from the Schur form, and returned for every
+    nonsingular x; x is still checked first, so a singular draw remains a
+    resample signal.
     """
 
     def __init__(self, obj, placer):
@@ -159,6 +174,7 @@ class _Evaluator:
         self.sys = placer.sys
         self.spec = placer.spec
         self.m = placer.sys.m
+        self.mass = spectrum_mass(self.spec)
         self.K_star = self.placement_star = self.fixed = None
         f_only = obj.method == "normality" or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
@@ -171,16 +187,28 @@ class _Evaluator:
                 return
             self.K_star = K_star
             res = self.placement_star
-            self.fixed = self._value(res.V, res.F)
+            # once per evaluator, off the search path: the Schur form
+            self.fixed = self._value(res.V, res.F, schur=True)
 
-    def _value(self, V, F, s=None):
+    def _value(self, V, F, s=None, schur=False):
+        """The objective at (V, F); s are V's singular values if known.
+
+        The normality term is Henrici's identity with the assigned spectrum
+        (`assigned_departure_sq`, which itself falls back to the Schur form
+        on a nearly normal loop), the same identity `grad` differentiates;
+        schur=True takes the Schur form outright.
+        """
         alpha = self.obj.alpha
         if self.obj.method == "condition":
             if s is None:
                 s = np.linalg.svd(V, compute_uv=False)
             robust = float(np.sum(s**2)) + float(np.sum(s**-2))
         else:
-            robust = departure_from_normality(self.sys.A + self.sys.B @ F) ** 2
+            Acl = self.sys.A + self.sys.B @ F
+            if schur:
+                robust = departure_from_normality(Acl) ** 2
+            else:
+                robust = assigned_departure_sq(Acl, self.mass)
         return alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
 
     def point(self, x):
@@ -204,8 +232,8 @@ class _Evaluator:
         With F = W V^-1 and G = df/dF, the chain rule gives df/dW = G V^-T
         and df/dV = -F^T G V^-T, plus the explicit 2 alpha (V - V^-T V^-1
         V^-T) of ||V||_F^2 + ||V^-1||_F^2 for the condition method.  For the
-        normality method the spectrum is assigned exactly, so
-        delta_fro^2 = ||A + B F||_F^2 - const and G = 2 alpha B^T (A + B F)
+        normality method it is the identity `_value` evaluates:
+        delta_fro^2 = ||A + B F||_F^2 - mass, so G = 2 alpha B^T (A + B F)
         + 2 (1 - alpha) F.  Both partials are pulled back through L.
         Not defined for an evaluator with a value fixed at K*: `minimize`
         does not search there.
@@ -388,33 +416,30 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
             ((evaluate.fixed,),) * opts.restarts,
             (evaluate.fixed,) * opts.restarts,
             res,
-            placement_metrics(sys, res, tol),
+            placement_metrics(sys, spec, res, tol),
             ("grad_tol",) * opts.restarts,
             (0,) * opts.restarts,
         )
 
     dim = sys.m * sys.n
     streams = np.random.SeedSequence(opts.seed).spawn(opts.restarts)
-    traces, finals, terminations, evaluations = [], [], [], []
+    # (trace, final value, termination, evaluations) per restart
+    runs = []
     best_x, best_val = None, float("inf")
     for stream in streams:
         rng = np.random.default_rng(stream)
-        x0 = pt0 = None
         for draws in range(1, _RESAMPLE_LIMIT + 1):
-            cand = rng.standard_normal(dim)
-            pt0 = evaluate.point(cand)
+            x0 = rng.standard_normal(dim)
+            pt0 = evaluate.point(x0)
             if pt0 is not None:
-                x0 = cand
                 break
-        if x0 is None:
+        else:
+            runs.append(((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
             continue
         x, val, trace, termination, probes = _bfgs_restart(
             evaluate, x0, pt0, opts
         )
-        traces.append(tuple(trace))
-        finals.append(val)
-        terminations.append(termination)
-        evaluations.append(draws + probes)
+        runs.append((tuple(trace), val, termination, draws + probes))
         if val < best_val:
             best_x, best_val = x, val
     if best_x is None:
@@ -424,17 +449,28 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
 
     best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
     res = placer.place(best_K)
-    return OptResult(best_K, best_val, tuple(traces), tuple(finals), res,
-                     placement_metrics(sys, res, tol), tuple(terminations),
-                     tuple(evaluations))
+    traces, finals, terminations, evaluations = zip(*runs)
+    return OptResult(best_K, best_val, traces, finals, res,
+                     placement_metrics(sys, spec, res, tol), terminations,
+                     evaluations)
 
 
-def placement_metrics(sys, res, tol):
-    """The robustness and gain figures reported for a placement."""
+def placement_metrics(sys, spec, res, tol):
+    """The robustness and gain figures reported for a placement.
+
+    delta_fro uses Henrici's identity with the assigned spectrum of spec
+    (`assigned_departure_sq`); a placement that fails `residual_ok` need
+    not carry that spectrum, so there the Schur form decides.
+    """
+    Acl = sys.A + sys.B @ res.F
+    if residual_ok(sys, res, tol):
+        delta = float(np.sqrt(assigned_departure_sq(Acl, spectrum_mass(spec))))
+    else:
+        delta = departure_from_normality(Acl)
     return {
         "kappa_fro": kappa_fro(res.V, tol),
         "kappa_2": kappa_2(res.V, tol),
         "kappa_fro_X": kappa_fro(res.X, tol),
-        "delta_fro": departure_from_normality(sys.A + sys.B @ res.F),
+        "delta_fro": delta,
         "gain_fro": fro_norm(res.F),
     }

@@ -118,6 +118,28 @@ def place_random(rng, sys, spec, tries=25, tol=None, best_of=1):
     return best
 
 
+def start_conds(placer, seed, restarts):
+    """cond(V) of the first start draw of each `minimize` restart.
+
+    Mirrors minimize's draws: one SeedSequence(seed) child stream per
+    restart, standard-normal free coordinates.
+    """
+    m, spec = placer.sys.m, placer.spec
+    conds = []
+    for stream in np.random.SeedSequence(seed).spawn(restarts):
+        x = np.random.default_rng(stream).standard_normal(m * placer.sys.n)
+        K = pp.ParameterMatrix.from_vector(spec, m, x)
+        conds.append(placer.place(K).cond_V)
+    return conds
+
+
+def split_limit(conds):
+    """A singular_cond_limit between the lower and upper half of conds."""
+    c = sorted(conds)
+    k = len(c) // 2
+    return float(np.sqrt(c[k - 1] * c[k]))
+
+
 def weyr_ranks_ok(sys, F, spec, noise_factor=1e6, gap_factor=1e4):
     """Verify the requested block orders through the rank pattern of
     (A + BF - lambda I)^q: expected rank is n - sum_k min(q, p_k).

@@ -1,10 +1,14 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poleplace as pp
+from poleplace import cli, optimize
 from poleplace.cli import main
+from conftest import split_limit, start_conds
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -195,6 +199,32 @@ class TestOptimize:
             ]
             assert values[f"restart_{i}_termination"] in ("grad_tol", "roundoff")
             assert int(values[f"restart_{i}_evals"]) > 0
+
+
+    def test_singular_start_reported(self, tmp_path, capsys, monkeypatch):
+        # one start draw per restart and a singular_cond_limit between the
+        # draws' cond(V): the restarts above it report 0 steps
+        path = write(tmp_path, "di.json", DI)
+        sf = pp.load_system(path)
+        conds = start_conds(pp.Placer(sf.system, sf.structure), 2, 6)
+        limit = split_limit(conds)
+        monkeypatch.setattr(optimize, "_RESAMPLE_LIMIT", 1)
+        monkeypatch.setattr(cli, "ToleranceConfig", functools.partial(
+            pp.ToleranceConfig, singular_cond_limit=limit))
+        code, out, _ = run(
+            capsys,
+            ["optimize", "--system", path, "--restarts", "6", "--seed", "2",
+             "--max-iters", "30"],
+        )
+        assert code == 0
+        values = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
+        for i, cond in enumerate(conds):
+            singular = cond > limit
+            assert (values[f"restart_{i}_termination"] == "singular_start") == singular
+            if singular:
+                assert values[f"restart_{i}_steps"] == "0"
+                assert values[f"restart_{i}_evals"] == "1"
+                assert values[f"restart_{i}_final"] == "inf"
 
 
 class TestBench:

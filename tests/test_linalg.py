@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,21 @@ from poleplace.linalg import (
     schur_triangular,
     two_norm,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # scipy.linalg takes ~0.3 s to import and only the Schur form needs it
+    code = ("import sys, poleplace, poleplace.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_tolerance_config_rejects_nonpositive():

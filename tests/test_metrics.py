@@ -1,8 +1,27 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace import metrics, optimize
 from poleplace.linalg import fro_norm
+from poleplace.metrics import assigned_departure_sq, spectrum_mass
+from poleplace.placement import residual_ok
+from conftest import place_random, random_admissible_spec, random_reachable
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestConditionNumbers:
@@ -64,6 +83,63 @@ class TestDepartureFromNormality:
             lam = np.linalg.eigvals(A)
             identity = np.sqrt(max(fro_norm(A) ** 2 - np.sum(np.abs(lam) ** 2), 0.0))
             assert delta == pytest.approx(identity, rel=1e-9, abs=1e-9)
+
+
+class TestAssignedDeparture:
+    @pytest.mark.parametrize("n", [4, 5, 6, 8, 16])
+    def test_matches_schur_on_placements(self, n, monkeypatch):
+        # semisimple spectra (max_block=1, so repeated eigenvalues have order
+        # 1 blocks): a defective eigenvalue's computed Schur eigenvalues move
+        # by ~eps^(1/p), so there the Schur form is no 1e-12 reference
+        schur = count_calls(monkeypatch, metrics, "departure_from_normality")
+        rng = np.random.default_rng(70 + n)
+        for _ in range(8):
+            sys = random_reachable(rng, n, 2)
+            spec = random_admissible_spec(rng, sys, max_block=1)
+            _, res = place_random(rng, sys, spec)
+            assert residual_ok(sys, res, pp.ToleranceConfig())
+            Acl = sys.A + sys.B @ res.F
+            value = assigned_departure_sq(Acl, spectrum_mass(spec))
+            reference = pp.departure_from_normality(Acl) ** 2
+            assert value == pytest.approx(reference, rel=1e-12)
+        assert not schur  # every value came from the identity
+
+    def test_spectrum_mass_counts_multiplicity(self):
+        spec = pp.EigStructure((1 + 2j, 1 - 2j, -3.0), ((2,), (2,), (1, 1)))
+        assert spectrum_mass(spec) == 2 * 5.0 + 2 * 5.0 + 2 * 9.0
+
+    def test_near_normal_loop_takes_schur_branch(self, monkeypatch):
+        # B = I and the target Q Lambda Q^T: the loop is symmetric, so
+        # delta_fro = 0 and the identity would return pure roundoff
+        rng = np.random.default_rng(56)
+        A = rng.standard_normal((4, 4))
+        sys = pp.System(A, np.eye(4))
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        F = Q @ np.diag([-4.0, -3.0, -2.0, -1.0]) @ Q.T - A
+        K = pp.recover_parameters(sys, spec, pp.chains_from_feedback(sys, spec, F))
+        res = pp.place(sys, spec, K)
+        tol = pp.ToleranceConfig()
+        assert residual_ok(sys, res, tol)
+        schur = count_calls(monkeypatch, metrics, "departure_from_normality")
+        delta = optimize.placement_metrics(sys, spec, res, tol)["delta_fro"]
+        assert len(schur) == 1
+        assert delta < 1e-10 * fro_norm(sys.A + sys.B @ res.F)
+
+    def test_failed_residual_takes_schur(self, monkeypatch):
+        # a placement that fails residual_ok need not have the assigned
+        # spectrum, so its delta_fro must not come from the identity
+        rng = np.random.default_rng(57)
+        sys = random_reachable(rng, 4, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        _, res = place_random(rng, sys, spec)
+        bad = dataclasses.replace(res, residual=1.0)
+        tol = pp.ToleranceConfig()
+        assert not residual_ok(sys, bad, tol)
+        schur = count_calls(monkeypatch, optimize, "departure_from_normality")
+        delta = optimize.placement_metrics(sys, spec, bad, tol)["delta_fro"]
+        assert len(schur) == 1
+        assert delta == pp.departure_from_normality(sys.A + sys.B @ res.F)
 
 
 class TestSensitivityBound:

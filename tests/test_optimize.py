@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace import optimize
 from poleplace.bench import defective_zero_structure
 from poleplace.linalg import fro_norm
 from poleplace.optimize import (
@@ -12,7 +13,7 @@ from poleplace.optimize import (
     is_f_unique,
     unique_parameter,
 )
-from conftest import random_reachable
+from conftest import random_reachable, split_limit, start_conds
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -238,6 +239,25 @@ class TestAnalyticGradient:
                     err = np.linalg.norm(g - fd)
                     assert err <= 1e-5 * np.linalg.norm(fd), (method, alpha)
 
+    @pytest.mark.parametrize("name", ["simple", "complex_pair"])
+    def test_normality_gradient_matches_schur_differences(self, name):
+        # an oracle independent of Henrici's identity: central differences
+        # of the Schur-form delta_fro^2 of each probe's placement
+        spec = gradient_structures(2)[name]
+        sys = random_reachable(np.random.default_rng(102), 4, 2)
+        placer = pp.Placer(sys, spec)
+        evaluate = _Evaluator(pp.ObjectiveSpec("normality", 1.0), placer)
+
+        def schur_value(x):
+            res = placer.place(pp.ParameterMatrix.from_vector(spec, 2, x))
+            return pp.departure_from_normality(sys.A + sys.B @ res.F) ** 2, True
+
+        for x in well_conditioned_probes(placer, np.random.default_rng(65), 3):
+            fd, flags = _fd_gradient(schur_value, x, optimize._FD_STEP)
+            assert not flags.any()
+            g = evaluate.grad(evaluate.point(x))
+            assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
+
     def test_singular_point_rejected(self):
         sys = random_reachable(np.random.default_rng(63), 4, 2)
         spec = gradient_structures(2)["simple"]
@@ -283,6 +303,34 @@ class TestTerminations:
         assert "roundoff" in result.terminations
         assert sum(result.evaluations) < 10_000
         assert result.best_value == pytest.approx(98.51495372173828, rel=1e-12)
+
+
+    def test_singular_start_reported(self, monkeypatch):
+        # one start draw per restart and a limit between the draws' cond(V):
+        # about half the restarts cannot start
+        monkeypatch.setattr(optimize, "_RESAMPLE_LIMIT", 1)
+        sys = random_reachable(np.random.default_rng(64), 4, 2)
+        spec = gradient_structures(2)["simple"]
+        opts = pp.OptOptions(restarts=6, max_iters=20, seed=3)
+        conds = start_conds(pp.Placer(sys, spec), opts.seed, opts.restarts)
+        limit = split_limit(conds)
+        result = pp.minimize(
+            pp.ObjectiveSpec("condition", 1.0), sys, spec, opts,
+            pp.ToleranceConfig(singular_cond_limit=limit),
+        )
+        assert len(result.traces) == opts.restarts
+        assert len(result.terminations) == len(result.evaluations) == opts.restarts
+        for i, cond in enumerate(conds):
+            if cond > limit:
+                assert result.traces[i] == ()
+                assert result.restart_values[i] == float("inf")
+                assert result.terminations[i] == "singular_start"
+                assert result.evaluations[i] == 1
+            else:
+                assert len(result.traces[i]) >= 1
+                assert result.restart_values[i] == result.traces[i][-1]
+                assert result.terminations[i] != "singular_start"
+        assert result.best_value == min(result.restart_values)
 
 
 class TestMinimize:

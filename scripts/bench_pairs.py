@@ -10,7 +10,8 @@ commit.  Every run is
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-with a tree as working directory, so it measures that tree's `src/`.  The
+with T the run_seconds of BENCHMARK.json and a tree as working directory,
+so it measures that tree's `src/`.  The
 trees must hold byte-identical `perfbench/` and `BENCHMARK.json`, so both
 sides run the same benchmark code.  Pair k runs the parent first when k is
 even and the change first when k is odd.
@@ -118,8 +119,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default: run_seconds of BENCHMARK.json")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("workloads", nargs="+", type=parse_workload,
                         metavar="WORKLOAD=SEEDS")
@@ -131,7 +130,7 @@ def main(argv=None):
         raise SystemExit("perfbench/ or BENCHMARK.json differ between the trees")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     declared = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
 
     doc = {
         "trees": {side: commit_of(tree) for side, tree in trees.items()},

@@ -93,6 +93,8 @@ class OptOptions:
 class OptResult:
     best_K: ParameterMatrix
     best_value: float
+    # per restart, the accepted values from the start draw on; empty for a
+    # "singular_start" restart, which has no start value
     traces: tuple
     restart_values: tuple
     placement: object

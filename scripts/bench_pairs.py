@@ -14,14 +14,18 @@ with T the run_seconds of BENCHMARK.json and a tree as working directory,
 so it measures that tree's `src/`.  The
 trees must hold byte-identical `perfbench/` and `BENCHMARK.json`, so both
 sides run the same benchmark code.  Pair k runs the parent first when k is
-even and the change first when k is odd.
+even and the change first when k is odd.  After its pairs, each workload
+gets one run with --trace 1 per side (parent first) on its first seed.
 
 The output JSON holds, per workload and end-to-end metric of BENCHMARK.json,
 both sides' runs, medians, quartiles and IQR/median, the change/parent ratio
 of the medians, and in how many pairs the change read better (ties count for
 neither); plus fail counts, perfbench's quality figures per run, the
-commits of both trees and the environment perfbench records.  The file is
-rewritten after every pair.
+commits of both trees and the environment perfbench records.  From each
+traced run it holds the per-layer metrics and, counted in the spans file
+that run writes (one traced pass), the `placement.build_chains` spans
+inside `optimize.minimize`, a layer no per-layer metric covers.  The file
+is rewritten after every pair and every traced run.
 """
 
 import argparse
@@ -70,11 +74,12 @@ def commit_of(tree):
     return {"commit": head, "dirty": bool(dirty) if head else None}
 
 
-def run_once(tree, workload, seed, seconds):
-    """One perfbench run: (end-to-end metrics, failed, attempted, record)."""
+def run_once(tree, workload, seed, seconds, trace=0):
+    """One perfbench run: (metrics, failed, attempted, record); the metrics
+    are the end-to-end ones, or with trace=1 the per-layer ones."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -85,6 +90,19 @@ def run_once(tree, workload, seed, seconds):
     metrics = {k: v["value"] for k, v in result["metrics"].items()}
     return (metrics, result["failed"], result["attempted"],
             json.loads((tree / record).read_text()))
+
+
+def chains_in_minimize(spans_path):
+    """Number of placement.build_chains spans with an optimize.minimize
+    span among their ancestors, in one perfbench spans file."""
+    spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    inside = []
+    for s in spans:
+        parent = s["parent"]
+        inside.append(parent >= 0 and (
+            inside[parent] or spans[parent]["name"] == "optimize.minimize"))
+    return sum(1 for s, flag in zip(spans, inside)
+               if flag and s["name"] == "placement.build_chains")
 
 
 def summary(values):
@@ -168,6 +186,21 @@ def main(argv=None):
             print(f"{workload} seed {seed}: "
                   + ", ".join(f"{n} {pair['parent'][n]:.4g} -> {pair['change'][n]:.4g}"
                               for n, _ in declared), flush=True)
+        traced = {"seed": seeds[0]}
+        for side in ("parent", "change"):
+            metrics, failed, attempted, record = run_once(
+                trees[side], workload, seeds[0], seconds, trace=1)
+            traced[side] = {
+                "metrics": metrics,
+                "failed": [failed, attempted],
+                "build_chains_in_minimize":
+                    chains_in_minimize(trees[side] / record["spans"]),
+            }
+        doc["workloads"][workload]["traced"] = traced
+        args.out.write_text(json.dumps(doc, indent=2) + "\n")
+        print(f"{workload} traced seed {seeds[0]}: build_chains in minimize "
+              f"{traced['parent']['build_chains_in_minimize']} -> "
+              f"{traced['change']['build_chains_in_minimize']}", flush=True)
     return 0
 
 

@@ -64,6 +64,13 @@ def two_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
+def _numerical_rank(shape, s, tol):
+    """Number of singular values s (largest first) at or above the threshold."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s >= tol.rank_threshold(shape, s[0])))
+
+
 def kernel_basis(M, tol=DEFAULT_TOL):
     """Orthonormal basis for the kernel of ``M``.
 
@@ -80,11 +87,7 @@ def kernel_basis(M, tol=DEFAULT_TOL):
     """
     M = np.atleast_2d(np.asarray(M))
     _, s, vh = np.linalg.svd(M)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s >= tol.rank_threshold(M.shape, s[0])))
-    return vh[rank:].conj().T.copy()
+    return vh[_numerical_rank(M.shape, s, tol):].conj().T.copy()
 
 
 def pseudo_inverse(M, tol=DEFAULT_TOL):
@@ -95,11 +98,29 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
     """
     M = np.atleast_2d(np.asarray(M))
     u, s, vh = np.linalg.svd(M, full_matrices=False)
+    return _pinv_from_svd(u, s, vh, _numerical_rank(M.shape, s, tol))
+
+
+def _pinv_from_svd(u, s, vh, rank):
+    # u and vh may be full: only their leading s.size vectors enter
     inv_s = np.zeros_like(s)
-    if s.size and s[0] > 0.0:
-        keep = s >= tol.rank_threshold(M.shape, s[0])
-        inv_s[keep] = 1.0 / s[keep]
-    return (vh.conj().T * inv_s) @ u.conj().T
+    inv_s[:rank] = 1.0 / s[:rank]
+    k = s.size
+    return (vh[:k].conj().T * inv_s) @ u[:, :k].conj().T
+
+
+def kernel_and_pseudo_inverse(M, tol=DEFAULT_TOL):
+    """`kernel_basis(M, tol)` and `pseudo_inverse(M, tol)` from one full SVD.
+
+    The kernel basis is the trailing right singular vectors, exactly as
+    `kernel_basis` returns it; the pseudoinverse uses the leading ones with
+    the same rank threshold, and agrees with `pseudo_inverse` to roundoff
+    (the thin and the full SVD may round differently).
+    """
+    M = np.atleast_2d(np.asarray(M))
+    u, s, vh = np.linalg.svd(M)
+    rank = _numerical_rank(M.shape, s, tol)
+    return vh[rank:].conj().T.copy(), _pinv_from_svd(u, s, vh, rank)
 
 
 def schur_triangular(A):

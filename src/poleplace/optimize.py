@@ -211,6 +211,9 @@ class _Evaluator:
                 robust = departure_from_normality(Acl) ** 2
             else:
                 robust = assigned_departure_sq(Acl, self.mass)
+        if alpha == 1.0:
+            # the gain term is +0.0 here, so skip its norm
+            return robust
         return alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
 
     def point(self, x):

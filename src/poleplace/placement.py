@@ -6,7 +6,10 @@ matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
 closed with F = W V^{-1}.  The map K -> chains is exactly invertible, which
 `recover_parameters` exploits, and linear in the free coordinates of K, which
-`Placer.operator` exploits.
+`Placer.operator` exploits.  One recursion, `_chain_columns`, builds the
+chains of one eigenvalue for a batch of parameter blocks: `build_chains`
+runs it on one K, `Placer.operator` on the unit blocks of every coordinate
+of the eigenvalue at once.
 """
 
 from dataclasses import dataclass
@@ -14,8 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainConsistencyError, NotReachableError, StructureError
-from .linalg import DEFAULT_TOL, checked_svals, fro_norm, kernel_basis, pseudo_inverse
+from .linalg import (
+    DEFAULT_TOL,
+    checked_svals,
+    fro_norm,
+    kernel_and_pseudo_inverse,
+)
 from .structure import conformable_column_blocks, jordan_matrix
+
+# Unused here since build_pencil takes both from one SVD, but kept bound:
+# perfbench/tracing.py wraps these two names on this module.
+from .linalg import kernel_basis, pseudo_inverse  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -40,13 +52,13 @@ def build_pencil(sys, lam, tol=DEFAULT_TOL):
     lam = complex(lam)
     shift = lam.real if lam.imag == 0.0 else lam
     S = np.hstack([sys.A - shift * np.eye(sys.n), sys.B])
-    N = kernel_basis(S, tol)
+    N, Mdag = kernel_and_pseudo_inverse(S, tol)
     if N.shape[1] != sys.m:
         raise NotReachableError(
             f"pair not reachable at lambda={lam}: kernel dimension "
             f"{N.shape[1]} != {sys.m}"
         )
-    return PencilData(lam, N, pseudo_inverse(S, tol))
+    return PencilData(lam, N, Mdag)
 
 
 class ParameterMatrix:
@@ -176,6 +188,10 @@ class Placer:
         self.tol = tol
         self.Lambda = jordan_matrix(spec)
         self._operator = None
+        # the terms of `_chain_tolerance` that do not depend on the chain
+        self._fro_A = fro_norm(sys.A)
+        self._fro_B = fro_norm(sys.B)
+        self._sqrt_n = np.sqrt(sys.n)
         self.pencils = []
         for i, lam in enumerate(spec.eigenvalues):
             if i % 2 == 1 and i < 2 * spec.sigma:
@@ -195,29 +211,23 @@ class Placer:
     def build_chains(self, K):
         """Run the chain recursion for every mini-block.
 
-        h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l); chains of
-        the second member of a conjugate pair are conjugated, not recomputed,
-        so conjugate symmetry is exact.
+        The b = 1 case of `_chain_columns`: h(1) = N k(1) and
+        h(l) = Mdag pi_upper(h(l-1)) + N k(l); chains of the second member of
+        a conjugate pair are conjugated, not recomputed, so conjugate
+        symmetry is exact.
         """
         self._check_param(K)
-        n = self.sys.n
         groups = [None] * self.spec.nu
         for i in range(self.spec.nu):
             if i % 2 == 1 and i < 2 * self.spec.sigma:
                 groups[i] = tuple(blk.conj() for blk in groups[i - 1])
                 continue
-            pencil = self.pencils[i]
-            Ki = K.blocks[i]
+            orders = self.spec.block_orders[i]
+            cols = _chain_columns(self.pencils[i], orders, K.blocks[i][:, :, None])
             blocks = []
             off = 0
-            for p in self.spec.block_orders[i]:
-                cols = []
-                for ell in range(p):
-                    h = pencil.N @ Ki[:, off + ell]
-                    if ell > 0:
-                        h = h + pencil.Mdag @ cols[-1][:n]
-                    cols.append(h)
-                blocks.append(np.column_stack(cols))
+            for p in orders:
+                blocks.append(np.hstack(cols[off : off + p]))
                 off += p
             groups[i] = tuple(blocks)
         return ChainSet(self.spec, tuple(groups))
@@ -227,15 +237,40 @@ class Placer:
 
         The chain recursion and realification are linear in the m*n free
         coordinates x = K.to_vector(), so np.vstack([V, W]).ravel() = L @ x
-        with L of shape ((n+m)*n, m*n); column j is the image of the j-th
-        unit vector.
+        with L of shape ((n+m)*n, m*n).  L is block structured: the columns
+        of eigenvalue i's coordinates are nonzero only in its own chain
+        columns.  Each representative eigenvalue's block comes from one run
+        of `_chain_columns` on the unit tensor (batch b = m * mult_i), whose
+        chains H(E) fill the columns of the real coordinates; a conjugate
+        pair's imaginary coordinates have chains i H(E), so their columns
+        hold (-Im H, Re H) in the (real, imaginary) column blocks.
         """
         if self._operator is None:
-            cols = []
-            for e in np.eye(self.sys.m * self.sys.n):
-                K = ParameterMatrix.from_vector(self.spec, self.sys.m, e)
-                cols.append(np.vstack(realify(self.build_chains(K))).ravel())
-            self._operator = np.column_stack(cols)
+            n, m = self.sys.n, self.sys.m
+            L = np.zeros((n + m, n, m * n))
+            col_blocks = conformable_column_blocks(self.spec)
+            pos = 0
+            for i in range(self.spec.nu):
+                if i % 2 == 1 and i < 2 * self.spec.sigma:
+                    continue
+                size = m * self.spec.multiplicities[i]
+                E = np.eye(size).reshape(m, -1, size)
+                H = np.stack(
+                    _chain_columns(self.pencils[i], self.spec.block_orders[i], E),
+                    axis=1,
+                )
+                a, b = col_blocks[i]
+                if i < 2 * self.spec.sigma:
+                    c, d = col_blocks[i + 1]
+                    L[:, a:b, pos : pos + size] = H.real
+                    L[:, c:d, pos : pos + size] = H.imag
+                    L[:, a:b, pos + size : pos + 2 * size] = -H.imag
+                    L[:, c:d, pos + size : pos + 2 * size] = H.real
+                    pos += 2 * size
+                else:
+                    L[:, a:b, pos : pos + size] = H
+                    pos += size
+            self._operator = L.reshape((n + m) * n, m * n)
         return self._operator
 
     def place(self, K):
@@ -254,12 +289,7 @@ class Placer:
         return residual_scale(self.sys, F)
 
     def _chain_tolerance(self, lam, column_norm):
-        scale = (
-            1.0
-            + fro_norm(self.sys.A)
-            + abs(lam) * np.sqrt(self.sys.n)
-            + fro_norm(self.sys.B)
-        )
+        scale = 1.0 + self._fro_A + abs(lam) * self._sqrt_n + self._fro_B
         return self.tol.residual_tol * scale * max(1.0, column_norm)
 
     def recover_parameters(self, chain_set):
@@ -271,7 +301,7 @@ class Placer:
         ChainConsistencyError.
         """
         n = self.sys.n
-        A, B = self.sys.A, self.sys.B
+        B = self.sys.B
         for i in range(0, 2 * self.spec.sigma, 2):
             for blk, blk_c in zip(chain_set.chains[i], chain_set.chains[i + 1]):
                 dev = np.abs(blk.conj() - blk_c).max()
@@ -289,12 +319,13 @@ class Placer:
                 continue
             lam = self.spec.eigenvalues[i]
             pencil = self.pencils[i]
+            shifted = self.sys.A - lam * np.eye(n)
             cols = []
             for blk in chain_set.chains[i]:
                 prev = None
                 for ell in range(blk.shape[1]):
                     h = blk[:, ell]
-                    lhs = (A - lam * np.eye(n)) @ h[:n] + B @ h[n:]
+                    lhs = shifted @ h[:n] + B @ h[n:]
                     rhs = np.zeros(n) if prev is None else prev[:n]
                     err = np.linalg.norm(lhs - rhs)
                     if err > self._chain_tolerance(lam, np.linalg.norm(h)):
@@ -319,6 +350,28 @@ class Placer:
             else:
                 blocks[i] = Ki
         return ParameterMatrix(blocks, self.spec.sigma)
+
+
+def _chain_columns(pencil, orders, Ki):
+    """The chain recursion of one eigenvalue over a batch of parameters.
+
+    Ki has shape (m, mult, b): b parameter blocks of the eigenvalue, whose
+    columns run over its mini-blocks of the given orders.  Returns the mult
+    chain columns in that order, each an (n+m, b) array over the batch, from
+    h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l) within each
+    mini-block.
+    """
+    n = pencil.Mdag.shape[1]
+    cols = []
+    off = 0
+    for p in orders:
+        for ell in range(p):
+            h = pencil.N @ Ki[:, off + ell]
+            if ell > 0:
+                h = h + pencil.Mdag @ cols[-1][:n]
+            cols.append(h)
+        off += p
+    return cols
 
 
 def realify(chain_set):

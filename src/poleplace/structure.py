@@ -6,6 +6,7 @@ first and adjacent, reals after), builds the corresponding Jordan matrix,
 computes controllability indices, and checks Rosenbrock admissibility.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -104,11 +105,11 @@ class EigStructure:
     def nu(self):
         return len(self.eigenvalues)
 
-    @property
+    @functools.cached_property
     def multiplicities(self):
         return tuple(sum(orders) for orders in self.block_orders)
 
-    @property
+    @functools.cached_property
     def n(self):
         return sum(self.multiplicities)
 

@@ -9,6 +9,7 @@ import pytest
 from poleplace.linalg import (
     ToleranceConfig,
     fro_norm,
+    kernel_and_pseudo_inverse,
     kernel_basis,
     pseudo_inverse,
     schur_triangular,
@@ -120,6 +121,33 @@ class TestPseudoInverse:
             assert fro_norm(P @ M @ P - P) <= lim
             assert fro_norm((M @ P).conj().T - M @ P) <= lim
             assert fro_norm((P @ M).conj().T - P @ M) <= lim
+
+
+class TestKernelAndPseudoInverse:
+    def test_matches_the_two_separate_factorizations(self):
+        rng = np.random.default_rng(4)
+        for n, m in ((1, 1), (4, 2), (5, 2), (8, 3), (16, 4), (32, 8)):
+            A = rng.standard_normal((n, n)) / np.sqrt(n)
+            B = rng.standard_normal((n, m))
+            for lam in (-1.3, complex(-0.4, 1.1), complex(np.linalg.eigvals(A)[0])):
+                shift = lam.real if lam.imag == 0.0 else lam
+                S = np.hstack([A - shift * np.eye(n), B])
+                N, Mdag = kernel_and_pseudo_inverse(S)
+                assert np.array_equal(N, kernel_basis(S))
+                P = pseudo_inverse(S)
+                assert np.abs(Mdag - P).max() <= 1e-13 * np.abs(P).max()
+
+    def test_rank_deficient_and_zero(self):
+        rng = np.random.default_rng(5)
+        M = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+        N, Mdag = kernel_and_pseudo_inverse(M)
+        assert np.array_equal(N, kernel_basis(M))
+        assert N.shape == (6, 4)
+        P = pseudo_inverse(M)
+        assert np.abs(Mdag - P).max() <= 1e-13 * np.abs(P).max()
+        N, Mdag = kernel_and_pseudo_inverse(np.zeros((3, 2)))
+        assert np.array_equal(N, kernel_basis(np.zeros((3, 2))))
+        assert Mdag.shape == (2, 3) and not Mdag.any()
 
 
 class TestSchur:

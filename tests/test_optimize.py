@@ -7,6 +7,7 @@ import poleplace as pp
 from poleplace import optimize
 from poleplace.bench import defective_zero_structure
 from poleplace.linalg import fro_norm
+from poleplace.metrics import assigned_departure_sq, spectrum_mass
 from poleplace.optimize import (
     _Evaluator,
     _fd_gradient,
@@ -144,6 +145,28 @@ class TestObjectives:
         alpha = 0.7
         expected = alpha * delta_sq + (1 - alpha) * fro_norm(res.F) ** 2
         assert pp.objective_f2(K, sys, spec, alpha) == pytest.approx(expected, rel=1e-8)
+
+
+class TestAlphaOne:
+    @pytest.mark.parametrize("name", ("simple", "complex_pair", "defective"))
+    def test_value_is_the_blended_formula(self, name):
+        # at alpha = 1 the value skips the gain term, which is +0.0 there
+        spec = gradient_structures(2)[name]
+        sys = random_reachable(np.random.default_rng(80), 4, 2)
+        placer = pp.Placer(sys, spec)
+        rng = np.random.default_rng(81)
+        alpha = 1.0
+        for x in well_conditioned_probes(placer, rng, 3):
+            K = pp.ParameterMatrix.from_vector(spec, 2, x)
+            VW = (placer.operator() @ x).reshape(6, 4)
+            V, W = VW[:4], VW[4:]
+            F = W @ np.linalg.inv(V)
+            gain = (1.0 - alpha) * fro_norm(F) ** 2
+            s = np.linalg.svd(V, compute_uv=False)
+            cond = float(np.sum(s**2)) + float(np.sum(s**-2))
+            assert pp.objective_f1(K, sys, spec, alpha) == alpha * cond + gain
+            normal = assigned_departure_sq(sys.A + sys.B @ F, spectrum_mass(spec))
+            assert pp.objective_f2(K, sys, spec, alpha) == alpha * normal + gain
 
 
 class TestGradient:

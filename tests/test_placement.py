@@ -117,6 +117,127 @@ class TestBuildChains:
             pp.build_chains(sys, spec, K)
 
 
+def operator_structure(n, m, kind):
+    """A conformably ordered n-state structure of one kind for m inputs.
+
+    "real" and "pair" are simple spectra (all reals, or conjugate pairs plus
+    a real when n is odd); "repeated" gives every eigenvalue up to m blocks of
+    order one (needs m >= 2); "defective" leads with a pair of order-2 Jordan
+    blocks and fills with real eigenvalues of blocks (2, 1) (one block of
+    order 2 when m = 1), or one last block of order up to 3.
+    """
+    eigs, orders = [], []
+
+    def pair(k, blocks):
+        lam = complex(-0.5 - 0.4 * k, 0.6 + 0.3 * k)
+        eigs.extend((lam, lam.conjugate()))
+        orders.extend((blocks, blocks))
+
+    if kind == "real":
+        eigs = [-1.0 - 0.5 * k for k in range(n)]
+        orders = [(1,)] * n
+    elif kind == "pair":
+        for k in range(n // 2):
+            pair(k, (1,))
+        if n % 2:
+            eigs.append(-2.5)
+            orders.append((1,))
+    elif kind == "repeated":
+        pair(0, (1,) * m)
+        rem = n - 2 * m
+        while rem > 0:
+            eigs.append(-1.0 - 0.5 * len(eigs))
+            orders.append((1,) * min(m, rem))
+            rem -= min(m, rem)
+    elif kind == "defective":
+        pair(0, (2,))
+        rem = n - 4
+        while rem > 0:
+            blocks = (2, 1)[:m] if sum((2, 1)[:m]) <= rem else (min(3, rem),)
+            eigs.append(-1.0 - 0.5 * len(eigs))
+            orders.append(blocks)
+            rem -= sum(blocks)
+    return pp.normalize_ordering(pp.EigStructure(tuple(eigs), tuple(orders)))[0]
+
+
+OPERATOR_CASES = [
+    (n, m, kind)
+    for n, m in ((4, 1), (7, 1), (5, 2), (8, 2), (16, 2), (6, 3), (16, 3))
+    for kind in ("real", "pair", "repeated", "defective")
+    if not (kind == "repeated" and m == 1)
+]
+
+
+def operator_instance(n, m, kind):
+    spec = operator_structure(n, m, kind)
+    rng = np.random.default_rng(70 + 10 * n + m)
+    sys = pp.System(rng.standard_normal((n, n)) / np.sqrt(n),
+                    rng.standard_normal((n, m)))
+    assert pp.check_admissible(spec, sys).satisfied
+    return pp.Placer(sys, spec), rng
+
+
+def reference_chains(placer, K):
+    """The chain recursion one column vector at a time."""
+    n, spec = placer.sys.n, placer.spec
+    groups = []
+    for i, (pencil, Ki) in enumerate(zip(placer.pencils, K.blocks)):
+        if i % 2 == 1 and i < 2 * spec.sigma:
+            groups.append(tuple(blk.conj() for blk in groups[-1]))
+            continue
+        blocks, off = [], 0
+        for p in spec.block_orders[i]:
+            cols = []
+            for ell in range(p):
+                h = pencil.N @ Ki[:, off + ell]
+                if ell > 0:
+                    h = h + pencil.Mdag @ cols[-1][:n]
+                cols.append(h)
+            blocks.append(np.column_stack(cols))
+            off += p
+        groups.append(tuple(blocks))
+    return pp.ChainSet(spec, tuple(groups))
+
+
+def reference_operator(placer):
+    """L one column at a time: the m*n unit vectors through the chain
+    recursion and realify."""
+    m, n = placer.sys.m, placer.sys.n
+    cols = []
+    for e in np.eye(m * n):
+        K = pp.ParameterMatrix.from_vector(placer.spec, m, e)
+        cols.append(np.vstack(pp.realify(reference_chains(placer, K))).ravel())
+    return np.column_stack(cols)
+
+
+class TestBatchedRecursion:
+    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
+    def test_operator_matches_unit_vector_columns(self, n, m, kind):
+        placer, _ = operator_instance(n, m, kind)
+        L, ref = placer.operator(), reference_operator(placer)
+        assert L.shape == ref.shape == ((n + m) * n, m * n)
+        if placer.spec.max_block_order == 1:
+            # N times a unit block is exact, so the columns are too
+            assert np.array_equal(L, ref)
+        else:
+            # the batched Mdag product may round differently per column
+            assert np.abs(L - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
+    def test_build_chains_matches_per_column_recursion(self, n, m, kind):
+        placer, rng = operator_instance(n, m, kind)
+        for _ in range(3):
+            K = pp.ParameterMatrix.random(placer.spec, m, rng)
+            got, ref = placer.build_chains(K), reference_chains(placer, K)
+            for group, ref_group in zip(got.chains, ref.chains):
+                assert len(group) == len(ref_group)
+                for blk, ref_blk in zip(group, ref_group):
+                    assert np.array_equal(blk, ref_blk)
+                    # a strided block changes the rounding of the BLAS
+                    # products in recover_parameters
+                    assert blk.flags.c_contiguous
+
+
 class TestRealify:
     def test_real_passthrough(self):
         rng = np.random.default_rng(14)

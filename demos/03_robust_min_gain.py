@@ -43,10 +43,11 @@ for alpha in (1.0, 0.5, 0.0):
     )
 
 print()
-print("Every accepted optimizer step is a descent step; restart 0 trace:")
+print("Every accepted optimizer step is a descent step; first non-empty restart trace:")
 r = pp.minimize(pp.ObjectiveSpec("condition", 1.0), sys, spec,
                 pp.OptOptions(restarts=1, max_iters=40, seed=3))
-trace = r.traces[0]
+# a restart whose start draws were all singular has an empty trace
+trace = next(t for t in r.traces if t)
 print("  " + " -> ".join(f"{v:.2f}" for v in trace[:8]) + " -> ...")
 
 print()

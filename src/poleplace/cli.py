@@ -280,6 +280,9 @@ def cmd_recover(args):
         ("system", sf.name),
         ("status", "ok" if ok else "failed"),
         ("reproduction_error", err),
+        # the error a backward-stable round trip may show through cond(V)
+        ("reproduction_floor",
+         res.cond_V * np.finfo(float).eps * (1.0 + fro_norm(F))),
     ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
     matrices = [("F", F), ("F_reproduced", res.F)]
     for i, blk in enumerate(K.blocks):

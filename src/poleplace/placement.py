@@ -4,12 +4,17 @@ Given a reachable pair (A, B) and an admissible target eigenstructure, every
 feedback F assigning that structure is reached from an m x n-parameter block
 matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
-closed with F = W V^{-1}.  The map K -> chains is exactly invertible, which
-`recover_parameters` exploits, and linear in the free coordinates of K, which
-`Placer.operator` exploits.  One recursion, `_chain_columns`, builds the
+closed with F = W V^{-1}.  One recursion, `_chain_columns`, builds the
 chains of one eigenvalue for a batch of parameter blocks: `build_chains`
 runs it on one K, `Placer.operator` on the unit blocks of every coordinate
-of the eigenvalue at once.
+of the eigenvalue at once.  The map is linear in the free coordinates of K,
+which `Placer.operator` exploits, and exactly invertible, which
+`recover_parameters` exploits: a chain column is
+h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
+of Mdag is orthogonal to ker S), every parameter column is one projection
+k(l) = N^H h(l), taken for all columns at once.  `Placer.place` reads the
+real (V, W) off the conjugate-symmetric chain matrix by one column gather
+instead of through `realify`.
 """
 
 from dataclasses import dataclass
@@ -188,10 +193,17 @@ class Placer:
         self.tol = tol
         self.Lambda = jordan_matrix(spec)
         self._operator = None
-        # the terms of `_chain_tolerance` that do not depend on the chain
-        self._fro_A = fro_norm(sys.A)
-        self._fro_B = fro_norm(sys.B)
-        self._sqrt_n = np.sqrt(sys.n)
+        self._recovery_data = None
+        # column j of the real [V; W] is column _vw_cols[j] of the chain
+        # matrix viewed as floats (Re h_0, Im h_0, Re h_1, ...): a pair's
+        # first block takes the real parts of its columns, the second block
+        # the imaginary parts of the first block's columns
+        col_blocks = conformable_column_blocks(spec)
+        self._vw_cols = 2 * np.arange(spec.n)
+        for i in range(0, 2 * spec.sigma, 2):
+            a, b = col_blocks[i]
+            c, d = col_blocks[i + 1]
+            self._vw_cols[c:d] = 2 * np.arange(a, b) + 1
         self.pencils = []
         for i, lam in enumerate(spec.eigenvalues):
             if i % 2 == 1 and i < 2 * spec.sigma:
@@ -274,11 +286,18 @@ class Placer:
         return self._operator
 
     def place(self, K):
-        chain_set = self.build_chains(K)
-        V, W = realify(chain_set)
+        """Place one parameter matrix: F = W V^{-1} from its chains.
+
+        build_chains makes the chain matrix H conjugate-symmetric, so the
+        real (V, W) that `realify` would return are gathered from H directly
+        (see `_vw_cols`), and X is the top of the same H.
+        """
+        H = self.build_chains(K).H
+        VW = H.view(float)[:, self._vw_cols] if np.iscomplexobj(H) else H.copy()
+        n = self.sys.n
+        V, W, X = VW[:n], VW[n:], H[:n]
         s = checked_svals(V, self.tol)
         F = np.linalg.solve(V.T, W.T).T
-        X = chain_set.X
         res = _residual(self.sys, F, X, self.Lambda)
         return PlacementResult(V, W, X, F, res, float(s[0] / s[-1]))
 
@@ -288,68 +307,133 @@ class Placer:
         # module function
         return residual_scale(self.sys, F)
 
-    def _chain_tolerance(self, lam, column_norm):
-        scale = 1.0 + self._fro_A + abs(lam) * self._sqrt_n + self._fro_B
-        return self.tol.residual_tol * scale * max(1.0, column_norm)
+    def _recovery(self):
+        """The column data of `recover_parameters`, built on first use.
+
+        Only the representative eigenvalues (each pair's first member, then
+        the reals) carry parameters; `cols` are their chain columns in H.
+        """
+        if self._recovery_data is None:
+            sys, spec, sigma = self.sys, self.spec, self.spec.sigma
+            reps = [*range(0, 2 * sigma, 2), *range(2 * sigma, spec.nu)]
+            col_blocks = conformable_column_blocks(spec)
+            mults = np.array([spec.multiplicities[i] for i in reps])
+            cols = np.concatenate([np.arange(*col_blocks[i]) for i in reps])
+            lam = np.repeat([spec.eigenvalues[i] for i in reps], mults)
+            n_pair = int(mults[:sigma].sum())
+            ends = np.cumsum(mults)
+            pair_orders = [p for i in reps[:sigma] for p in spec.block_orders[i]]
+            NH = np.stack([self.pencils[i].N.conj().T for i in reps])
+            self._recovery_data = _Recovery(
+                cols=cols,
+                # a pair's second block sits mult columns after its first
+                pair_cols=cols[:n_pair] + np.repeat(mults[:sigma], mults[:sigma]),
+                lam=lam,
+                # the tolerance of a column h is scale * max(1, |h|)
+                scale=self.tol.residual_tol * (
+                    1.0 + fro_norm(sys.A) + np.abs(lam) * np.sqrt(sys.n)
+                    + fro_norm(sys.B)
+                ),
+                # complex when NH is, so the products need no cast per call
+                SH=np.hstack([sys.A, sys.B]).astype(NH.dtype),
+                Lambda=self.Lambda[np.ix_(cols, cols)],
+                NH=np.repeat(NH, mults, axis=0),
+                n_pair=n_pair,
+                starts=ends - mults,
+                spans=tuple(zip((ends - mults).tolist(), ends.tolist())),
+                pair_starts=np.cumsum([0, *pair_orders])[:-1],
+            )
+        return self._recovery_data
 
     def recover_parameters(self, chain_set):
-        """Invert the chain construction: K(l) = N^H (h(l) - Mdag pi(h(l-1))).
+        """Invert the chain construction: k(l) = N^H h(l) for every column.
 
-        Valid chains keep h(l) - Mdag pi_upper(h(l-1)) inside ker(S), where
-        N^H acts as an exact left inverse; the chain relations and conjugate
-        symmetry are verified first and violations raise
-        ChainConsistencyError.
+        A chain column is h(l) = Mdag pi_upper(h(l-1)) + N k(l).  The range
+        of Mdag is the orthogonal complement of ker S, so N^H Mdag = 0, and
+        one projection by the orthonormal kernel basis N recovers each
+        column of K; the Mdag term would contribute only roundoff.  First
+        the conjugate symmetry of pair blocks and the chain relations
+        (A - lambda I) x(l) + B y(l) = x(l-1), for all representative
+        columns at once as A X + B Y - X Lambda, are verified; violations
+        raise ChainConsistencyError.
         """
-        n = self.sys.n
-        B = self.sys.B
-        for i in range(0, 2 * self.spec.sigma, 2):
-            for blk, blk_c in zip(chain_set.chains[i], chain_set.chains[i + 1]):
-                dev = np.abs(blk.conj() - blk_c).max()
-                if dev > self._chain_tolerance(
-                    self.spec.eigenvalues[i], np.abs(blk).max()
-                ):
-                    raise ChainConsistencyError(
-                        "not a valid chain set: conjugate pair blocks differ "
-                        f"by {dev:.3e}"
-                    )
-        blocks = [None] * self.spec.nu
-        for i in range(self.spec.nu):
-            if i % 2 == 1 and i < 2 * self.spec.sigma:
-                blocks[i] = blocks[i - 1].conj()
-                continue
-            lam = self.spec.eigenvalues[i]
-            pencil = self.pencils[i]
-            shifted = self.sys.A - lam * np.eye(n)
-            cols = []
-            for blk in chain_set.chains[i]:
-                prev = None
-                for ell in range(blk.shape[1]):
-                    h = blk[:, ell]
-                    lhs = shifted @ h[:n] + B @ h[n:]
-                    rhs = np.zeros(n) if prev is None else prev[:n]
-                    err = np.linalg.norm(lhs - rhs)
-                    if err > self._chain_tolerance(lam, np.linalg.norm(h)):
-                        raise ChainConsistencyError(
-                            f"not a valid chain set: relation residual "
-                            f"{err:.3e} at lambda={lam}"
-                        )
-                    k = h if prev is None else h - pencil.Mdag @ prev[:n]
-                    cols.append(pencil.N.conj().T @ k)
-                    prev = h
-            Ki = np.column_stack(cols)
-            if i >= 2 * self.spec.sigma:
-                if np.iscomplexobj(Ki):
-                    residue = np.abs(Ki.imag).max()
-                    if residue > self._chain_tolerance(lam, np.abs(Ki).max()):
-                        raise ChainConsistencyError(
-                            "not a valid chain set: complex chain for real "
-                            f"eigenvalue {lam.real} (residue {residue:.3e})"
-                        )
-                    Ki = Ki.real
-                blocks[i] = Ki
-            else:
-                blocks[i] = Ki
-        return ParameterMatrix(blocks, self.spec.sigma)
+        rec = self._recovery()
+        n, sigma = self.sys.n, self.spec.sigma
+        H = chain_set.H
+        Hr = H[:, rec.cols]
+        first = Hr[:, : rec.n_pair]
+        rec.check_blocks(first.conj() - H[:, rec.pair_cols], first, rec.pair_starts,
+                         "conjugate pair blocks differ by {dev:.3e}")
+        err = np.linalg.norm(rec.SH @ Hr - Hr[:n] @ rec.Lambda, axis=0)
+        j = _first_beyond(err, rec.scale * np.maximum(1.0, np.linalg.norm(Hr, axis=0)))
+        if j is not None:
+            raise ChainConsistencyError(
+                f"not a valid chain set: relation residual {err[j]:.3e} "
+                f"at lambda={rec.lam[j]}"
+            )
+        # k_j = N_j^H h_j, one batched product over the columns
+        Kc = (rec.NH @ Hr.T[:, :, None])[:, :, 0].T
+        reals = Kc[:, rec.n_pair :]
+        rec.check_blocks(reals.imag, reals, rec.starts[sigma:],
+                         "complex chain for real eigenvalue {lam.real} "
+                         "(residue {dev:.3e})")
+        parts = [Kc[:, a:b] for a, b in rec.spans]
+        blocks = [blk for Ki in parts[:sigma] for blk in (Ki, Ki.conj())]
+        blocks += [Ki.real for Ki in parts[sigma:]]
+        return ParameterMatrix(blocks, sigma)
+
+
+@dataclass(frozen=True)
+class _Recovery:
+    """Index and pencil data of `Placer.recover_parameters`.
+
+    Representative columns list the pair first members' n_pair columns,
+    then the real eigenvalues' columns.
+    """
+
+    cols: np.ndarray  # representative chain columns of H
+    pair_cols: np.ndarray  # the second-member columns mirroring cols[:n_pair]
+    lam: np.ndarray  # eigenvalue per representative column
+    scale: np.ndarray  # chain tolerance per column, before max(1, |h|)
+    SH: np.ndarray  # [A, B]
+    Lambda: np.ndarray  # the Jordan matrix on the representative columns
+    NH: np.ndarray  # N^H of each representative column's pencil
+    n_pair: int
+    starts: np.ndarray  # first representative column of each eigenvalue
+    spans: tuple  # (first, end) representative columns of each eigenvalue
+    pair_starts: np.ndarray  # first column of each pair mini-block
+
+    def check_blocks(self, dev, size, starts, message):
+        """Raise ChainConsistencyError when, in a block of representative
+        columns, the largest |dev| exceeds scale * max(1, largest |size|).
+
+        The blocks begin at the columns `starts`; dev and size hold the
+        columns from the first block on.
+        """
+        if not dev.any():  # exact, as build_chains makes chains
+            return
+        rel = starts - starts[0]
+        dev = _block_max(dev, rel)
+        j = _first_beyond(
+            dev, self.scale[starts] * np.maximum(1.0, _block_max(size, rel))
+        )
+        if j is not None:
+            raise ChainConsistencyError(
+                "not a valid chain set: "
+                + message.format(lam=self.lam[starts[j]], dev=dev[j])
+            )
+
+
+def _block_max(a, starts):
+    """Largest modulus in each column block of a, the blocks starting at
+    the given columns."""
+    return np.maximum.reduceat(np.abs(a).max(axis=0), starts)
+
+
+def _first_beyond(values, bound):
+    """Index of the first value above its bound, or None."""
+    bad = np.flatnonzero(values > bound)
+    return bad[0] if bad.size else None
 
 
 def _chain_columns(pencil, orders, Ki):

@@ -260,10 +260,12 @@ class TestRecover:
             capsys, ["recover", "--system", path, "--feedback", f_path]
         )
         assert code == 0
-        err = float(next(
-            l for l in out.splitlines() if l.startswith("reproduction_error")
-        ).split()[1])
+        fields = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
+        err = float(fields["reproduction_error"])
         assert err < 1e-10
+        floor = float(fields["reproduction_floor"])
+        cond_V = float(fields["cond_V"])
+        assert floor == pytest.approx(cond_V * np.finfo(float).eps * (1 + np.sqrt(13)))
 
     def test_defective_spec_rejected(self, tmp_path, capsys):
         payload = dict(DI)

@@ -385,8 +385,9 @@ class TestMinimize:
             pp.ObjectiveSpec("condition", 0.0), sys, spec,
             pp.OptOptions(restarts=5, max_iters=60, seed=2),
         )
-        for trace in result.traces:
-            assert result.best_value <= trace[0] * (1 + 1e-12)
+        for trace, why in zip(result.traces, result.terminations):
+            if why != "singular_start":
+                assert result.best_value <= trace[0] * (1 + 1e-12)
 
     def test_public_objectives_match_best_value(self):
         rng = np.random.default_rng(53)

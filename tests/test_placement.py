@@ -539,6 +539,100 @@ class TestRecoverParameters:
             assert np.abs(res.F - F_ext).max() <= 1e-8 * (1.0 + np.abs(F_ext).max())
 
 
+def reference_recover(placer, chain_set):
+    """Parameter recovery one chain column at a time, with the Mdag term:
+    k(l) = N^H (h(l) - Mdag pi_upper(h(l-1)))."""
+    n, spec = placer.sys.n, placer.spec
+    blocks = []
+    for i, pencil in enumerate(placer.pencils):
+        if i % 2 == 1 and i < 2 * spec.sigma:
+            blocks.append(blocks[-1].conj())
+            continue
+        cols = []
+        for blk in chain_set.chains[i]:
+            prev = None
+            for ell in range(blk.shape[1]):
+                h = blk[:, ell]
+                k = h if prev is None else h - pencil.Mdag @ prev[:n]
+                cols.append(pencil.N.conj().T @ k)
+                prev = h
+        Ki = np.column_stack(cols)
+        blocks.append(Ki if i < 2 * spec.sigma else Ki.real)
+    return blocks
+
+
+def replace_chain(chain_set, i, blk):
+    """The chain set with eigenvalue i's first mini-block replaced."""
+    groups = list(chain_set.chains)
+    groups[i] = (blk,) + groups[i][1:]
+    return pp.ChainSet(chain_set.spec, tuple(groups))
+
+
+class TestLoopFreeRoundTrip:
+    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
+    def test_place_matches_realify(self, n, m, kind):
+        placer, rng = operator_instance(n, m, kind)
+        # no singularity limit, so that every draw is compared
+        placer = pp.Placer(
+            placer.sys, placer.spec, pp.ToleranceConfig(singular_cond_limit=np.inf)
+        )
+        for _ in range(3):
+            K = pp.ParameterMatrix.random(placer.spec, m, rng)
+            res = placer.place(K)
+            chains = placer.build_chains(K)
+            V, W = pp.realify(chains)
+            assert np.array_equal(res.V, V)
+            assert np.array_equal(res.W, W)
+            assert np.array_equal(res.X, chains.X)
+
+    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
+    def test_recover_matches_per_column_reference(self, n, m, kind):
+        placer, rng = operator_instance(n, m, kind)
+        for _ in range(3):
+            chains = placer.build_chains(
+                pp.ParameterMatrix.random(placer.spec, m, rng)
+            )
+            got = placer.recover_parameters(chains).blocks
+            ref = reference_recover(placer, chains)
+            scale = max(np.abs(b).max() for b in ref)
+            for blk, ref_blk in zip(got, ref):
+                assert blk.shape == ref_blk.shape
+                assert np.iscomplexobj(blk) == np.iscomplexobj(ref_blk)
+                assert np.abs(blk - ref_blk).max() <= 1e-12 * scale
+
+    def test_conjugate_pair_mismatch_rejected(self):
+        placer, rng = operator_instance(8, 2, "pair")
+        chains = placer.build_chains(pp.ParameterMatrix.random(placer.spec, 2, rng))
+        blk = chains.chains[1][0].copy()
+        blk[0, 0] += 1e-3
+        with pytest.raises(pp.ChainConsistencyError, match="conjugate pair"):
+            placer.recover_parameters(replace_chain(chains, 1, blk))
+
+    @pytest.mark.parametrize("kind", ["real", "defective"])
+    def test_complex_chain_for_real_eigenvalue_rejected(self, kind):
+        # i h satisfies the chain relations of h, but its parameter is i k
+        placer, rng = operator_instance(8, 2, kind)
+        chains = placer.build_chains(pp.ParameterMatrix.random(placer.spec, 2, rng))
+        i = 2 * placer.spec.sigma
+        bad = replace_chain(chains, i, 1j * chains.chains[i][0])
+        with pytest.raises(pp.ChainConsistencyError, match="complex chain"):
+            placer.recover_parameters(bad)
+
+    def test_level_two_column_in_the_kernel_rejected(self):
+        # h(2) = N k(2) drops the Mdag x(1) term: S h(2) = 0 instead of x(1),
+        # which only the X Lambda shift of the relation residual catches
+        placer, rng = operator_instance(8, 2, "defective")
+        chains = placer.build_chains(pp.ParameterMatrix.random(placer.spec, 2, rng))
+        spec = placer.spec
+        # a real eigenvalue whose first mini-block has order 2
+        i = next(i for i in range(2 * spec.sigma, spec.nu)
+                 if spec.block_orders[i][0] == 2)
+        blk = chains.chains[i][0].copy()
+        blk[:, 1] = placer.pencils[i].N @ np.array([0.3, -0.7])
+        with pytest.raises(pp.ChainConsistencyError, match="relation residual"):
+            placer.recover_parameters(replace_chain(chains, i, blk))
+
+
 class TestAlmostEverywhereInvertibility:
     def test_no_singular_draws_small(self):
         rng = np.random.default_rng(29)

@@ -10,10 +10,11 @@ Two sections are written:
 - "operator_build": one `Placer.operator()` build from an empty operator
   cache, on the random_normality structures of perfbench at n = 4..6,
   m = 2 and the place_ladder structures at (16, 4) and (32, 8).
-- "round_trip": one `Placer.place` call and one
-  `Placer.recover_parameters` call on the chains of the same K, per
-  place_ladder cell (each (n, m) of the ladder with each structure class),
-  each timed after one untimed call that fills any lazily built cache.
+- "round_trip": one `Placer.build_chains`, one `Placer.place` and one
+  `Placer.recover_parameters` call on the same K (recover on its chains),
+  per place_ladder cell (each (n, m) of the ladder with each structure
+  class), each timed after one untimed call that fills any lazily built
+  cache.
 
 Each probe runs ROUNDS times per tree, alternating which tree goes first,
 so that drift of the host's speed falls on both sides alike; every call is
@@ -78,7 +79,8 @@ for label, n, m, gen, cls in json.loads(sys.argv[1]):
 print(json.dumps(out))
 """
 
-# Run inside each tree: prints {label: {"place": [...], "recover": [...]}}
+# Run inside each tree: prints
+# {label: {"build_chains": [...], "place": [...], "recover": [...]}}
 # over the place_ladder cells, seconds per call.
 ROUND_TRIP_PROBE = PRELUDE + """
 out = {}
@@ -98,6 +100,7 @@ for n, m in workloads.LADDER_CELLS:
         placer.recover_parameters(chains)
         repeats = int(sys.argv[1])
         out[f"n{n}-m{m}-{cls}"] = {
+            "build_chains": timed(lambda: placer.build_chains(K), repeats),
             "place": timed(lambda: placer.place(K), repeats),
             "recover": timed(lambda: placer.recover_parameters(chains), repeats),
         }
@@ -161,7 +164,7 @@ def main(argv=None):
         cell: {call: compare({side: [t for run in calls[side]
                                      for t in run[cell][call]]
                               for side in trees}, f"{cell} {call}")
-               for call in ("place", "recover")}
+               for call in ("build_chains", "place", "recover")}
         for cell in calls["parent"][0]
     }
 
@@ -174,8 +177,9 @@ def main(argv=None):
         "instances": operator_rows,
     }
     doc["round_trip"] = {
-        "question": "wall time of one Placer.place and one "
-                    "Placer.recover_parameters call per place_ladder cell",
+        "question": "wall time of one Placer.build_chains, one Placer.place "
+                    "and one Placer.recover_parameters call per place_ladder "
+                    "cell",
         "repeats": ROUND_TRIP_REPEATS,
         "rounds": ROUNDS,
         "blas_threads": "1",

@@ -33,6 +33,10 @@ class BenchRow:
     runtime_s: float
     ok: bool
     baseline: dict | None = None
+    # OptResult.evaluations summed, and the restarts that ended at a
+    # stationary point ("grad_tol" or "roundoff"); None on a failed row
+    evals: int | None = None
+    converged: int | None = None
 
 
 def defective_zero_structure(sys, tol=DEFAULT_TOL):
@@ -96,6 +100,9 @@ def run_bench(entries, objective=ObjectiveSpec("condition", 1.0),
                     runtime_s=time.perf_counter() - start,
                     ok=residual_ok(sys, res, tol),
                     baseline=entry.baseline,
+                    evals=sum(result.evaluations),
+                    converged=sum(t in ("grad_tol", "roundoff")
+                                  for t in result.terminations),
                 )
             )
         except PolePlaceError:

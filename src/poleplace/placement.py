@@ -5,11 +5,15 @@ feedback F assigning that structure is reached from an m x n-parameter block
 matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
 closed with F = W V^{-1}.  One recursion, `_chain_columns`, builds the
-chains of one eigenvalue for a batch of parameter blocks: `build_chains`
-runs it on one K, `Placer.operator` on the unit blocks of every coordinate
-of the eigenvalue at once.  The map is linear in the free coordinates of K,
-which `Placer.operator` exploits, and exactly invertible, which
-`recover_parameters` exploits: a chain column is
+chains of a group of eigenvalues for a batch of parameter blocks: the
+representative eigenvalues (each pair's first member, then the reals) with
+equal (pair or real, block orders) form one group, whose pencils are
+stacked so that every product runs once for all members.  `build_chains`
+runs it once per group on one K and writes the columns straight into one
+chain matrix H; `Placer.operator` runs it once per group on the unit blocks
+of all the members' coordinates.  The map is linear in the free
+coordinates of K, which `Placer.operator` exploits, and exactly invertible,
+which `recover_parameters` exploits: a chain column is
 h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
 of Mdag is orthogonal to ker S), every parameter column is one projection
 k(l) = N^H h(l), taken for all columns at once.  `Placer.place` reads the
@@ -71,91 +75,154 @@ class ParameterMatrix:
     eigenvalue.
 
     Blocks of a conjugate pair are exact conjugates (the second member is
-    stored as computed from the first), blocks of real eigenvalues are real.
-    The free real content is exactly m*n numbers, exposed through
-    `to_vector` / `from_vector` in a fixed layout: for each pair
-    representative the real then imaginary parts (row-major), for each real
-    eigenvalue the entries themselves.
+    stored as computed from the first), blocks of real eigenvalues are real:
+    a real eigenvalue's block given as complex with zero imaginary part is
+    stored as its real part.  The free real content is exactly m*n numbers,
+    exposed through `to_vector` / `from_vector` in a fixed layout: for each
+    pair representative the real then imaginary parts (row-major), for each
+    real eigenvalue the entries themselves.
+
+    The constructor checks the blocks it is given.  `from_vector`, `random`
+    and `Placer.recover_parameters` build K from its coordinate vector
+    instead, which they own: nothing is re-checked, `to_vector` copies the
+    vector, and the blocks are derived from it on first access, read-only.
     """
 
     def __init__(self, blocks, sigma):
-        self.blocks = tuple(np.atleast_2d(np.asarray(b)) for b in blocks)
+        blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
         self.sigma = int(sigma)
-        m = self.blocks[0].shape[0]
-        if any(b.shape[0] != m for b in self.blocks):
+        m = blocks[0].shape[0]
+        if any(b.shape[0] != m for b in blocks):
             raise StructureError("all parameter blocks must have m rows")
         for i in range(0, 2 * self.sigma, 2):
-            if not np.array_equal(self.blocks[i + 1], self.blocks[i].conj()):
+            if not np.array_equal(blocks[i + 1], blocks[i].conj()):
                 raise StructureError(
                     f"parameter blocks {i} and {i + 1} are not conjugates"
                 )
-        for i in range(2 * self.sigma, len(self.blocks)):
-            if np.iscomplexobj(self.blocks[i]) and self.blocks[i].imag.any():
-                raise StructureError(f"parameter block {i} must be real")
+        for i in range(2 * self.sigma, len(blocks)):
+            if np.iscomplexobj(blocks[i]):
+                if blocks[i].imag.any():
+                    raise StructureError(f"parameter block {i} must be real")
+                blocks[i] = blocks[i].real.copy()
+        self._blocks = tuple(blocks)
+        self._vector = None
+        self._shapes = tuple(b.shape for b in blocks)
+
+    @classmethod
+    def _of_vector(cls, sigma, m, mults, vec):
+        """K from a coordinate vector the caller hands over (no copy, no
+        checks)."""
+        K = cls.__new__(cls)
+        K.sigma = sigma
+        K._blocks = None
+        K._vector = vec
+        K._shapes = tuple((m, mult) for mult in mults)
+        return K
 
     @property
     def m(self):
-        return self.blocks[0].shape[0]
+        return self._shapes[0][0]
+
+    @property
+    def blocks(self):
+        if self._blocks is None:
+            self._blocks = _blocks_of_vector(
+                self._vector, self.sigma, self.m, [s[1] for s in self._shapes]
+            )
+        return self._blocks
 
     def to_vector(self):
+        return self._coordinates().copy()
+
+    def _coordinates(self):
+        """The coordinate vector, not copied when K owns one."""
+        if self._vector is not None:
+            return self._vector
         parts = []
         for i in range(0, 2 * self.sigma, 2):
-            parts.append(self.blocks[i].real.ravel())
-            parts.append(self.blocks[i].imag.ravel())
-        for i in range(2 * self.sigma, len(self.blocks)):
-            parts.append(np.asarray(self.blocks[i], dtype=float).ravel())
+            parts.append(self._blocks[i].real.ravel())
+            parts.append(self._blocks[i].imag.ravel())
+        for i in range(2 * self.sigma, len(self._blocks)):
+            parts.append(np.asarray(self._blocks[i], dtype=float).ravel())
         return np.concatenate(parts)
 
     @classmethod
     def from_vector(cls, spec, m, vec):
-        vec = np.asarray(vec, dtype=float)
-        mults = spec.multiplicities
+        vec = np.array(vec, dtype=float)
         expected = m * spec.n
         if vec.size != expected:
             raise StructureError(
                 f"parameter vector has {vec.size} entries, expected {expected}"
             )
-        blocks = [None] * spec.nu
-        pos = 0
-        for i in range(0, 2 * spec.sigma, 2):
-            size = m * mults[i]
-            re = vec[pos : pos + size].reshape(m, mults[i])
-            im = vec[pos + size : pos + 2 * size].reshape(m, mults[i])
-            blocks[i] = re + 1j * im
-            blocks[i + 1] = blocks[i].conj()
-            pos += 2 * size
-        for i in range(2 * spec.sigma, spec.nu):
-            size = m * mults[i]
-            blocks[i] = vec[pos : pos + size].reshape(m, mults[i]).copy()
-            pos += size
-        return cls(blocks, spec.sigma)
+        return cls._of_vector(spec.sigma, m, spec.multiplicities, vec)
 
     @classmethod
     def random(cls, spec, m, rng):
         """Standard-normal entries on the free coordinates."""
-        return cls.from_vector(spec, m, rng.standard_normal(m * spec.n))
+        return cls._of_vector(
+            spec.sigma, m, spec.multiplicities, rng.standard_normal(m * spec.n)
+        )
 
 
-@dataclass(frozen=True)
+def _blocks_of_vector(vec, sigma, m, mults):
+    """The read-only blocks of a coordinate vector (layout: ParameterMatrix)."""
+    blocks = [None] * len(mults)
+    pos = 0
+    for i in range(0, 2 * sigma, 2):
+        size = m * mults[i]
+        re = vec[pos : pos + size].reshape(m, mults[i])
+        im = vec[pos + size : pos + 2 * size].reshape(m, mults[i])
+        blocks[i] = re + 1j * im
+        blocks[i + 1] = blocks[i].conj()
+        pos += 2 * size
+    for i in range(2 * sigma, len(mults)):
+        size = m * mults[i]
+        blocks[i] = vec[pos : pos + size].reshape(m, mults[i]).copy()
+        pos += size
+    for blk in blocks:
+        blk.flags.writeable = False
+    return tuple(blocks)
+
+
 class ChainSet:
-    """Jordan-chain columns, grouped per eigenvalue and mini-block.
+    """Jordan-chain columns held as one chain matrix.
 
-    chains[i][k] is the (n+m) x p_{i,k} matrix [h(1) ... h(p)].  The
-    assembled chain matrix H is (n+m) x n in conformable order.
+    H is the (n+m) x n chain matrix in conformable order: each eigenvalue's
+    columns hold its mini-blocks [h(1) ... h(p)] in turn.  chains[i][k] is
+    the (n+m) x p_{i,k} block of mini-block k of eigenvalue i, copied out of
+    H on access (C-contiguous, in H's dtype).  `ChainSet(spec, chains)`
+    assembles H from such blocks; `Placer.build_chains` writes H directly.
     """
 
-    spec: object
-    chains: tuple
+    __slots__ = ("spec", "H")
+
+    def __init__(self, spec, chains):
+        self.spec = spec
+        self.H = np.hstack([blk for group in chains for blk in group])
+
+    @classmethod
+    def _of_matrix(cls, spec, H):
+        chain_set = cls.__new__(cls)
+        chain_set.spec = spec
+        chain_set.H = H
+        return chain_set
 
     @property
-    def H(self):
-        return np.hstack([blk for group in self.chains for blk in group])
+    def chains(self):
+        groups = []
+        for (a, _), orders in zip(
+            conformable_column_blocks(self.spec), self.spec.block_orders
+        ):
+            blocks = []
+            for p in orders:
+                blocks.append(np.ascontiguousarray(self.H[:, a : a + p]))
+                a += p
+            groups.append(tuple(blocks))
+        return tuple(groups)
 
     @property
     def X(self):
-        H = self.H
-        n = self.spec.n
-        return H[:n, :]
+        return self.H[: self.spec.n]
 
 
 @dataclass(frozen=True)
@@ -194,6 +261,9 @@ class Placer:
         self.Lambda = jordan_matrix(spec)
         self._operator = None
         self._recovery_data = None
+        self._group_data = None
+        self._chain_dtype = complex if spec.sigma else float
+        self._param_shapes = tuple((sys.m, mult) for mult in spec.multiplicities)
         # column j of the real [V; W] is column _vw_cols[j] of the chain
         # matrix viewed as floats (Re h_0, Im h_0, Re h_1, ...): a pair's
         # first block takes the real parts of its columns, the second block
@@ -212,37 +282,85 @@ class Placer:
                 self.pencils.append(build_pencil(sys, lam, tol))
 
     def _check_param(self, K):
-        if len(K.blocks) != self.spec.nu or K.sigma != self.spec.sigma:
+        if K._shapes == self._param_shapes and K.sigma == self.spec.sigma:
+            return
+        if len(K._shapes) != self.spec.nu or K.sigma != self.spec.sigma:
             raise StructureError("parameter matrix does not match the structure")
-        for blk, mult in zip(K.blocks, self.spec.multiplicities):
-            if blk.shape != (self.sys.m, mult):
+        for shape, expected in zip(K._shapes, self._param_shapes):
+            if shape != expected:
                 raise StructureError(
-                    f"parameter block shape {blk.shape} != ({self.sys.m}, {mult})"
+                    f"parameter block shape {shape} != {expected}"
                 )
 
-    def build_chains(self, K):
-        """Run the chain recursion for every mini-block.
+    def _groups(self):
+        """The `_Group`s of the representative eigenvalues, built on first
+        use.
 
-        The b = 1 case of `_chain_columns`: h(1) = N k(1) and
-        h(l) = Mdag pi_upper(h(l-1)) + N k(l); chains of the second member of
-        a conjugate pair are conjugated, not recomputed, so conjugate
-        symmetry is exact.
+        The representatives are each pair's first member, then the reals;
+        those with equal (pair or real, block orders) share one group, so
+        one run of `_chain_columns` serves all of them.
+        """
+        if self._group_data is None:
+            spec, m = self.spec, self.sys.m
+            two_sigma = 2 * spec.sigma
+            col_blocks = conformable_column_blocks(spec)
+            members = {}
+            # the layout of ParameterMatrix.to_vector: each representative's
+            # block row-major, a pair's real parts before its imaginary ones
+            pos = 0
+            for i, orders in enumerate(spec.block_orders):
+                if i % 2 == 1 and i < two_sigma:
+                    continue
+                pair = i < two_sigma
+                members.setdefault((pair, orders), []).append(
+                    (i, col_blocks[i][0], pos)
+                )
+                pos += (1 + pair) * m * sum(orders)
+            groups = []
+            for (pair, orders), reps in members.items():
+                mult = sum(orders)
+                size = m * mult
+                idx, first, start = (np.array(v) for v in zip(*reps))
+                cols = first[:, None] + np.arange(mult)
+                coords = start[:, None, None] + np.arange(size).reshape(m, mult)
+                groups.append(_Group(
+                    orders=orders,
+                    N=np.array([self.pencils[i].N for i in idx]),
+                    Mdag=np.array([self.pencils[i].Mdag for i in idx]),
+                    cols=cols,
+                    # a pair's second block sits mult columns after its
+                    # first, its imaginary coordinates size after the real
+                    partner_cols=cols + mult if pair else None,
+                    coords=coords,
+                    imag_coords=coords + size if pair else None,
+                ))
+            self._group_data = tuple(groups)
+        return self._group_data
+
+    def build_chains(self, K):
+        """Run the chain recursion for every mini-block, into one H.
+
+        The b = 1 case of `_chain_columns`, run once per `_Group` on the
+        group's parameter tensor, gathered from x = K's coordinate vector
+        (a pair's as x[re] + 1j * x[im], the arithmetic of `from_vector`):
+        h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l).  The
+        columns are written into one preallocated chain matrix H; a
+        conjugate pair's second member gets the conjugated columns of the
+        first, not recomputed ones, so conjugate symmetry is exact.
         """
         self._check_param(K)
-        groups = [None] * self.spec.nu
-        for i in range(self.spec.nu):
-            if i % 2 == 1 and i < 2 * self.spec.sigma:
-                groups[i] = tuple(blk.conj() for blk in groups[i - 1])
-                continue
-            orders = self.spec.block_orders[i]
-            cols = _chain_columns(self.pencils[i], orders, K.blocks[i][:, :, None])
-            blocks = []
-            off = 0
-            for p in orders:
-                blocks.append(np.hstack(cols[off : off + p]))
-                off += p
-            groups[i] = tuple(blocks)
-        return ChainSet(self.spec, tuple(groups))
+        x = K._coordinates()
+        H = np.empty((self.sys.n + self.sys.m, self.sys.n), self._chain_dtype)
+        for grp in self._groups():
+            Kg = x[grp.coords]
+            if grp.partner_cols is not None:
+                Kg = Kg + 1j * x[grp.imag_coords]
+            cols = _chain_columns(grp, Kg[..., None])
+            Hg = np.concatenate(cols, axis=2).transpose(1, 0, 2)
+            H[:, grp.cols] = Hg
+            if grp.partner_cols is not None:
+                H[:, grp.partner_cols] = Hg.conj()
+        return ChainSet._of_matrix(self.spec, H)
 
     def operator(self):
         """The placement map as one real matrix L, built on first use.
@@ -251,37 +369,34 @@ class Placer:
         coordinates x = K.to_vector(), so np.vstack([V, W]).ravel() = L @ x
         with L of shape ((n+m)*n, m*n).  L is block structured: the columns
         of eigenvalue i's coordinates are nonzero only in its own chain
-        columns.  Each representative eigenvalue's block comes from one run
-        of `_chain_columns` on the unit tensor (batch b = m * mult_i), whose
-        chains H(E) fill the columns of the real coordinates; a conjugate
-        pair's imaginary coordinates have chains i H(E), so their columns
-        hold (-Im H, Re H) in the (real, imaginary) column blocks.
+        columns.  Each `_Group` runs `_chain_columns` once, on the unit
+        tensor of its members' coordinates (batch b = m * mult); the chains
+        H(E) fill the columns of the real coordinates, and since a
+        conjugate pair's imaginary coordinates have chains i H(E), their
+        columns hold (-Im H, Re H) in the (real, imaginary) column blocks.
         """
         if self._operator is None:
             n, m = self.sys.n, self.sys.m
             L = np.zeros((n + m, n, m * n))
-            col_blocks = conformable_column_blocks(self.spec)
-            pos = 0
-            for i in range(self.spec.nu):
-                if i % 2 == 1 and i < 2 * self.spec.sigma:
+            for grp in self._groups():
+                g, _, mult = grp.coords.shape
+                size = m * mult
+                # one unit tensor for all members: matmul broadcasts it
+                E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
+                cols = _chain_columns(grp, E)
+                # (n+m, g, mult, size), against indices of shape (g, mult, size)
+                Hg = np.stack(cols, axis=2).transpose(1, 0, 2, 3)
+                re = grp.coords.reshape(g, 1, size)
+                first = grp.cols[:, :, None]
+                if grp.partner_cols is None:
+                    L[:, first, re] = Hg
                     continue
-                size = m * self.spec.multiplicities[i]
-                E = np.eye(size).reshape(m, -1, size)
-                H = np.stack(
-                    _chain_columns(self.pencils[i], self.spec.block_orders[i], E),
-                    axis=1,
-                )
-                a, b = col_blocks[i]
-                if i < 2 * self.spec.sigma:
-                    c, d = col_blocks[i + 1]
-                    L[:, a:b, pos : pos + size] = H.real
-                    L[:, c:d, pos : pos + size] = H.imag
-                    L[:, a:b, pos + size : pos + 2 * size] = -H.imag
-                    L[:, c:d, pos + size : pos + 2 * size] = H.real
-                    pos += 2 * size
-                else:
-                    L[:, a:b, pos : pos + size] = H
-                    pos += size
+                im = grp.imag_coords.reshape(g, 1, size)
+                second = grp.partner_cols[:, :, None]
+                L[:, first, re] = Hg.real
+                L[:, second, re] = Hg.imag
+                L[:, first, im] = -Hg.imag
+                L[:, second, im] = Hg.real
             self._operator = L.reshape((n + m) * n, m * n)
         return self._operator
 
@@ -324,10 +439,21 @@ class Placer:
             ends = np.cumsum(mults)
             pair_orders = [p for i in reps[:sigma] for p in spec.block_orders[i]]
             NH = np.stack([self.pencils[i].N.conj().T for i in reps])
+            # the index in x of each chain column's parameter column: a
+            # pair's real parts at its first member's columns, its imaginary
+            # parts at the second's
+            coord_of_col = np.empty((sys.m, sys.n), dtype=np.intp)
+            for grp in self._groups():
+                coord_of_col[:, grp.cols] = grp.coords.transpose(1, 0, 2)
+                if grp.partner_cols is not None:
+                    coord_of_col[:, grp.partner_cols] = (
+                        grp.imag_coords.transpose(1, 0, 2)
+                    )
+            # a pair's second block sits mult columns after its first
+            pair_cols = cols[:n_pair] + np.repeat(mults[:sigma], mults[:sigma])
             self._recovery_data = _Recovery(
                 cols=cols,
-                # a pair's second block sits mult columns after its first
-                pair_cols=cols[:n_pair] + np.repeat(mults[:sigma], mults[:sigma]),
+                pair_cols=pair_cols,
                 lam=lam,
                 # the tolerance of a column h is scale * max(1, |h|)
                 scale=self.tol.residual_tol * (
@@ -340,7 +466,8 @@ class Placer:
                 NH=np.repeat(NH, mults, axis=0),
                 n_pair=n_pair,
                 starts=ends - mults,
-                spans=tuple(zip((ends - mults).tolist(), ends.tolist())),
+                real_coords=coord_of_col[:, cols],
+                imag_coords=coord_of_col[:, pair_cols],
                 pair_starts=np.cumsum([0, *pair_orders])[:-1],
             )
         return self._recovery_data
@@ -377,10 +504,12 @@ class Placer:
         rec.check_blocks(reals.imag, reals, rec.starts[sigma:],
                          "complex chain for real eigenvalue {lam.real} "
                          "(residue {dev:.3e})")
-        parts = [Kc[:, a:b] for a, b in rec.spans]
-        blocks = [blk for Ki in parts[:sigma] for blk in (Ki, Ki.conj())]
-        blocks += [Ki.real for Ki in parts[sigma:]]
-        return ParameterMatrix(blocks, sigma)
+        x = np.empty(self.sys.m * n)
+        x[rec.real_coords] = Kc.real
+        x[rec.imag_coords] = Kc[:, : rec.n_pair].imag
+        return ParameterMatrix._of_vector(
+            sigma, self.sys.m, self.spec.multiplicities, x
+        )
 
 
 @dataclass(frozen=True)
@@ -400,7 +529,8 @@ class _Recovery:
     NH: np.ndarray  # N^H of each representative column's pencil
     n_pair: int
     starts: np.ndarray  # first representative column of each eigenvalue
-    spans: tuple  # (first, end) representative columns of each eigenvalue
+    real_coords: np.ndarray  # (m, columns) positions in x of Re K
+    imag_coords: np.ndarray  # (m, n_pair) positions in x of a pair's Im K
     pair_starts: np.ndarray  # first column of each pair mini-block
 
     def check_blocks(self, dev, size, starts, message):
@@ -436,23 +566,45 @@ def _first_beyond(values, bound):
     return bad[0] if bad.size else None
 
 
-def _chain_columns(pencil, orders, Ki):
-    """The chain recursion of one eigenvalue over a batch of parameters.
+@dataclass(frozen=True)
+class _Group:
+    """Representative eigenvalues with equal (pair or real, block orders).
 
-    Ki has shape (m, mult, b): b parameter blocks of the eigenvalue, whose
-    columns run over its mini-blocks of the given orders.  Returns the mult
-    chain columns in that order, each an (n+m, b) array over the batch, from
-    h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l) within each
-    mini-block.
+    Stacks hold one member per leading row; `cols` are each member's chain
+    columns of H, and `coords` the positions in x = K.to_vector() of its
+    parameter block (for a pair, of the real parts).
     """
-    n = pencil.Mdag.shape[1]
+
+    orders: tuple  # the members' common mini-block orders
+    N: np.ndarray  # (g, n+m, m) kernel bases
+    Mdag: np.ndarray  # (g, n+m, n) pencil pseudoinverses
+    cols: np.ndarray  # (g, mult)
+    partner_cols: np.ndarray | None  # (g, mult) a pair's second member
+    coords: np.ndarray  # (g, m, mult)
+    imag_coords: np.ndarray | None  # (g, m, mult) a pair's imaginary parts
+
+
+def _chain_columns(group, Kg):
+    """The chain recursion of a group of eigenvalues over a batch of
+    parameters.
+
+    Kg has shape (g, m, mult, b): for each of the group's g members, b
+    parameter blocks whose columns run over the mini-blocks of the group's
+    orders (a leading 1 in place of g shares them between the members).
+    Returns the mult chain columns in that order, each a
+    (g, n+m, b) array, from h(1) = N k(1) and
+    h(l) = Mdag pi_upper(h(l-1)) + N k(l) within each mini-block.  The
+    products are stacked matmuls over the leading axis, which round each
+    member exactly as its own 2-D product would.
+    """
+    n = group.Mdag.shape[2]
     cols = []
     off = 0
-    for p in orders:
+    for p in group.orders:
         for ell in range(p):
-            h = pencil.N @ Ki[:, off + ell]
+            h = group.N @ Kg[:, :, off + ell]
             if ell > 0:
-                h = h + pencil.Mdag @ cols[-1][:n]
+                h = h + group.Mdag @ cols[-1][:, :n]
             cols.append(h)
         off += p
     return cols

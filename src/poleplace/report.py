@@ -6,7 +6,8 @@ matrix renders as a ``name:`` line followed by one space-separated row per
 line.  Complex matrices emit ``name.re`` and ``name.im`` blocks.
 
 Benchmark tables render the same rows as markdown (4 significant figures)
-and CSV (full precision, round-trip exact).
+and CSV (full precision, round-trip exact); the integer counts (evals,
+converged) are exact in both, and blank on a failed row.
 """
 
 import csv
@@ -60,6 +61,8 @@ TABLE_COLUMNS = (
     "delta_fro",
     "residual",
     "runtime_s",
+    "evals",
+    "converged",
     "status",
     "base_kappa_fro",
     "base_gain_fro",
@@ -78,6 +81,8 @@ def _row_values(row):
         row.delta_fro,
         row.residual,
         row.runtime_s,
+        row.evals,
+        row.converged,
         "ok" if row.ok else "failed",
         base.get("kappa_fro"),
         base.get("gain_fro"),

@@ -83,3 +83,41 @@ class TestRunBench:
 
         # all payload columns except wall-clock runtime are bit-stable
         assert strip_runtime(render_csv(rows1)) == strip_runtime(render_csv(rows2))
+
+
+class TestObservabilityColumns:
+    def test_evals_and_converged_match_the_optimizer(self):
+        entries = sorted(builtin_systems(), key=lambda e: e.name)
+        rows = run_bench(entries, opts=small_opts())
+        for entry, row in zip(entries, rows):
+            spec = defective_zero_structure(entry.system)
+            result = pp.minimize(pp.ObjectiveSpec("condition", 1.0),
+                                 entry.system, spec, small_opts())
+            assert row.evals == sum(result.evaluations) > 0
+            assert row.converged == sum(
+                t in ("grad_tol", "roundoff") for t in result.terminations
+            )
+            assert 0 <= row.converged <= small_opts().restarts
+
+    def test_columns_follow_runtime_and_blank_on_failure(self, tmp_path):
+        good = {"name": "ok", "A": [[0.0, 1.0], [0.0, 0.0]], "B": [[0.0], [1.0]]}
+        bad = dict(good, name="impossible",
+                   structure=[{"re": 0.0, "im": 0.0, "blocks": [1, 1]}])
+        for name, payload in (("a_ok.json", good), ("b_bad.json", bad)):
+            (tmp_path / name).write_text(json.dumps(payload))
+        rows = run_bench(load_corpus(tmp_path), opts=small_opts())
+        header, *body = csv.reader(io.StringIO(render_csv(rows)))
+        assert header[6:9] == ["runtime_s", "evals", "converged"]
+        by_name = {cells[0]: dict(zip(header, cells)) for cells in body}
+        ok, failed = by_name["ok"], by_name["impossible"]
+        ok_row = next(row for row in rows if row.ok)
+        assert ok["evals"] == str(ok_row.evals)
+        assert ok["converged"] == str(ok_row.converged)
+        assert failed["evals"] == failed["converged"] == ""
+        md_rows = [
+            [c.strip() for c in line.strip("|").split("|")]
+            for line in render_markdown(rows).strip().splitlines()[2:]
+        ]
+        md_by_name = {cells[0]: cells for cells in md_rows}
+        assert md_by_name["ok"][7:9] == [ok["evals"], ok["converged"]]
+        assert md_by_name["impossible"][7:9] == ["", ""]

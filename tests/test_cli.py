@@ -1,5 +1,6 @@
 import functools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestPlace:
         code, out, _ = run(capsys, ["place", "--system", path, "--k-file", k_path])
         assert code == 0
         assert "k_file:" in out
+
+    def test_k_file_zero_imaginary_part_is_real(self, tmp_path, capsys):
+        path = write(tmp_path, "di.json", DI)
+        reports = []
+        for blocks in ([{"re": [[0.5]]}, {"re": [[1.5]]}],
+                       [{"re": [[0.5]], "im": [[0.0]]}, {"re": [[1.5]], "im": [[0.0]]}]):
+            k_path = write(tmp_path, "k.json", {"blocks": blocks})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run(capsys, ["place", "--system", path, "--k-file", k_path])
+            assert code == 0
+            reports.append(out)
+        assert reports[1] == reports[0]
+        assert "X.im" not in reports[1]
 
     def test_inadmissible_exit_two(self, tmp_path, capsys):
         payload = dict(CHAIN)

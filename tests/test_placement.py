@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -236,6 +238,219 @@ class TestBatchedRecursion:
                     # a strided block changes the rounding of the BLAS
                     # products in recover_parameters
                     assert blk.flags.c_contiguous
+
+
+def grouped_structure(n, m):
+    """A structure whose representative eigenvalues fall into groups of
+    several members: two pairs with blocks (2, 1) (order 2 alone when
+    m = 1), then reals with blocks (1, 1), (2,) and (3,), in turn while
+    they fit, then simple reals."""
+    eigs, orders = [], []
+    for k in range(2):
+        lam = complex(-0.5 - 0.4 * k, 0.6 + 0.3 * k)
+        eigs.extend((lam, lam.conjugate()))
+        orders.extend(((2, 1)[:m],) * 2)
+    rem = n - 2 * sum(sum(blocks) for blocks in orders[::2])
+    for blocks in ((1, 1)[:m], (2,), (3,)) * 2:
+        if sum(blocks) <= rem:
+            eigs.append(-1.0 - 0.5 * len(eigs))
+            orders.append(blocks)
+            rem -= sum(blocks)
+    eigs.extend(-1.0 - 0.5 * (len(eigs) + k) for k in range(rem))
+    orders.extend([(1,)] * rem)
+    return pp.normalize_ordering(pp.EigStructure(tuple(eigs), tuple(orders)))[0]
+
+
+GROUPED_CASES = [(12, 1), (14, 1), (16, 1), (14, 2), (16, 2), (15, 3), (16, 3)]
+
+
+def grouped_instance(n, m):
+    spec = grouped_structure(n, m)
+    rng = np.random.default_rng(90 + 10 * n + m)
+    sys = pp.System(rng.standard_normal((n, n)) / np.sqrt(n),
+                    rng.standard_normal((n, m)))
+    assert pp.check_admissible(spec, sys).satisfied
+    return pp.Placer(sys, spec), rng
+
+
+GROUP_CASE_INSTANCES = [
+    pytest.param(lambda n=n, m=m, kind=kind: operator_instance(n, m, kind),
+                 id=f"{kind}-n{n}-m{m}")
+    for n, m, kind in OPERATOR_CASES
+] + [
+    pytest.param(lambda n=n, m=m: grouped_instance(n, m), id=f"grouped-n{n}-m{m}")
+    for n, m in GROUPED_CASES
+]
+
+
+def per_eigenvalue_chains(placer, K):
+    """build_chains one eigenvalue at a time, each eigenvalue's recursion
+    over its parameter block as a batch of one, blocks stacked per
+    mini-block and then into H."""
+    n, spec = placer.sys.n, placer.spec
+    groups = []
+    for i, (pencil, Ki) in enumerate(zip(placer.pencils, K.blocks)):
+        if i % 2 == 1 and i < 2 * spec.sigma:
+            groups.append(tuple(blk.conj() for blk in groups[-1]))
+            continue
+        Ki = Ki[:, :, None]
+        cols = []
+        blocks, off = [], 0
+        for p in spec.block_orders[i]:
+            for ell in range(p):
+                h = pencil.N @ Ki[:, off + ell]
+                if ell > 0:
+                    h = h + pencil.Mdag @ cols[-1][:n]
+                cols.append(h)
+            blocks.append(np.hstack(cols[off : off + p]))
+            off += p
+        groups.append(tuple(blocks))
+    return groups
+
+
+def per_eigenvalue_operator(placer):
+    """L with one batched recursion per representative eigenvalue, on the
+    unit blocks of its coordinates."""
+    n, m, spec = placer.sys.n, placer.sys.m, placer.spec
+    L = np.zeros((n + m, n, m * n))
+    col_blocks = placement.conformable_column_blocks(spec)
+    pos = 0
+    for i in range(spec.nu):
+        if i % 2 == 1 and i < 2 * spec.sigma:
+            continue
+        pencil, size = placer.pencils[i], m * spec.multiplicities[i]
+        E = np.eye(size).reshape(m, -1, size)
+        cols, off = [], 0
+        for p in spec.block_orders[i]:
+            for ell in range(p):
+                h = pencil.N @ E[:, off + ell]
+                if ell > 0:
+                    h = h + pencil.Mdag @ cols[-1][:n]
+                cols.append(h)
+            off += p
+        H = np.stack(cols, axis=1)
+        a, b = col_blocks[i]
+        if i < 2 * spec.sigma:
+            c, d = col_blocks[i + 1]
+            L[:, a:b, pos : pos + size] = H.real
+            L[:, c:d, pos : pos + size] = H.imag
+            L[:, a:b, pos + size : pos + 2 * size] = -H.imag
+            L[:, c:d, pos + size : pos + 2 * size] = H.real
+            pos += 2 * size
+        else:
+            L[:, a:b, pos : pos + size] = H
+            pos += size
+    return L.reshape((n + m) * n, m * n)
+
+
+class TestGroupedRecursion:
+    def test_grouped_structures_have_shared_groups(self):
+        for n, m in GROUPED_CASES:
+            placer, _ = grouped_instance(n, m)
+            placer.operator()
+            sizes = sorted(grp.cols.shape[0] for grp in placer._groups())
+            assert sizes[-1] >= 2 and len(sizes) >= 2
+
+    @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
+    def test_build_chains_matches_per_eigenvalue_reference(self, make):
+        placer, rng = make()
+        m = placer.sys.m
+        for _ in range(3):
+            K = pp.ParameterMatrix.random(placer.spec, m, rng)
+            got = placer.build_chains(K)
+            ref = per_eigenvalue_chains(placer, K)
+            ref_H = np.hstack([blk for group in ref for blk in group])
+            assert got.H.dtype == ref_H.dtype
+            assert np.array_equal(got.H, ref_H)
+            for group, ref_group in zip(got.chains, ref):
+                assert len(group) == len(ref_group)
+                for blk, ref_blk in zip(group, ref_group):
+                    assert np.array_equal(blk, ref_blk)
+                    assert blk.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
+    def test_operator_matches_per_eigenvalue_build(self, make):
+        placer, _ = make()
+        assert np.array_equal(placer.operator(), per_eigenvalue_operator(placer))
+
+    @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
+    def test_chain_set_from_blocks_agrees(self, make):
+        placer, rng = make()
+        built = placer.build_chains(
+            pp.ParameterMatrix.random(placer.spec, placer.sys.m, rng)
+        )
+        rebuilt = pp.ChainSet(placer.spec, built.chains)
+        assert np.array_equal(rebuilt.H, built.H)
+        assert np.array_equal(rebuilt.X, built.X)
+        for group, other in zip(rebuilt.chains, built.chains):
+            for blk, blk_o in zip(group, other):
+                assert np.array_equal(blk, blk_o)
+
+    def test_group_data_built_on_first_use(self):
+        placer, rng = grouped_instance(15, 3)
+        assert placer._group_data is None
+        placer.build_chains(pp.ParameterMatrix.random(placer.spec, 3, rng))
+        assert placer._group_data is not None
+
+
+class TestTrustedParameterMatrix:
+    def test_vector_round_trip_is_a_copy(self):
+        spec = grouped_structure(12, 3)
+        x = np.random.default_rng(1).standard_normal(3 * 12)
+        expected = x.copy()
+        K = pp.ParameterMatrix.from_vector(spec, 3, x)
+        x[0] += 1.0  # the caller's array is not K's
+        y = K.to_vector()
+        assert np.array_equal(y, expected)
+        y[:] = 0.0  # nor is the returned one
+        assert np.array_equal(K.to_vector(), expected)
+
+    def test_blocks_match_the_checked_constructor(self):
+        spec = grouped_structure(16, 2)
+        K = pp.ParameterMatrix.random(spec, 2, np.random.default_rng(2))
+        checked = pp.ParameterMatrix(K.blocks, spec.sigma)
+        assert np.array_equal(checked.to_vector(), K.to_vector())
+        for blk, blk_c in zip(K.blocks, checked.blocks):
+            assert blk.dtype == blk_c.dtype
+            assert np.array_equal(blk, blk_c)
+            assert not blk.flags.writeable
+
+    def test_recovered_vector_matches_its_blocks(self):
+        placer, rng = grouped_instance(16, 3)
+        K = pp.ParameterMatrix.random(placer.spec, 3, rng)
+        back = placer.recover_parameters(placer.build_chains(K))
+        assert np.array_equal(
+            back.to_vector(),
+            pp.ParameterMatrix(back.blocks, back.sigma).to_vector(),
+        )
+        assert np.abs(back.to_vector() - K.to_vector()).max() < 1e-12
+
+
+class TestZeroImaginaryRealBlock:
+    @pytest.mark.parametrize("kind", ["real", "pair"])
+    def test_stored_real(self, kind):
+        placer, rng = operator_instance(5, 2, kind)
+        spec = placer.spec
+        K = pp.ParameterMatrix.random(spec, 2, rng)
+        # real eigenvalues' blocks as complex arrays with zero imaginary part
+        blocks = [blk + 0j if i >= 2 * spec.sigma else blk
+                  for i, blk in enumerate(K.blocks)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K_c = pp.ParameterMatrix(blocks, spec.sigma)
+            assert np.array_equal(K_c.to_vector(), K.to_vector())
+            got, ref = placer.place(K_c), placer.place(K)
+        for blk in K_c.blocks[2 * spec.sigma :]:
+            assert not np.iscomplexobj(blk)
+        assert got.X.dtype == ref.X.dtype
+        assert np.array_equal(got.X, ref.X)
+        assert np.array_equal(got.V, ref.V)
+        assert np.array_equal(got.F, ref.F)
+
+    def test_nonzero_imaginary_part_still_rejected(self):
+        spec = pp.EigStructure((-1.0,), ((1,),))
+        with pytest.raises(pp.StructureError, match="must be real"):
+            pp.ParameterMatrix([np.array([[1.0 + 1e-300j]])], spec.sigma)
 
 
 class TestRealify:

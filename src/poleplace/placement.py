@@ -243,6 +243,8 @@ class Placer:
     The cache is what makes repeated evaluation (optimization, finite
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
+    The first chain build or operator build also stacks the pencils per
+    `_Group`, and the first recovery its column data.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -303,26 +305,25 @@ class Placer:
         if self._group_data is None:
             spec, m = self.spec, self.sys.m
             two_sigma = 2 * spec.sigma
-            col_blocks = conformable_column_blocks(spec)
+            # per group: the members' indices, first chain columns and first
+            # coordinates in the layout of ParameterMatrix.to_vector (each
+            # block row-major, a pair's real parts before its imaginary ones)
             members = {}
-            # the layout of ParameterMatrix.to_vector: each representative's
-            # block row-major, a pair's real parts before its imaginary ones
-            pos = 0
+            col = pos = 0
             for i, orders in enumerate(spec.block_orders):
-                if i % 2 == 1 and i < two_sigma:
-                    continue
-                pair = i < two_sigma
-                members.setdefault((pair, orders), []).append(
-                    (i, col_blocks[i][0], pos)
-                )
-                pos += (1 + pair) * m * sum(orders)
+                mult = sum(orders)
+                if not (i % 2 == 1 and i < two_sigma):
+                    pair = i < two_sigma
+                    members.setdefault((pair, orders), []).append((i, col, pos))
+                    pos += (1 + pair) * m * mult
+                col += mult
             groups = []
             for (pair, orders), reps in members.items():
+                idx, first, start = zip(*reps)
                 mult = sum(orders)
                 size = m * mult
-                idx, first, start = (np.array(v) for v in zip(*reps))
-                cols = first[:, None] + np.arange(mult)
-                coords = start[:, None, None] + np.arange(size).reshape(m, mult)
+                cols = np.add.outer(first, np.arange(mult))
+                coords = np.add.outer(start, np.arange(size)).reshape(-1, m, mult)
                 groups.append(_Group(
                     orders=orders,
                     N=np.array([self.pencils[i].N for i in idx]),
@@ -355,8 +356,9 @@ class Placer:
             Kg = x[grp.coords]
             if grp.partner_cols is not None:
                 Kg = Kg + 1j * x[grp.imag_coords]
-            cols = _chain_columns(grp, Kg[..., None])
-            Hg = np.concatenate(cols, axis=2).transpose(1, 0, 2)
+            # (mult, g, n+m, 1) -> (n+m, g, mult), against cols (g, mult)
+            Hg = np.array(_chain_columns(grp, Kg[..., None]))[..., 0]
+            Hg = Hg.transpose(2, 1, 0)
             H[:, grp.cols] = Hg
             if grp.partner_cols is not None:
                 H[:, grp.partner_cols] = Hg.conj()
@@ -383,9 +385,9 @@ class Placer:
                 size = m * mult
                 # one unit tensor for all members: matmul broadcasts it
                 E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
-                cols = _chain_columns(grp, E)
-                # (n+m, g, mult, size), against indices of shape (g, mult, size)
-                Hg = np.stack(cols, axis=2).transpose(1, 0, 2, 3)
+                # (mult, g, n+m, size) -> (n+m, g, mult, size), against
+                # indices of shape (g, mult, size)
+                Hg = np.array(_chain_columns(grp, E)).transpose(2, 1, 0, 3)
                 re = grp.coords.reshape(g, 1, size)
                 first = grp.cols[:, :, None]
                 if grp.partner_cols is None:

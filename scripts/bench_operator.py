@@ -7,10 +7,11 @@ Each tree is measured in its own fresh interpreter, with BLAS pinned to one
 thread, on the same instances, drawn by perfbench's generators from seed 1.
 Two sections are written:
 
-- "operator_build": one `Placer.operator()` build from empty caches (the
-  operator's and, where the tree has one, the stacked group pencils'), on
-  the random_normality structures of perfbench at n = 4..6,
-  m = 2 and the place_ladder structures at (16, 4) and (32, 8).
+- "operator_build": one `Placer.operator()` build from empty caches (each
+  build starts from a copy of the attributes the placer had right after
+  `Placer()`, so every cache the operator fills is rebuilt), on the
+  random_normality structures of perfbench at n = 4..6, m = 2 and the
+  place_ladder structures at (16, 4) and (32, 8).
 - "round_trip": one `Placer.build_chains`, one `Placer.place` and one
   `Placer.recover_parameters` call on the same K (recover on its chains),
   per place_ladder cell (each (n, m) of the ladder with each structure
@@ -71,13 +72,11 @@ for label, n, m, gen, cls in json.loads(sys.argv[1]):
     else:
         make = lambda r: workloads.ladder_structure(pp, r, n, m, cls)
     placer = pp.Placer(*workloads.admissible_instance(pp, rng, n, m, make))
+    fresh = dict(placer.__dict__)
 
     def build():
-        placer._operator = None
-        # a tree that stacks the pencils per group on first use fills that
-        # cache in the operator build too
-        if hasattr(placer, "_group_data"):
-            placer._group_data = None
+        # back to the freshly built placer, whatever its caches are called
+        placer.__dict__ = dict(fresh)
         placer.operator()
 
     out[label] = timed(build, int(sys.argv[2]))

@@ -85,9 +85,7 @@ def kernel_basis(M, tol=DEFAULT_TOL):
     d = c - numerical_rank(M).  A full-rank wide matrix yields d = c - r;
     an empty kernel yields a (c, 0) array.
     """
-    M = np.atleast_2d(np.asarray(M))
-    _, s, vh = np.linalg.svd(M)
-    return vh[_numerical_rank(M.shape, s, tol):].conj().T.copy()
+    return kernel_and_pseudo_inverse(M, tol)[0]
 
 
 def pseudo_inverse(M, tol=DEFAULT_TOL):
@@ -96,31 +94,24 @@ def pseudo_inverse(M, tol=DEFAULT_TOL):
     Singular values below the threshold are truncated to zero, so a zero
     matrix maps to a zero matrix.
     """
-    M = np.atleast_2d(np.asarray(M))
-    u, s, vh = np.linalg.svd(M, full_matrices=False)
-    return _pinv_from_svd(u, s, vh, _numerical_rank(M.shape, s, tol))
-
-
-def _pinv_from_svd(u, s, vh, rank):
-    # u and vh may be full: only their leading s.size vectors enter
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    k = s.size
-    return (vh[:k].conj().T * inv_s) @ u[:, :k].conj().T
+    return kernel_and_pseudo_inverse(M, tol)[1]
 
 
 def kernel_and_pseudo_inverse(M, tol=DEFAULT_TOL):
     """`kernel_basis(M, tol)` and `pseudo_inverse(M, tol)` from one full SVD.
 
-    The kernel basis is the trailing right singular vectors, exactly as
-    `kernel_basis` returns it; the pseudoinverse uses the leading ones with
-    the same rank threshold, and agrees with `pseudo_inverse` to roundoff
-    (the thin and the full SVD may round differently).
+    The kernel basis is the trailing right singular vectors; the
+    pseudoinverse uses the leading ones and the singular values at or above
+    the rank threshold.
     """
     M = np.atleast_2d(np.asarray(M))
     u, s, vh = np.linalg.svd(M)
     rank = _numerical_rank(M.shape, s, tol)
-    return vh[rank:].conj().T.copy(), _pinv_from_svd(u, s, vh, rank)
+    inv_s = np.zeros_like(s)
+    inv_s[:rank] = 1.0 / s[:rank]
+    # u and vh are full: only their leading s.size vectors enter
+    k = s.size
+    return vh[rank:].conj().T.copy(), (vh[:k].conj().T * inv_s) @ u[:, :k].conj().T
 
 
 def schur_triangular(A):

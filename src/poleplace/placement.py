@@ -8,17 +8,20 @@ closed with F = W V^{-1}.  One recursion, `_chain_columns`, builds the
 chains of a group of eigenvalues for a batch of parameter blocks: the
 representative eigenvalues (each pair's first member, then the reals) with
 equal (pair or real, block orders) form one group, whose pencils are
-stacked so that every product runs once for all members.  `build_chains`
-runs it once per group on one K and writes the columns straight into one
-chain matrix H; `Placer.operator` runs it once per group on the unit blocks
-of all the members' coordinates.  The map is linear in the free
-coordinates of K, which `Placer.operator` exploits, and exactly invertible,
+stacked so that every product runs once for all members.  K is held as
+its coordinate vector x alone, and `Placer._groups` is the one walk of the
+conformable layout: the groups carry each member's chain columns,
+coordinates in x and eigenvalue, which every other step reads.
+`build_chains` runs the recursion once per group on x and writes the
+columns straight into one chain matrix H; `Placer.operator` runs it once
+per group on the unit blocks of all the members' coordinates.  The map is
+linear in x, which `Placer.operator` exploits, and exactly invertible,
 which `recover_parameters` exploits: a chain column is
 h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
 of Mdag is orthogonal to ker S), every parameter column is one projection
-k(l) = N^H h(l), taken for all columns at once.  `Placer.place` reads the
-real (V, W) off the conjugate-symmetric chain matrix by one column gather
-instead of through `realify`.
+k(l) = N^H h(l), taken for all columns of all groups at once.
+`Placer.place` reads the real (V, W) off the conjugate-symmetric chain
+matrix by one column gather instead of through `realify`.
 """
 
 from dataclasses import dataclass
@@ -72,51 +75,52 @@ def build_pencil(sys, lam, tol=DEFAULT_TOL):
 
 class ParameterMatrix:
     """Block parameter K = blkdiag(K_1, ..., K_nu), one m x m_i block per
-    eigenvalue.
+    eigenvalue, held as its coordinate vector.
 
-    Blocks of a conjugate pair are exact conjugates (the second member is
-    stored as computed from the first), blocks of real eigenvalues are real:
-    a real eigenvalue's block given as complex with zero imaginary part is
-    stored as its real part.  The free real content is exactly m*n numbers,
-    exposed through `to_vector` / `from_vector` in a fixed layout: for each
-    pair representative the real then imaginary parts (row-major), for each
-    real eigenvalue the entries themselves.
+    Blocks of a conjugate pair are exact conjugates and blocks of real
+    eigenvalues are real, so the free real content is exactly m*n numbers,
+    the vector x, in a fixed layout: for each pair representative the real
+    then imaginary parts (row-major), for each real eigenvalue the entries
+    themselves.  x is the one state of K: `to_vector` returns a copy of it,
+    and `blocks` derives the blocks from it on every access, read-only (the
+    second member of a pair as the conjugate of the first).
 
-    The constructor checks the blocks it is given.  `from_vector`, `random`
-    and `Placer.recover_parameters` build K from its coordinate vector
-    instead, which they own: nothing is re-checked, `to_vector` copies the
-    vector, and the blocks are derived from it on first access, read-only.
+    The constructor checks the blocks it is given (m rows each, exact
+    conjugate pairs, a real eigenvalue's block given as complex with zero
+    imaginary part) and packs them into a new x, so K never shares memory
+    with the caller's arrays.  `from_vector`, `random` and
+    `Placer.recover_parameters` build K from a vector directly.
     """
 
     def __init__(self, blocks, sigma):
         blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
-        self.sigma = int(sigma)
+        sigma = int(sigma)
         m = blocks[0].shape[0]
         if any(b.shape[0] != m for b in blocks):
             raise StructureError("all parameter blocks must have m rows")
-        for i in range(0, 2 * self.sigma, 2):
+        parts = []
+        for i in range(0, 2 * sigma, 2):
             if not np.array_equal(blocks[i + 1], blocks[i].conj()):
                 raise StructureError(
                     f"parameter blocks {i} and {i + 1} are not conjugates"
                 )
-        for i in range(2 * self.sigma, len(blocks)):
-            if np.iscomplexobj(blocks[i]):
-                if blocks[i].imag.any():
-                    raise StructureError(f"parameter block {i} must be real")
-                blocks[i] = blocks[i].real.copy()
-        self._blocks = tuple(blocks)
-        self._vector = None
+            parts += [blocks[i].real.ravel(), blocks[i].imag.ravel()]
+        for i in range(2 * sigma, len(blocks)):
+            if np.iscomplexobj(blocks[i]) and blocks[i].imag.any():
+                raise StructureError(f"parameter block {i} must be real")
+            parts.append(blocks[i].real.ravel())
+        self.sigma = sigma
         self._shapes = tuple(b.shape for b in blocks)
+        self._x = np.concatenate(parts, dtype=float)
 
     @classmethod
-    def _of_vector(cls, sigma, m, mults, vec):
+    def _of_vector(cls, spec, m, x):
         """K from a coordinate vector the caller hands over (no copy, no
         checks)."""
         K = cls.__new__(cls)
-        K.sigma = sigma
-        K._blocks = None
-        K._vector = vec
-        K._shapes = tuple((m, mult) for mult in mults)
+        K.sigma = spec.sigma
+        K._shapes = tuple((m, mult) for mult in spec.multiplicities)
+        K._x = x
         return K
 
     @property
@@ -125,26 +129,12 @@ class ParameterMatrix:
 
     @property
     def blocks(self):
-        if self._blocks is None:
-            self._blocks = _blocks_of_vector(
-                self._vector, self.sigma, self.m, [s[1] for s in self._shapes]
-            )
-        return self._blocks
+        return _blocks_of_vector(
+            self._x, self.sigma, self.m, [s[1] for s in self._shapes]
+        )
 
     def to_vector(self):
-        return self._coordinates().copy()
-
-    def _coordinates(self):
-        """The coordinate vector, not copied when K owns one."""
-        if self._vector is not None:
-            return self._vector
-        parts = []
-        for i in range(0, 2 * self.sigma, 2):
-            parts.append(self._blocks[i].real.ravel())
-            parts.append(self._blocks[i].imag.ravel())
-        for i in range(2 * self.sigma, len(self._blocks)):
-            parts.append(np.asarray(self._blocks[i], dtype=float).ravel())
-        return np.concatenate(parts)
+        return self._x.copy()
 
     @classmethod
     def from_vector(cls, spec, m, vec):
@@ -154,14 +144,12 @@ class ParameterMatrix:
             raise StructureError(
                 f"parameter vector has {vec.size} entries, expected {expected}"
             )
-        return cls._of_vector(spec.sigma, m, spec.multiplicities, vec)
+        return cls._of_vector(spec, m, vec)
 
     @classmethod
     def random(cls, spec, m, rng):
         """Standard-normal entries on the free coordinates."""
-        return cls._of_vector(
-            spec.sigma, m, spec.multiplicities, rng.standard_normal(m * spec.n)
-        )
+        return cls._of_vector(spec, m, rng.standard_normal(m * spec.n))
 
 
 def _blocks_of_vector(vec, sigma, m, mults):
@@ -244,7 +232,8 @@ class Placer:
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
     The first chain build or operator build also stacks the pencils per
-    `_Group`, and the first recovery its column data.
+    `_Group`, and the first recovery lays the groups' column data end to
+    end.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -264,18 +253,11 @@ class Placer:
         self._operator = None
         self._recovery_data = None
         self._group_data = None
+        self._vw_cols = None
         self._chain_dtype = complex if spec.sigma else float
-        self._param_shapes = tuple((sys.m, mult) for mult in spec.multiplicities)
-        # column j of the real [V; W] is column _vw_cols[j] of the chain
-        # matrix viewed as floats (Re h_0, Im h_0, Re h_1, ...): a pair's
-        # first block takes the real parts of its columns, the second block
-        # the imaginary parts of the first block's columns
-        col_blocks = conformable_column_blocks(spec)
-        self._vw_cols = 2 * np.arange(spec.n)
-        for i in range(0, 2 * spec.sigma, 2):
-            a, b = col_blocks[i]
-            c, d = col_blocks[i + 1]
-            self._vw_cols[c:d] = 2 * np.arange(a, b) + 1
+        self._param_layout = (
+            spec.sigma, tuple((sys.m, mult) for mult in spec.multiplicities)
+        )
         self.pencils = []
         for i, lam in enumerate(spec.eigenvalues):
             if i % 2 == 1 and i < 2 * spec.sigma:
@@ -284,23 +266,24 @@ class Placer:
                 self.pencils.append(build_pencil(sys, lam, tol))
 
     def _check_param(self, K):
-        if K._shapes == self._param_shapes and K.sigma == self.spec.sigma:
-            return
-        if len(K._shapes) != self.spec.nu or K.sigma != self.spec.sigma:
-            raise StructureError("parameter matrix does not match the structure")
-        for shape, expected in zip(K._shapes, self._param_shapes):
-            if shape != expected:
-                raise StructureError(
-                    f"parameter block shape {shape} != {expected}"
-                )
+        if (K.sigma, K._shapes) != self._param_layout:
+            raise StructureError(
+                f"parameter matrix (sigma, block shapes) {(K.sigma, K._shapes)} "
+                f"!= {self._param_layout} of the structure"
+            )
 
     def _groups(self):
         """The `_Group`s of the representative eigenvalues, built on first
-        use.
+        use; the one walk of the conformable layout.
 
         The representatives are each pair's first member, then the reals;
         those with equal (pair or real, block orders) share one group, so
-        one run of `_chain_columns` serves all of them.
+        one run of `_chain_columns` serves all of them.  Pair groups come
+        first, as pairs do in conformable order.  The same walk sets
+        `_vw_cols`: column j of the real [V; W] is column _vw_cols[j] of
+        the chain matrix viewed as floats (Re h_0, Im h_0, Re h_1, ...), so
+        a pair's first block takes the real parts of its columns and the
+        second block the imaginary parts of the first block's columns.
         """
         if self._group_data is None:
             spec, m = self.spec, self.sys.m
@@ -318,14 +301,18 @@ class Placer:
                     pos += (1 + pair) * m * mult
                 col += mult
             groups = []
+            self._vw_cols = 2 * np.arange(spec.n)
             for (pair, orders), reps in members.items():
                 idx, first, start = zip(*reps)
                 mult = sum(orders)
                 size = m * mult
                 cols = np.add.outer(first, np.arange(mult))
                 coords = np.add.outer(start, np.arange(size)).reshape(-1, m, mult)
+                if pair:
+                    self._vw_cols[cols + mult] = 2 * cols + 1
                 groups.append(_Group(
                     orders=orders,
+                    lam=np.array([spec.eigenvalues[i] for i in idx]),
                     N=np.array([self.pencils[i].N for i in idx]),
                     Mdag=np.array([self.pencils[i].Mdag for i in idx]),
                     cols=cols,
@@ -350,7 +337,7 @@ class Placer:
         first, not recomputed ones, so conjugate symmetry is exact.
         """
         self._check_param(K)
-        x = K._coordinates()
+        x = K._x
         H = np.empty((self.sys.n + self.sys.m, self.sys.n), self._chain_dtype)
         for grp in self._groups():
             Kg = x[grp.coords]
@@ -427,35 +414,33 @@ class Placer:
     def _recovery(self):
         """The column data of `recover_parameters`, built on first use.
 
-        Only the representative eigenvalues (each pair's first member, then
-        the reals) carry parameters; `cols` are their chain columns in H.
+        Only the representative eigenvalues carry parameters.  Their chain
+        columns, eigenvalues and coordinates are the groups' own, laid end
+        to end in group order (pair groups first), so that one pass over
+        the columns serves every group; the pencil data is stacked to
+        match.
         """
         if self._recovery_data is None:
-            sys, spec, sigma = self.sys, self.spec, self.spec.sigma
-            reps = [*range(0, 2 * sigma, 2), *range(2 * sigma, spec.nu)]
-            col_blocks = conformable_column_blocks(spec)
-            mults = np.array([spec.multiplicities[i] for i in reps])
-            cols = np.concatenate([np.arange(*col_blocks[i]) for i in reps])
-            lam = np.repeat([spec.eigenvalues[i] for i in reps], mults)
+            sys, sigma, groups = self.sys, self.spec.sigma, self._groups()
+            # per representative eigenvalue
+            mults = np.array([len(row) for grp in groups for row in grp.cols])
+            cols = np.concatenate([grp.cols.ravel() for grp in groups])
+            lam = np.repeat(np.concatenate([grp.lam for grp in groups]), mults)
             n_pair = int(mults[:sigma].sum())
-            ends = np.cumsum(mults)
-            pair_orders = [p for i in reps[:sigma] for p in spec.block_orders[i]]
-            NH = np.stack([self.pencils[i].N.conj().T for i in reps])
-            # the index in x of each chain column's parameter column: a
-            # pair's real parts at its first member's columns, its imaginary
-            # parts at the second's
-            coord_of_col = np.empty((sys.m, sys.n), dtype=np.intp)
-            for grp in self._groups():
-                coord_of_col[:, grp.cols] = grp.coords.transpose(1, 0, 2)
-                if grp.partner_cols is not None:
-                    coord_of_col[:, grp.partner_cols] = (
-                        grp.imag_coords.transpose(1, 0, 2)
-                    )
-            # a pair's second block sits mult columns after its first
-            pair_cols = cols[:n_pair] + np.repeat(mults[:sigma], mults[:sigma])
+            real_coords = np.concatenate(
+                [grp.coords.transpose(1, 0, 2).reshape(sys.m, -1) for grp in groups],
+                axis=1,
+            )
+            # a pair's second block sits mult columns after its first, its
+            # imaginary coordinates m * mult after its real ones
+            shift = np.repeat(mults[:sigma], mults[:sigma])
+            pair_orders = [p for grp in groups if grp.partner_cols is not None
+                           for _ in grp.lam for p in grp.orders]
+            N = np.concatenate([grp.N for grp in groups])
+            NH = np.repeat(N.conj().transpose(0, 2, 1), mults, axis=0)
             self._recovery_data = _Recovery(
                 cols=cols,
-                pair_cols=pair_cols,
+                pair_cols=cols[:n_pair] + shift,
                 lam=lam,
                 # the tolerance of a column h is scale * max(1, |h|)
                 scale=self.tol.residual_tol * (
@@ -465,11 +450,11 @@ class Placer:
                 # complex when NH is, so the products need no cast per call
                 SH=np.hstack([sys.A, sys.B]).astype(NH.dtype),
                 Lambda=self.Lambda[np.ix_(cols, cols)],
-                NH=np.repeat(NH, mults, axis=0),
+                NH=NH,
                 n_pair=n_pair,
-                starts=ends - mults,
-                real_coords=coord_of_col[:, cols],
-                imag_coords=coord_of_col[:, pair_cols],
+                starts=np.cumsum(mults) - mults,
+                real_coords=real_coords,
+                imag_coords=real_coords[:, :n_pair] + sys.m * shift,
                 pair_starts=np.cumsum([0, *pair_orders])[:-1],
             )
         return self._recovery_data
@@ -509,17 +494,16 @@ class Placer:
         x = np.empty(self.sys.m * n)
         x[rec.real_coords] = Kc.real
         x[rec.imag_coords] = Kc[:, : rec.n_pair].imag
-        return ParameterMatrix._of_vector(
-            sigma, self.sys.m, self.spec.multiplicities, x
-        )
+        return ParameterMatrix._of_vector(self.spec, self.sys.m, x)
 
 
 @dataclass(frozen=True)
 class _Recovery:
     """Index and pencil data of `Placer.recover_parameters`.
 
-    Representative columns list the pair first members' n_pair columns,
-    then the real eigenvalues' columns.
+    The representative columns are those of the `_Group`s in group order:
+    the pair first members' n_pair columns, then the real eigenvalues'
+    columns, each eigenvalue's columns adjacent and in chain order.
     """
 
     cols: np.ndarray  # representative chain columns of H
@@ -572,12 +556,14 @@ def _first_beyond(values, bound):
 class _Group:
     """Representative eigenvalues with equal (pair or real, block orders).
 
-    Stacks hold one member per leading row; `cols` are each member's chain
-    columns of H, and `coords` the positions in x = K.to_vector() of its
-    parameter block (for a pair, of the real parts).
+    Stacks hold one member per leading row, in conformable order; `cols`
+    are each member's chain columns of H, and `coords` the positions in
+    x = K.to_vector() of its parameter block (for a pair, of the real
+    parts).
     """
 
     orders: tuple  # the members' common mini-block orders
+    lam: np.ndarray  # (g,) the members' eigenvalues
     N: np.ndarray  # (g, n+m, m) kernel bases
     Mdag: np.ndarray  # (g, n+m, n) pencil pseudoinverses
     cols: np.ndarray  # (g, mult)

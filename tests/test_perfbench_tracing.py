@@ -1,23 +1,34 @@
-"""The perfbench tracer wraps library names by module attribute.
+"""The perfbench code calls library names that no library path needs.
 
-A refactor that drops one of those names breaks only traced benchmark runs,
-and silently; this test makes it fail here instead.
+The tracer wraps library names by module attribute, and the workloads call
+names such as `Placer.residual_scale` and `ParameterMatrix.random`.  A
+refactor that drops one of those names breaks only benchmark runs, and
+silently; these tests make it fail here instead.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import poleplace
 import poleplace.bench  # noqa: F401  (submodules resolved by name, as in perfbench/run.py)
 import poleplace.cli  # noqa: F401
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_trace_target_exists():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load("tracing")
     missing = []
     for owner_path, attr, _ in tracing.TARGETS:
         owner = poleplace
@@ -26,3 +37,13 @@ def test_every_trace_target_exists():
         if attr not in owner.__dict__:
             missing.append(f"{owner_path}.{attr}")
     assert not missing
+
+
+WORKLOADS = load("workloads").WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_first_op_of_each_workload_passes_its_check(name):
+    _, run, check = WORKLOADS[name](poleplace, 1)[0]
+    causes, _ = check(run())
+    assert causes == []

@@ -415,6 +415,24 @@ class TestTrustedParameterMatrix:
             assert np.array_equal(blk, blk_c)
             assert not blk.flags.writeable
 
+    def test_checked_constructor_copies_the_callers_blocks(self):
+        spec = pp.EigStructure((-1 + 1j, -1 - 1j, -2.0), ((2,), (2,), (1,)))
+        b0 = np.array([[1 + 2j, 3 - 1j], [0.5j, -2.0 + 0j]])
+        b1 = b0.conj()
+        r = np.array([[4.0], [-1.5]])
+        K = pp.ParameterMatrix([b0, b1, r], spec.sigma)
+        # the pair's real parts, its imaginary parts, the real block
+        x = [1.0, 3.0, 0.0, -2.0, 2.0, -1.0, 0.5, 0.0, 4.0, -1.5]
+        blocks = [b0.copy(), b1.copy(), r.copy()]
+        # mutate the caller's arrays in place
+        b0[0, 0] = 5 + 5j
+        b1[1, 1] = 7.0
+        r[0, 0] = 0.0
+        assert np.array_equal(K.to_vector(), x)
+        for blk, before in zip(K.blocks, blocks):
+            assert np.array_equal(blk, before)
+            assert not blk.flags.writeable
+
     def test_recovered_vector_matches_its_blocks(self):
         placer, rng = grouped_instance(16, 3)
         K = pp.ParameterMatrix.random(placer.spec, 3, rng)
@@ -800,12 +818,12 @@ class TestLoopFreeRoundTrip:
             assert np.array_equal(res.W, W)
             assert np.array_equal(res.X, chains.X)
 
-    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
-    def test_recover_matches_per_column_reference(self, n, m, kind):
-        placer, rng = operator_instance(n, m, kind)
+    @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
+    def test_recover_matches_per_column_reference(self, make):
+        placer, rng = make()
         for _ in range(3):
             chains = placer.build_chains(
-                pp.ParameterMatrix.random(placer.spec, m, rng)
+                pp.ParameterMatrix.random(placer.spec, placer.sys.m, rng)
             )
             got = placer.recover_parameters(chains).blocks
             ref = reference_recover(placer, chains)

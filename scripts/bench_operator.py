@@ -21,9 +21,11 @@ Two sections are written:
 Each probe runs ROUNDS times per tree, alternating which tree goes first,
 so that drift of the host's speed falls on both sides alike; every call is
 timed REPEATS times per instance, tree and round.  The record holds each
-side's minimum and median over all rounds and the change/parent ratio of
-the medians.  The sections are stored under their keys of the --out JSON
-file, which is created when missing and otherwise updated in place.
+side's minimum and median over all rounds, its median in each round (so
+that a difference can be judged against the round-to-round spread of
+either side) and the change/parent ratio of the overall medians.  The
+sections are stored under their keys of the --out JSON file, which is
+created when missing and otherwise updated in place.
 """
 
 import argparse
@@ -134,17 +136,25 @@ def measure(trees, probe, *args):
     return runs
 
 
-def compare(times, label):
-    """Both sides' minimum and median of one list of call times."""
+def compare(rounds, label):
+    """Both sides' minimum and median over all rounds and their median per
+    round, from {side: [call times of one round, ...]}."""
     row = {}
     for side in ("parent", "change"):
-        row[side] = {"min_s": min(times[side]),
-                     "median_s": statistics.median(times[side])}
+        times = [t for run in rounds[side] for t in run]
+        row[side] = {"min_s": min(times),
+                     "median_s": statistics.median(times),
+                     "round_medians_s": [statistics.median(run)
+                                         for run in rounds[side]]}
     row["change_over_parent"] = (row["change"]["median_s"]
                                  / row["parent"]["median_s"])
+    spread = {side: [t * 1e6 for t in row[side]["round_medians_s"]]
+              for side in ("parent", "change")}
     print(f"{label}: {row['parent']['median_s'] * 1e6:.1f} -> "
           f"{row['change']['median_s'] * 1e6:.1f} us "
-          f"({row['change_over_parent']:.4f})", flush=True)
+          f"({row['change_over_parent']:.4f}); rounds "
+          + " -> ".join(f"{min(v):.1f}..{max(v):.1f}" for v in spread.values()),
+          flush=True)
     return row
 
 
@@ -158,15 +168,14 @@ def main(argv=None):
 
     builds = measure(trees, OPERATOR_PROBE, json.dumps(INSTANCES), str(REPEATS))
     operator_rows = {
-        label: compare({side: [t for run in builds[side] for t in run[label]]
+        label: compare({side: [run[label] for run in builds[side]]
                         for side in trees}, label)
         for label, *_ in INSTANCES
     }
 
     calls = measure(trees, ROUND_TRIP_PROBE, str(ROUND_TRIP_REPEATS))
     round_trip_rows = {
-        cell: {call: compare({side: [t for run in calls[side]
-                                     for t in run[cell][call]]
+        cell: {call: compare({side: [run[cell][call] for run in calls[side]]
                               for side in trees}, f"{cell} {call}")
                for call in ("build_chains", "place", "recover")}
         for cell in calls["parent"][0]

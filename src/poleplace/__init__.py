@@ -55,7 +55,6 @@ from .placement import (
     build_pencil,
     chains_from_feedback,
     place,
-    realify,
     recover_parameters,
     residual,
 )
@@ -124,7 +123,6 @@ __all__ = [
     "objective_f2",
     "place",
     "pseudo_inverse",
-    "realify",
     "recover_parameters",
     "residual",
     "run_bench",

@@ -14,8 +14,10 @@ _RESAMPLE_LIMIT start draws are all singular is reported as "singular_start"
 with an empty trace and value +inf.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
-per placer (`Placer.operator`); values come from L x and F = W V^-1, and
-gradients are exact, pulled back through L.  Every placement assigns the
+per placer (`Placer.operator`, a scatter of the placer's stored placement
+map); values come from L x and F = W V^-1, and gradients are exact, pulled
+back through L.  The evaluator keeps L dense: at n <= 6 one dense product
+is cheaper than the map's gather plus stacked product.  Every placement assigns the
 requested spectrum, so the normality objective needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
 gives its value and its gradient alike.

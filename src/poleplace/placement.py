@@ -4,24 +4,25 @@ Given a reachable pair (A, B) and an admissible target eigenstructure, every
 feedback F assigning that structure is reached from an m x n-parameter block
 matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
-closed with F = W V^{-1}.  One recursion, `_chain_columns`, builds the
-chains of a group of eigenvalues for a batch of parameter blocks: the
-representative eigenvalues (each pair's first member, then the reals) with
-equal (pair or real, block orders) form one group, whose pencils are
-stacked so that every product runs once for all members.  K is held as
-its coordinate vector x alone, and `Placer._groups` is the one walk of the
-conformable layout: the groups carry each member's chain columns,
-coordinates in x and eigenvalue, which every other step reads.
-`build_chains` runs the recursion once per group on x and writes the
-columns straight into one chain matrix H; `Placer.operator` runs it once
-per group on the unit blocks of all the members' coordinates.  The map is
-linear in x, which `Placer.operator` exploits, and exactly invertible,
-which `recover_parameters` exploits: a chain column is
+closed with F = W V^{-1}.  The whole construction is one linear map from K's
+coordinate vector x to the real [V; W], and a `Placer` holds it once, in
+`_PlacementMap`: column c of [V; W] reads only its own eigenvalue's
+coordinates, so [V; W][:, c] = T[c]^T x[coords[c]], one gather and one
+stacked product for all columns.  The map's blocks come from one run of the
+chain recursion, `_chain_columns`, per group of eigenvalues, on unit
+parameter blocks: the representative eigenvalues (each pair's first member,
+then the reals) with equal (pair or real, block orders) form one group,
+whose pencils are stacked so that every product runs once for all members.
+`Placer._groups` is the one walk of the conformable layout: the groups carry
+each member's chain columns, first coordinate in x and eigenvalue, which
+every other step reads.  `Placer.place` and `Placer.build_chains` apply the
+map; the complex chain matrix H is an exact gather of the real [V; W]
+(a pair's columns are V_1 +- i V_2); `Placer.operator` scatters the same
+blocks into the dense matrix L the optimizer multiplies by.  The map is
+exactly invertible, which `recover_parameters` exploits: a chain column is
 h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
 of Mdag is orthogonal to ker S), every parameter column is one projection
 k(l) = N^H h(l), taken for all columns of all groups at once.
-`Placer.place` reads the real (V, W) off the conjugate-symmetric chain
-matrix by one column gather instead of through `realify`.
 """
 
 from dataclasses import dataclass
@@ -95,6 +96,11 @@ class ParameterMatrix:
     def __init__(self, blocks, sigma):
         blocks = [np.atleast_2d(np.asarray(b)) for b in blocks]
         sigma = int(sigma)
+        if len(blocks) < max(1, 2 * sigma):
+            raise StructureError(
+                f"{len(blocks)} parameter blocks given, need at least one "
+                f"and 2 * sigma = {2 * sigma} for the conjugate pairs"
+            )
         m = blocks[0].shape[0]
         if any(b.shape[0] != m for b in blocks):
             raise StructureError("all parameter blocks must have m rows")
@@ -179,7 +185,8 @@ class ChainSet:
     columns hold its mini-blocks [h(1) ... h(p)] in turn.  chains[i][k] is
     the (n+m) x p_{i,k} block of mini-block k of eigenvalue i, copied out of
     H on access (C-contiguous, in H's dtype).  `ChainSet(spec, chains)`
-    assembles H from such blocks; `Placer.build_chains` writes H directly.
+    assembles H from such blocks; `Placer.build_chains` gathers H from the
+    placement map.
     """
 
     __slots__ = ("spec", "H")
@@ -231,9 +238,10 @@ class Placer:
     The cache is what makes repeated evaluation (optimization, finite
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
-    The first chain build or operator build also stacks the pencils per
-    `_Group`, and the first recovery lays the groups' column data end to
-    end.
+    The rest is built on first use: the `_Group` stacks, the placement map
+    (`_map`, the one run of the chain recursion) that `place` and
+    `build_chains` apply, the dense operator L scattered from it, and the
+    recovery's column data.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -253,8 +261,7 @@ class Placer:
         self._operator = None
         self._recovery_data = None
         self._group_data = None
-        self._vw_cols = None
-        self._chain_dtype = complex if spec.sigma else float
+        self._map_data = None
         self._param_layout = (
             spec.sigma, tuple((sys.m, mult) for mult in spec.multiplicities)
         )
@@ -279,11 +286,7 @@ class Placer:
         The representatives are each pair's first member, then the reals;
         those with equal (pair or real, block orders) share one group, so
         one run of `_chain_columns` serves all of them.  Pair groups come
-        first, as pairs do in conformable order.  The same walk sets
-        `_vw_cols`: column j of the real [V; W] is column _vw_cols[j] of
-        the chain matrix viewed as floats (Re h_0, Im h_0, Re h_1, ...), so
-        a pair's first block takes the real parts of its columns and the
-        second block the imaginary parts of the first block's columns.
+        first, as pairs do in conformable order.
         """
         if self._group_data is None:
             spec, m = self.spec, self.sys.m
@@ -301,105 +304,112 @@ class Placer:
                     pos += (1 + pair) * m * mult
                 col += mult
             groups = []
-            self._vw_cols = 2 * np.arange(spec.n)
             for (pair, orders), reps in members.items():
                 idx, first, start = zip(*reps)
                 mult = sum(orders)
-                size = m * mult
-                cols = np.add.outer(first, np.arange(mult))
-                coords = np.add.outer(start, np.arange(size)).reshape(-1, m, mult)
-                if pair:
-                    self._vw_cols[cols + mult] = 2 * cols + 1
                 groups.append(_Group(
                     orders=orders,
+                    pair=pair,
                     lam=np.array([spec.eigenvalues[i] for i in idx]),
                     N=np.array([self.pencils[i].N for i in idx]),
                     Mdag=np.array([self.pencils[i].Mdag for i in idx]),
-                    cols=cols,
-                    # a pair's second block sits mult columns after its
-                    # first, its imaginary coordinates size after the real
-                    partner_cols=cols + mult if pair else None,
-                    coords=coords,
-                    imag_coords=coords + size if pair else None,
+                    cols=np.add.outer(first, np.arange(mult)),
+                    start=np.array(start)[:, None],
                 ))
             self._group_data = tuple(groups)
         return self._group_data
 
-    def build_chains(self, K):
-        """Run the chain recursion for every mini-block, into one H.
-
-        The b = 1 case of `_chain_columns`, run once per `_Group` on the
-        group's parameter tensor, gathered from x = K's coordinate vector
-        (a pair's as x[re] + 1j * x[im], the arithmetic of `from_vector`):
-        h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l).  The
-        columns are written into one preallocated chain matrix H; a
-        conjugate pair's second member gets the conjugated columns of the
-        first, not recomputed ones, so conjugate symmetry is exact.
-        """
-        self._check_param(K)
-        x = K._x
-        H = np.empty((self.sys.n + self.sys.m, self.sys.n), self._chain_dtype)
-        for grp in self._groups():
-            Kg = x[grp.coords]
-            if grp.partner_cols is not None:
-                Kg = Kg + 1j * x[grp.imag_coords]
-            # (mult, g, n+m, 1) -> (n+m, g, mult), against cols (g, mult)
-            Hg = np.array(_chain_columns(grp, Kg[..., None]))[..., 0]
-            Hg = Hg.transpose(2, 1, 0)
-            H[:, grp.cols] = Hg
-            if grp.partner_cols is not None:
-                H[:, grp.partner_cols] = Hg.conj()
-        return ChainSet._of_matrix(self.spec, H)
-
-    def operator(self):
-        """The placement map as one real matrix L, built on first use.
+    def _map(self):
+        """The placement map as its stored blocks, built on first use.
 
         The chain recursion and realification are linear in the m*n free
-        coordinates x = K.to_vector(), so np.vstack([V, W]).ravel() = L @ x
-        with L of shape ((n+m)*n, m*n).  L is block structured: the columns
-        of eigenvalue i's coordinates are nonzero only in its own chain
-        columns.  Each `_Group` runs `_chain_columns` once, on the unit
-        tensor of its members' coordinates (batch b = m * mult); the chains
-        H(E) fill the columns of the real coordinates, and since a
-        conjugate pair's imaginary coordinates have chains i H(E), their
-        columns hold (-Im H, Re H) in the (real, imaginary) column blocks.
+        coordinates x = K.to_vector(), and column c of the real [V; W]
+        reads only its own eigenvalue's coordinates (see `_PlacementMap`).
+        Each `_Group` runs `_chain_columns` once, on the unit tensor of its
+        members' coordinates (batch b = m * mult), and the chains H(E) are
+        stored as computed: as the blocks of a real eigenvalue's columns,
+        and, since a conjugate pair's imaginary coordinates have chains
+        i H(E), as (Re H, -Im H) in a pair's first columns (Re h) and
+        (Im H, Re H) in its second ones (Im h), over its (real, imaginary)
+        coordinates.  A pair's second columns follow its first, and its
+        imaginary coordinates its real ones.
+        """
+        if self._map_data is None:
+            n, m = self.sys.n, self.sys.m
+            groups = self._groups()
+            width = m * max((1 + grp.pair) * grp.cols.shape[1] for grp in groups)
+            T = np.zeros((n, width, n + m))
+            start = np.empty(n, int)
+            gather = None
+            if self.spec.sigma:
+                gather = np.arange(n), np.arange(n), np.zeros(n, complex)
+            for grp in groups:
+                g, mult = grp.cols.shape
+                size = m * mult
+                E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
+                Hg = np.array(_chain_columns(grp, E))  # (mult, g, n+m, size)
+                cols = grp.cols
+                if grp.pair:
+                    first, second = grp.cols, grp.cols + mult
+                    re, im, isign = gather
+                    re[second], im[first] = first, second
+                    isign[first], isign[second] = 1j, -1j
+                    # over the (real, imaginary) coordinates, the first
+                    # columns' blocks are Re [H, i H], the second's Im [H, i H]
+                    Hg = np.concatenate([Hg, 1j * Hg], axis=3)
+                    Hg = np.concatenate([Hg.real, Hg.imag])
+                    cols = np.concatenate([first, second], axis=1)
+                # each column c of the group gets its (coordinates, n+m) block
+                T[cols, : Hg.shape[3]] = Hg.transpose(1, 0, 3, 2)
+                start[cols] = grp.start
+            coords = (start[:, None] + np.arange(width)) % (m * n)
+            self._map_data = _PlacementMap(T, coords, gather)
+        return self._map_data
+
+    def build_chains(self, K):
+        """The complex chain matrix H of K, in conformable order.
+
+        [V; W] comes from the stored map (`_map`) in one gather and one
+        stacked product, and H is gathered from it exactly: a conjugate
+        pair's first columns are V_1 + i V_2, its second columns the
+        conjugates, so conjugate symmetry is exact.  Real eigenvalues'
+        columns are [V; W]'s own, and H is real when the structure has no
+        pairs.
+        """
+        self._check_param(K)
+        pmap = self._map()
+        return ChainSet._of_matrix(self.spec, pmap.chains(pmap.vw(K._x)))
+
+    def operator(self):
+        """The placement map as one dense real matrix L, built on first use.
+
+        np.vstack([V, W]).ravel() = L @ x with L of shape ((n+m)*n, m*n),
+        for x = K.to_vector().  L is one scatter of the blocks the map
+        stores (`_map`), so its entries are the chain recursion's own.  The
+        optimizer's evaluator multiplies by L: at the sizes it runs, one
+        dense product beats a gather plus a stacked product.
         """
         if self._operator is None:
             n, m = self.sys.n, self.sys.m
+            pmap = self._map()
             L = np.zeros((n + m, n, m * n))
-            for grp in self._groups():
-                g, _, mult = grp.coords.shape
-                size = m * mult
-                # one unit tensor for all members: matmul broadcasts it
-                E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
-                # (mult, g, n+m, size) -> (n+m, g, mult, size), against
-                # indices of shape (g, mult, size)
-                Hg = np.array(_chain_columns(grp, E)).transpose(2, 1, 0, 3)
-                re = grp.coords.reshape(g, 1, size)
-                first = grp.cols[:, :, None]
-                if grp.partner_cols is None:
-                    L[:, first, re] = Hg
-                    continue
-                im = grp.imag_coords.reshape(g, 1, size)
-                second = grp.partner_cols[:, :, None]
-                L[:, first, re] = Hg.real
-                L[:, second, re] = Hg.imag
-                L[:, first, im] = -Hg.imag
-                L[:, second, im] = Hg.real
+            L[:, np.arange(n)[:, None], pmap.coords] = pmap.T.transpose(2, 0, 1)
             self._operator = L.reshape((n + m) * n, m * n)
         return self._operator
 
     def place(self, K):
-        """Place one parameter matrix: F = W V^{-1} from its chains.
+        """Place one parameter matrix: F = W V^{-1}.
 
-        build_chains makes the chain matrix H conjugate-symmetric, so the
-        real (V, W) that `realify` would return are gathered from H directly
-        (see `_vw_cols`), and X is the top of the same H.
+        [V; W] comes from the stored map (`_map`) in one gather and one
+        stacked product; X is the top of the chain matrix that
+        `build_chains` would return, gathered from V.
         """
-        H = self.build_chains(K).H
-        VW = H.view(float)[:, self._vw_cols] if np.iscomplexobj(H) else H.copy()
+        self._check_param(K)
+        pmap = self._map()
         n = self.sys.n
-        V, W, X = VW[:n], VW[n:], H[:n]
+        VW = pmap.vw(K._x)
+        V, W = VW[:n], VW[n:]
+        X = pmap.chains(V)
         s = checked_svals(V, self.tol)
         F = np.linalg.solve(V.T, W.T).T
         res = _residual(self.sys, F, X, self.Lambda)
@@ -427,14 +437,17 @@ class Placer:
             cols = np.concatenate([grp.cols.ravel() for grp in groups])
             lam = np.repeat(np.concatenate([grp.lam for grp in groups]), mults)
             n_pair = int(mults[:sigma].sum())
-            real_coords = np.concatenate(
-                [grp.coords.transpose(1, 0, 2).reshape(sys.m, -1) for grp in groups],
-                axis=1,
-            )
+            # (m, columns): entry (i, l) of a member's block sits at
+            # start + i * mult + l
+            real_coords = np.concatenate([
+                (grp.start + np.arange(grp.cols.shape[1])).ravel()
+                + grp.cols.shape[1] * np.arange(sys.m)[:, None]
+                for grp in groups
+            ], axis=1)
             # a pair's second block sits mult columns after its first, its
             # imaginary coordinates m * mult after its real ones
             shift = np.repeat(mults[:sigma], mults[:sigma])
-            pair_orders = [p for grp in groups if grp.partner_cols is not None
+            pair_orders = [p for grp in groups if grp.pair
                            for _ in grp.lam for p in grp.orders]
             N = np.concatenate([grp.N for grp in groups])
             NH = np.repeat(N.conj().transpose(0, 2, 1), mults, axis=0)
@@ -557,19 +570,51 @@ class _Group:
     """Representative eigenvalues with equal (pair or real, block orders).
 
     Stacks hold one member per leading row, in conformable order; `cols`
-    are each member's chain columns of H, and `coords` the positions in
-    x = K.to_vector() of its parameter block (for a pair, of the real
-    parts).
+    are each member's chain columns of H, and `start` the position in
+    x = K.to_vector() of its parameter block's first coordinate.  The
+    block's m * mult entries follow row-major (for a pair, its real parts,
+    then as many imaginary parts).
     """
 
     orders: tuple  # the members' common mini-block orders
+    pair: bool  # conjugate pairs, represented by their first members
     lam: np.ndarray  # (g,) the members' eigenvalues
     N: np.ndarray  # (g, n+m, m) kernel bases
     Mdag: np.ndarray  # (g, n+m, n) pencil pseudoinverses
     cols: np.ndarray  # (g, mult)
-    partner_cols: np.ndarray | None  # (g, mult) a pair's second member
-    coords: np.ndarray  # (g, m, mult)
-    imag_coords: np.ndarray | None  # (g, m, mult) a pair's imaginary parts
+    start: np.ndarray  # (g, 1)
+
+
+@dataclass(frozen=True)
+class _PlacementMap:
+    """The placement map x -> [V; W] as one block per chain column.
+
+    Column c of [V; W] is T[c]^T x[coords[c]].  A column's own coordinates
+    are one contiguous range of x; past them, up to the common width,
+    coords runs on through the next coordinates, wrapping round the end
+    of x, where T is zero.  So every row of coords holds distinct
+    positions, and `Placer.operator` scatters T into L with no collision.
+    With conjugate pairs, gather = (re, im, isign) gives the complex chain
+    matrix H = VW[:, re] + isign * VW[:, im]: (c, partner, i) on a pair's
+    first columns, (partner, c, -i) on its second ones and (c, c, 0) on
+    real columns; every entry is exact.
+    """
+
+    T: np.ndarray  # (n, width, n+m)
+    coords: np.ndarray  # (n, width)
+    gather: tuple | None  # (re, im, isign), each (n,); None without pairs
+
+    def vw(self, x):
+        """[V; W] at coordinate vector x: one gather, one stacked product."""
+        return (x[self.coords][:, None] @ self.T)[:, 0].T
+
+    def chains(self, rows):
+        """The chain matrix rows matching the given rows of [V; W]: complex
+        with pairs, else a copy."""
+        if self.gather is None:
+            return rows.copy()
+        re, im, isign = self.gather
+        return rows[:, re] + isign * rows[:, im]
 
 
 def _chain_columns(group, Kg):
@@ -596,37 +641,6 @@ def _chain_columns(group, Kg):
             cols.append(h)
         off += p
     return cols
-
-
-def realify(chain_set):
-    """Split a conformably ordered chain matrix into its real (V, W).
-
-    Pair column blocks (i, i+1) become the elementwise real and imaginary
-    parts of block i; real blocks pass through.  V and W are the first n and
-    last m rows.  A conjugate-symmetry violation beyond 1e-12 * ||H|| raises
-    ChainConsistencyError.
-    """
-    spec = chain_set.spec
-    H = chain_set.H
-    n = spec.n
-    out = np.empty_like(H)
-    col_blocks = conformable_column_blocks(spec)
-    for i in range(0, 2 * spec.sigma, 2):
-        a, b = col_blocks[i]
-        c, d = col_blocks[i + 1]
-        out[:, a:b] = 0.5 * (H[:, a:b] + H[:, c:d])
-        out[:, c:d] = (H[:, a:b] - H[:, c:d]) / 2j
-    for i in range(2 * spec.sigma, spec.nu):
-        a, b = col_blocks[i]
-        out[:, a:b] = H[:, a:b]
-    if np.iscomplexobj(out):
-        residue = np.abs(out.imag).max() if out.size else 0.0
-        if residue > 1e-12 * max(1.0, fro_norm(H)):
-            raise ChainConsistencyError(
-                f"conjugate-symmetry violation: imaginary residue {residue:.3e}"
-            )
-        out = out.real
-    return out[:n, :].copy(), out[n:, :].copy()
 
 
 def build_chains(sys, spec, K, tol=DEFAULT_TOL):

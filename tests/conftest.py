@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace.structure import conformable_column_blocks
 
 
 def random_reachable(rng, n, m):
@@ -23,6 +24,20 @@ def random_reachable(rng, n, m):
         except pp.PolePlaceError:
             continue
     raise RuntimeError(f"could not draw a reachable ({n},{m}) pair")
+
+
+def realify(chain_set):
+    """The real (V, W) of a conformably ordered, conjugate-symmetric chain
+    set, column by column: a pair's first block gives the real parts of its
+    columns, the second block their imaginary parts, and real blocks pass
+    through.  The reference the placement map's real [V; W] is held to."""
+    spec, H = chain_set.spec, chain_set.H
+    out = H.real.copy()
+    col_blocks = conformable_column_blocks(spec)
+    for i in range(0, 2 * spec.sigma, 2):
+        (a, b), (c, d) = col_blocks[i], col_blocks[i + 1]
+        out[:, c:d] = H[:, a:b].imag
+    return out[: spec.n], out[spec.n :]
 
 
 def _random_partition(rng, total, max_parts, max_block):

@@ -14,7 +14,7 @@ from poleplace.optimize import (
     is_f_unique,
     unique_parameter,
 )
-from conftest import random_reachable, split_limit, start_conds
+from conftest import realify, random_reachable, split_limit, start_conds
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -234,7 +234,7 @@ class TestAnalyticGradient:
         rng = np.random.default_rng(61)
         for _ in range(5):
             K = pp.ParameterMatrix.random(spec, m, rng)
-            VW = np.vstack(pp.realify(placer.build_chains(K))).ravel()
+            VW = np.vstack(realify(placer.build_chains(K))).ravel()
             err = np.linalg.norm(L @ K.to_vector() - VW)
             assert err <= 1e-12 * np.linalg.norm(VW)
 

@@ -11,6 +11,7 @@ from conftest import (
     eigenvalue_match_errors,
     place_random,
     random_admissible_spec,
+    realify,
     random_reachable,
     weyr_ranks_ok,
 )
@@ -208,7 +209,7 @@ def reference_operator(placer):
     cols = []
     for e in np.eye(m * n):
         K = pp.ParameterMatrix.from_vector(placer.spec, m, e)
-        cols.append(np.vstack(pp.realify(reference_chains(placer, K))).ravel())
+        cols.append(np.vstack(realify(reference_chains(placer, K))).ravel())
     return np.column_stack(cols)
 
 
@@ -231,13 +232,31 @@ class TestBatchedRecursion:
         for _ in range(3):
             K = pp.ParameterMatrix.random(placer.spec, m, rng)
             got, ref = placer.build_chains(K), reference_chains(placer, K)
-            for group, ref_group in zip(got.chains, ref.chains):
-                assert len(group) == len(ref_group)
-                for blk, ref_blk in zip(group, ref_group):
-                    assert np.array_equal(blk, ref_blk)
-                    # a strided block changes the rounding of the BLAS
-                    # products in recover_parameters
-                    assert blk.flags.c_contiguous
+            assert got.H.dtype == ref.H.dtype
+            assert_columns_close(got.H, ref.H)
+            assert_chain_layout(got)
+
+
+def assert_columns_close(H, ref):
+    """Each column of H within 1e-14 of its reference column's largest
+    modulus: the stored map sums a column's terms in another order than the
+    chain recursion does."""
+    assert np.all(np.abs(H - ref).max(axis=0) <= 1e-14 * np.abs(ref).max(axis=0))
+
+
+def assert_chain_layout(chain_set):
+    """The exact structure of a built chain set: a conjugate pair's second
+    blocks are the conjugates of its first, and every block is
+    C-contiguous."""
+    spec, chains = chain_set.spec, chain_set.chains
+    for i in range(0, 2 * spec.sigma, 2):
+        for blk, blk_c in zip(chains[i], chains[i + 1]):
+            assert np.array_equal(blk_c, blk.conj())
+    for group in chains:
+        for blk in group:
+            # a strided block changes the rounding of the BLAS products in
+            # recover_parameters
+            assert blk.flags.c_contiguous
 
 
 def grouped_structure(n, m):
@@ -361,12 +380,9 @@ class TestGroupedRecursion:
             ref = per_eigenvalue_chains(placer, K)
             ref_H = np.hstack([blk for group in ref for blk in group])
             assert got.H.dtype == ref_H.dtype
-            assert np.array_equal(got.H, ref_H)
-            for group, ref_group in zip(got.chains, ref):
-                assert len(group) == len(ref_group)
-                for blk, ref_blk in zip(group, ref_group):
-                    assert np.array_equal(blk, ref_blk)
-                    assert blk.flags.c_contiguous
+            assert_columns_close(got.H, ref_H)
+            assert [len(group) for group in got.chains] == [len(g) for g in ref]
+            assert_chain_layout(got)
 
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
     def test_operator_matches_per_eigenvalue_build(self, make):
@@ -433,6 +449,12 @@ class TestTrustedParameterMatrix:
             assert np.array_equal(blk, before)
             assert not blk.flags.writeable
 
+    @pytest.mark.parametrize("blocks,sigma", [([], 0), ([np.eye(2)], 1)])
+    def test_too_few_blocks_rejected(self, blocks, sigma):
+        with pytest.raises(pp.StructureError,
+                           match=f"^{len(blocks)} parameter blocks given"):
+            pp.ParameterMatrix(blocks, sigma)
+
     def test_recovered_vector_matches_its_blocks(self):
         placer, rng = grouped_instance(16, 3)
         K = pp.ParameterMatrix.random(placer.spec, 3, rng)
@@ -471,30 +493,32 @@ class TestZeroImaginaryRealBlock:
             pp.ParameterMatrix([np.array([[1.0 + 1e-300j]])], spec.sigma)
 
 
-class TestRealify:
+class TestRealSplit:
+    """place's real (V, W) against build_chains' complex chain matrix."""
+
     def test_real_passthrough(self):
         rng = np.random.default_rng(14)
         sys = random_reachable(rng, 3, 1)
         spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
         K = pp.ParameterMatrix.random(spec, 1, rng)
-        chains = pp.build_chains(sys, spec, K)
-        V, W = pp.realify(chains)
-        H = chains.H
-        assert np.abs(V - H[:3].real).max() == 0.0
-        assert np.abs(W - H[3:].real).max() == 0.0
+        placer = pp.Placer(sys, spec)
+        res, H = placer.place(K), placer.build_chains(K).H
+        assert not np.iscomplexobj(H)
+        assert np.array_equal(res.V, H[:3])
+        assert np.array_equal(res.W, H[3:])
 
     def test_pair_becomes_real_and_imag_parts(self):
         rng = np.random.default_rng(15)
         sys = random_reachable(rng, 2, 1)
         spec = pp.EigStructure((1 + 1j, 1 - 1j), ((1,), (1,)))
         K = pp.ParameterMatrix.random(spec, 1, rng)
-        chains = pp.build_chains(sys, spec, K)
-        V, W = pp.realify(chains)
+        placer = pp.Placer(sys, spec)
+        res, chains = placer.place(K), placer.build_chains(K)
         H1 = chains.chains[0][0][:, 0]
-        assert np.abs(V[:, 0] - H1[:2].real).max() < 1e-15
-        assert np.abs(V[:, 1] - H1[:2].imag).max() < 1e-15
-        assert np.abs(W[0, 0] - H1[2].real) < 1e-15
-        assert np.abs(W[0, 1] - H1[2].imag) < 1e-15
+        assert np.array_equal(res.V[:, 0], H1[:2].real)
+        assert np.array_equal(res.V[:, 1], H1[:2].imag)
+        assert res.W[0, 0] == H1[2].real
+        assert res.W[0, 1] == H1[2].imag
 
     def test_unitary_right_factor_oracle(self):
         # realified pair blocks equal [H_i H_{i+1}] @ U, U = [[I, -jI],[I, jI]]/2
@@ -502,29 +526,15 @@ class TestRealify:
         sys = random_reachable(rng, 4, 2)
         spec = pp.EigStructure((2j, -2j), ((2,), (2,)))
         K = pp.ParameterMatrix.random(spec, 2, rng)
-        chains = pp.build_chains(sys, spec, K)
-        V, W = pp.realify(chains)
-        H = chains.H
+        placer = pp.Placer(sys, spec)
+        res, H = placer.place(K), placer.build_chains(K).H
         mi = 2
         U = 0.5 * np.block(
             [[np.eye(mi), -1j * np.eye(mi)], [np.eye(mi), 1j * np.eye(mi)]]
         )
         realified = H @ U
         assert np.abs(realified.imag).max() < 1e-13
-        assert np.abs(np.vstack([V, W]) - realified.real).max() < 1e-13
-
-    def test_symmetry_violation_raises(self):
-        rng = np.random.default_rng(17)
-        sys = random_reachable(rng, 2, 1)
-        spec = pp.EigStructure((1j, -1j), ((1,), (1,)))
-        K = pp.ParameterMatrix.random(spec, 1, rng)
-        chains = pp.build_chains(sys, spec, K)
-        broken = pp.ChainSet(
-            spec,
-            (chains.chains[0], (chains.chains[0][0] * (1 + 1e-3),)),
-        )
-        with pytest.raises(pp.ChainConsistencyError):
-            pp.realify(broken)
+        assert np.abs(np.vstack([res.V, res.W]) - realified.real).max() < 1e-13
 
 
 class TestPlace:
@@ -802,20 +812,22 @@ def replace_chain(chain_set, i, blk):
 
 
 class TestLoopFreeRoundTrip:
-    @pytest.mark.parametrize("n,m,kind", OPERATOR_CASES)
-    def test_place_matches_realify(self, n, m, kind):
-        placer, rng = operator_instance(n, m, kind)
+    @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
+    def test_place_matches_realify(self, make):
+        # place's (V, W) are bitwise the real gather of build_chains' H
+        placer, rng = make()
         # no singularity limit, so that every draw is compared
         placer = pp.Placer(
             placer.sys, placer.spec, pp.ToleranceConfig(singular_cond_limit=np.inf)
         )
         for _ in range(3):
-            K = pp.ParameterMatrix.random(placer.spec, m, rng)
+            K = pp.ParameterMatrix.random(placer.spec, placer.sys.m, rng)
             res = placer.place(K)
             chains = placer.build_chains(K)
-            V, W = pp.realify(chains)
+            V, W = realify(chains)
             assert np.array_equal(res.V, V)
             assert np.array_equal(res.W, W)
+            assert res.X.dtype == chains.H.dtype
             assert np.array_equal(res.X, chains.X)
 
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)

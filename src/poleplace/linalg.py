@@ -40,14 +40,24 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def nonsingular_rows(s, tol=DEFAULT_TOL):
+    """The one singularity test, on a stack of matrices: the indices of the
+    rows of s (one row of singular values per matrix, largest first) whose
+    matrix is not singular.  A matrix is singular when sigma_min = 0 or
+    sigma_max / sigma_min (NaN included) exceeds tol.singular_cond_limit.
+    """
+    limit = tol.singular_cond_limit
+    return [i for i, row in enumerate(s.tolist())
+            if row[-1] > 0 and row[0] / row[-1] <= limit]
+
+
 def checked_svals(M, tol=DEFAULT_TOL):
-    """Singular values of a square array, largest first; the one singularity
-    test.  M is singular when sigma_min = 0 or sigma_max / sigma_min (NaN
-    included) exceeds tol.singular_cond_limit: SingularMatrixError(cond=...).
+    """Singular values of a square array, largest first, when it passes
+    `nonsingular_rows`; otherwise SingularMatrixError(cond=...).
     """
     s = np.linalg.svd(M, compute_uv=False)
-    cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if not (s[-1] > 0 and cond <= tol.singular_cond_limit):
+    if not nonsingular_rows(s[None], tol):
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
         raise SingularMatrixError(
             f"matrix numerically singular (cond={cond:.3e})", cond=float(cond)
         )

@@ -59,14 +59,20 @@ def assigned_departure_sq(A, mass):
     mass is `spectrum_mass` of that spectrum; Henrici's identity gives
     delta_fro^2 = ||A||_F^2 - mass without a Schur form.  When that
     difference is below _IDENTITY_FLOOR * ||A||_F^2 (A nearly normal) the
-    identity's roundoff would dominate, and the Schur form decides.
+    identity's roundoff would dominate, and the Schur form decides.  A may
+    be one matrix, which gives a float, or a stack (k, n, n) of matrices
+    with that spectrum, which gives a list of k floats, each decided on
+    its own.
     """
-    a = np.ravel(A)
-    total = float(a @ a)
-    value = total - mass
-    if value < _IDENTITY_FLOOR * total:
-        return departure_from_normality(A) ** 2
-    return value
+    A = np.asarray(A)
+    a = A.reshape(-1, A.shape[-2] * A.shape[-1])
+    values = []
+    for i, total in enumerate(np.vecdot(a, a).tolist()):
+        value = total - mass
+        if value < _IDENTITY_FLOOR * total:
+            value = departure_from_normality(a[i].reshape(A.shape[-2:])) ** 2
+        values.append(value)
+    return values[0] if A.ndim == 2 else values
 
 
 def sensitivity_bound_check(X, H, spec, tol=DEFAULT_TOL):

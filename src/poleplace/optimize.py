@@ -35,12 +35,15 @@ ill-conditioned) V, so every nonsingular draw returns the same value and
 `minimize` returns the placement at K* without searching.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import DEFAULT_TOL, checked_svals, fro_norm
+from .linalg import DEFAULT_TOL, fro_norm, nonsingular_rows
 from .metrics import (
     assigned_departure_sq,
     departure_from_normality,
@@ -52,6 +55,8 @@ from .placement import ParameterMatrix, Placer, residual_ok
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
+# the most backtracking probes one stacked evaluation checks
+_MAX_STACK = 8
 _RESAMPLE_LIMIT = 100
 
 
@@ -83,10 +88,15 @@ class OptOptions:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy integers are Integral; bool is an int, but not a count
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+        if not (self.tol_grad > 0 and math.isfinite(self.tol_grad)):
+            raise ValueError("tol_grad must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -147,8 +157,7 @@ def unique_parameter(spec, m):
     return ParameterMatrix(blocks, spec.sigma)
 
 
-@dataclass(frozen=True)
-class _Point:
+class _Point(NamedTuple):
     """One nonsingular evaluation: V, its inverse, the feedback and value."""
 
     V: np.ndarray
@@ -157,19 +166,50 @@ class _Point:
     value: float
 
 
+class _Points:
+    """The evaluations at the rows of one stacked call (`_Evaluator.points`).
+
+    rows lists the rows of X whose V is nonsingular, in order; values (a
+    list of floats), V, W and, where formed, Vi and F hold one entry per
+    such row.  Vi and F are None when the value needs neither (condition at
+    alpha = 1, or a value fixed at K*); `at` then forms them for the one
+    row it is asked for, so that a rejected probe pays no inverse.
+    """
+
+    __slots__ = ("rows", "values", "V", "W", "Vi", "F", "fixed")
+
+    def __init__(self, rows, V, W, fixed=False):
+        self.rows, self.V, self.W, self.fixed = rows, V, W, fixed
+        self.values = self.Vi = self.F = None
+
+    def at(self, j):
+        """The `_Point` of the j-th nonsingular row."""
+        V, value = self.V[j], self.values[j]
+        if self.fixed:
+            return _Point(V, None, None, value)
+        if self.Vi is None:
+            Vi = np.linalg.inv(V)
+            return _Point(V, Vi, self.W[j] @ Vi, value)
+        return _Point(V, self.Vi[j], self.F[j], value)
+
+
 class _Evaluator:
     """Objective and its exact gradient over the free coordinate vector.
 
     Evaluations form [V; W] = L x through the placer's linear operator (see
-    `Placer.operator`), then F = W V^-1.  The normality value and gradient
-    both use Henrici's identity with the assigned spectrum, whose mass
-    sum mult |lambda|^2 is computed once here.  Calling the evaluator
-    returns (value, ok); singular placements yield (+inf, False) so line
-    searches reject the step and move on.  For an F-only objective on an
-    F-unique structure the value is computed once at K* (see
-    `unique_parameter`), from the Schur form, and returned for every
-    nonsingular x; x is still checked first, so a singular draw remains a
-    resample signal.
+    `Placer.operator`), then F = W V^-1.  `points` evaluates the rows of a
+    matrix X in one stacked call, and `point` is its one-row case, so a
+    line search checks several probes for the numpy call overhead of one;
+    every stacked step (the product with L, `svd`, `inv`, the matrix
+    products and the squared norms) gives each row the bits of a one-row
+    call.  The normality value and gradient both use Henrici's identity
+    with the assigned spectrum, whose mass sum mult |lambda|^2 is computed
+    once here.  Calling the evaluator returns (value, ok); singular
+    placements yield (+inf, False) so line searches reject the step and
+    move on.  For an F-only objective on an F-unique structure the value is
+    computed once at K* (see `unique_parameter`), from the Schur form, and
+    returned for every nonsingular x; x is still checked first, so a
+    singular draw remains a resample signal.
     """
 
     def __init__(self, obj, placer):
@@ -190,48 +230,65 @@ class _Evaluator:
                 # evaluating per draw, where better-conditioned draws pass
                 return
             self.K_star = K_star
-            res = self.placement_star
-            # once per evaluator, off the search path: the Schur form
-            self.fixed = self._value(res.V, res.F, schur=True)
-
-    def _value(self, V, F, s=None, schur=False):
-        """The objective at (V, F); s are V's singular values if known.
-
-        The normality term is Henrici's identity with the assigned spectrum
-        (`assigned_departure_sq`, which itself falls back to the Schur form
-        on a nearly normal loop), the same identity `grad` differentiates;
-        schur=True takes the Schur form outright.
-        """
-        alpha = self.obj.alpha
-        if self.obj.method == "condition":
-            if s is None:
-                s = np.linalg.svd(V, compute_uv=False)
-            robust = float(np.sum(s**2)) + float(np.sum(s**-2))
-        else:
-            Acl = self.sys.A + self.sys.B @ F
-            if schur:
+            # once per evaluator, off the search path: the Schur form; an
+            # F-only condition objective has alpha = 0, the gain alone
+            robust = 0.0
+            if obj.method == "normality":
+                Acl = self.sys.A + self.sys.B @ self.placement_star.F
                 robust = departure_from_normality(Acl) ** 2
-            else:
-                robust = assigned_departure_sq(Acl, self.mass)
+            self.fixed = self._blend(robust, self.placement_star.F)
+
+    def _blend(self, robust, F):
+        """alpha robust + (1 - alpha) ||F||_F^2 for one row, in float order."""
+        alpha = self.obj.alpha
         if alpha == 1.0:
             # the gain term is +0.0 here, so skip its norm
             return robust
         return alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
 
+    def points(self, X):
+        """The evaluations at the rows of X, as `_Points`.
+
+        Singularity is decided per row by `linalg.nonsingular_rows` on one
+        stacked `svd`, and values are formed only on the nonsingular rows.
+        The condition term is sum s^2 + sum s^-2 of V's singular values;
+        the normality term is Henrici's identity on the stacked A + B F
+        (`assigned_departure_sq`, which falls back to the Schur form row by
+        row on a nearly normal loop), the same identity `grad`
+        differentiates.  The gain term is added row by row, as
+        alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
+        """
+        n, k = self.sys.n, len(X)
+        VW = np.matmul(self.placer.operator(), X[:, :, None])
+        VW = VW.reshape(k, n + self.m, n)
+        V, W = VW[:, :n], VW[:, n:]
+        s = np.linalg.svd(V, compute_uv=False)
+        rows = nonsingular_rows(s, self.placer.tol)
+        if len(rows) < k:
+            V, W, s = V[rows], W[rows], s[rows]
+        pts = _Points(rows, V, W, self.fixed is not None)
+        if pts.fixed or not rows:
+            pts.values = [self.fixed] * len(rows)
+            return pts
+        alpha = self.obj.alpha
+        if self.obj.method == "normality" or alpha != 1.0:
+            pts.Vi = np.linalg.inv(V)
+            pts.F = W @ pts.Vi
+        if self.obj.method == "condition":
+            robust = (np.sum(s**2, axis=1) + np.sum(s**-2, axis=1)).tolist()
+        else:
+            Acl = self.sys.A + self.sys.B @ pts.F
+            robust = assigned_departure_sq(Acl, self.mass)
+        if alpha != 1.0:
+            robust = [self._blend(r, F) for r, F in zip(robust, pts.F)]
+        pts.values = robust
+        return pts
+
     def point(self, x):
-        """The evaluation at x, or None when V is singular."""
-        n = self.sys.n
-        VW = (self.placer.operator() @ x).reshape(n + self.m, n)
-        V, W = VW[:n], VW[n:]
-        try:
-            s = checked_svals(V, self.placer.tol)
-        except SingularMatrixError:
-            return None
-        if self.fixed is not None:
-            return _Point(V, None, None, self.fixed)
-        Vi = np.linalg.inv(V)
-        F = W @ Vi
-        return _Point(V, Vi, F, self._value(V, F, s))
+        """The evaluation at x, or None when V is singular: `points` on
+        the one row x."""
+        pts = self.points(x[None])
+        return pts.at(0) if pts.rows else None
 
     def grad(self, pt):
         """Exact gradient at an evaluated point.
@@ -239,7 +296,7 @@ class _Evaluator:
         With F = W V^-1 and G = df/dF, the chain rule gives df/dW = G V^-T
         and df/dV = -F^T G V^-T, plus the explicit 2 alpha (V - V^-T V^-1
         V^-T) of ||V||_F^2 + ||V^-1||_F^2 for the condition method.  For the
-        normality method it is the identity `_value` evaluates:
+        normality method it is the identity `points` evaluates:
         delta_fro^2 = ||A + B F||_F^2 - mass, so G = 2 alpha B^T (A + B F)
         + 2 (1 - alpha) F.  Both partials are pulled back through L.
         Not defined for an evaluator with a value fixed at K*: `minimize`
@@ -253,7 +310,7 @@ class _Evaluator:
         dV = -F.T @ dW
         if self.obj.method == "condition":
             dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
-        return np.vstack([dV, dW]).ravel() @ self.placer.operator()
+        return np.concatenate((dV, dW)).ravel() @ self.placer.operator()
 
     def __call__(self, x):
         pt = self.point(x)
@@ -340,22 +397,66 @@ def gradient(obj, K, sys, spec, tol=DEFAULT_TOL):
     return g
 
 
+def _backtrack(evaluate, x, p, fx, slope, size):
+    """Armijo backtracking along p from x, probes t = 1, 1/2, 1/4, ...
+
+    The probes are checked in stacked chunks (`_Evaluator.points`), the
+    first one size probes long and each later one _MAX_STACK.  A chunk
+    stops at _MAX_BACKTRACKS probes in all, and at the first probe after
+    which the search would stop for roundoff: the Armijo threshold of the
+    next, halved step rounds to fx, so no shorter step can certify a
+    decrease in floating point.  The first row in order that passes Armijo,
+    with the thresholds fx + c1 t slope of one probe at a time, is
+    accepted, so the search ends where a one-probe-at-a-time search ends.
+
+    Returns (t, point, probes, stop): the accepted step and its `_Point`,
+    or None for both and stop "roundoff" or "line_search"; probes counts
+    the probes up to the one that ended the search, not the rows of its
+    chunk after that probe.
+    """
+    t, done = 1.0, 0
+    while True:
+        steps, bounds, stop = [], [], None
+        while stop is None and len(steps) < size:
+            steps.append(t)
+            bounds.append(fx + _ARMIJO_C1 * t * slope)
+            t *= 0.5
+            if not fx + _ARMIJO_C1 * t * slope < fx:
+                stop = "roundoff"
+            elif done + len(steps) == _MAX_BACKTRACKS:
+                stop = "line_search"
+        pts = evaluate.points(x + np.multiply.outer(steps, p))
+        for j, (i, value) in enumerate(zip(pts.rows, pts.values)):
+            if value <= bounds[i]:
+                return steps[i], pts.at(j), done + i + 1, None
+        done += len(steps)
+        if stop is not None:
+            return None, None, done, stop
+        size = _MAX_STACK
+
+
 def _bfgs_restart(evaluate, x0, pt0, opts):
     """One monotone quasi-Newton descent from the evaluated start pt0.
 
     Returns (x, value, trace, termination, probes).  Line-search probes are
-    value-only; the gradient is formed only at accepted points.
+    value-only; the gradient is formed only at accepted points.  A step's
+    first chunk of probes (`_backtrack`) is as long as the previous step's
+    search, capped at _MAX_STACK: after a step whose full step passed, the
+    full step is probed alone.  A restart's first step, taken with the
+    inverse Hessian still I, starts with a whole chunk of _MAX_STACK.
     """
     dim = x0.size
     eye = np.eye(dim)
     Hinv = eye.copy()
     x = x0.copy()
     probes = 0
+    # the previous step's probe count
+    last = _MAX_STACK
     fx, g = pt0.value, evaluate.grad(pt0)
     trace = [fx]
     termination = "max_iters"
     for _ in range(opts.max_iters):
-        if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+        if np.abs(g).max() <= opts.tol_grad:
             termination = "grad_tol"
             break
         p = -Hinv @ g
@@ -367,20 +468,10 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
             if slope == 0.0:
                 termination = "zero_slope"
                 break
-        t = 1.0
-        accepted = None
-        stop = "line_search"
-        for _ in range(_MAX_BACKTRACKS):
-            pc = evaluate.point(x + t * p)
-            probes += 1
-            if pc is not None and pc.value <= fx + _ARMIJO_C1 * t * slope:
-                accepted = pc
-                break
-            t *= 0.5
-            # no shorter step can certify a decrease in floating point
-            if not fx + _ARMIJO_C1 * t * slope < fx:
-                stop = "roundoff"
-                break
+        t, accepted, last, stop = _backtrack(
+            evaluate, x, p, fx, slope, min(last, _MAX_STACK)
+        )
+        probes += last
         if accepted is None:
             termination = stop
             break
@@ -389,14 +480,14 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
         g_new = evaluate.grad(accepted)
         y = g_new - g
         sy = float(s @ y)
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
             rho = 1.0 / sy
-            left = eye - rho * np.outer(s, y)
-            Hinv = left @ Hinv @ left.T + rho * np.outer(s, s)
+            left = eye - rho * np.multiply.outer(s, y)
+            Hinv = left @ Hinv @ left.T + rho * np.multiply.outer(s, s)
         x, fx, g = x_new, accepted.value, g_new
         trace.append(fx)
     else:
-        if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+        if np.abs(g).max() <= opts.tol_grad:
             termination = "grad_tol"
     return x, fx, trace, termination, probes
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +8,13 @@ import pytest
 import poleplace as pp
 from poleplace import optimize
 from poleplace.bench import defective_zero_structure
-from poleplace.linalg import fro_norm
-from poleplace.metrics import assigned_departure_sq, spectrum_mass
+from poleplace.linalg import checked_svals, fro_norm
+from poleplace.metrics import (
+    _IDENTITY_FLOOR,
+    assigned_departure_sq,
+    departure_from_normality,
+    spectrum_mass,
+)
 from poleplace.optimize import (
     _Evaluator,
     _fd_gradient,
@@ -76,6 +83,30 @@ class TestSpecs:
             pp.OptOptions(tol_grad=float("nan"))
         with pytest.raises(ValueError):
             pp.OptOptions(seed=-1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 1.5), ("max_iters", 2.5), ("seed", 1.5),
+        ("restarts", 2.0), ("seed", np.float64(3.0)),
+        ("restarts", True), ("max_iters", True), ("seed", False),
+        ("tol_grad", float("inf")),
+    ])
+    def test_options_reject_non_integral_counts_and_infinite_tolerance(
+        self, field, value
+    ):
+        # each of these used to pass and then fail inside numpy (TypeError)
+        # or, for tol_grad = inf, stop every restart at once
+        with pytest.raises(ValueError, match=field):
+            pp.OptOptions(**{field: value})
+
+    def test_options_accept_numpy_integers(self):
+        opts = pp.OptOptions(restarts=np.int64(2), max_iters=np.int32(5),
+                             seed=np.uint8(3))
+        sys = random_reachable(np.random.default_rng(39), 3, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
+        result = pp.minimize(pp.ObjectiveSpec("condition", 1.0), sys, spec, opts)
+        reference = pp.minimize(pp.ObjectiveSpec("condition", 1.0), sys, spec,
+                                pp.OptOptions(restarts=2, max_iters=5, seed=3))
+        assert result.traces == reference.traces
 
 
 class TestObjectives:
@@ -540,3 +571,289 @@ class TestFUnique:
             obj, sys, spec, pp.OptOptions(restarts=2, max_iters=20, seed=9), tol
         )
         assert result.placement.cond_V < cond_star
+
+
+def reference_point(evaluate, x):
+    """One evaluation the way it was computed one point at a time: L x, the
+    `checked_svals` test, inv, W V^-1, then the scalar value formula."""
+    sys, n, alpha = evaluate.sys, evaluate.sys.n, evaluate.obj.alpha
+    VW = (evaluate.placer.operator() @ x).reshape(n + sys.m, n)
+    V, W = VW[:n], VW[n:]
+    try:
+        s = checked_svals(V, evaluate.placer.tol)
+    except pp.SingularMatrixError:
+        return None
+    Vi = np.linalg.inv(V)
+    F = W @ Vi
+    if evaluate.obj.method == "condition":
+        robust = float(np.sum(s**2)) + float(np.sum(s**-2))
+    else:
+        a = np.ravel(sys.A + sys.B @ F)
+        total = float(a @ a)
+        robust = total - evaluate.mass
+        if robust < _IDENTITY_FLOOR * total:
+            robust = departure_from_normality(sys.A + sys.B @ F) ** 2
+    if alpha != 1.0:
+        robust = alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
+    return V, Vi, F, robust
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedPoints:
+    @staticmethod
+    def normal_loop_case():
+        """B = I, so the loop A + F = diag(spec) is normal; K placing it,
+        with Henrici's identity below its floor there."""
+        rng = np.random.default_rng(70)
+        A = rng.standard_normal((3, 3))
+        sys = pp.System(A, np.eye(3))
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
+        F = np.diag([-3.0, -2.0, -1.0]) - A
+        K = pp.recover_parameters(sys, spec, pp.chains_from_feedback(sys, spec, F))
+        return rng, sys, spec, K.to_vector()
+
+    @pytest.mark.parametrize("method", ("condition", "normality"))
+    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    def test_rows_match_one_row_calls_bitwise(self, method, alpha):
+        rng, sys, spec, x_normal = self.normal_loop_case()
+        dim = sys.m * sys.n
+        X = np.vstack([
+            rng.standard_normal(dim),
+            np.zeros(dim),  # V = 0: singular
+            x_normal,
+            rng.standard_normal((3, dim)),
+            3.0 * rng.standard_normal(dim),
+        ])
+        evaluate = _Evaluator(pp.ObjectiveSpec(method, alpha), pp.Placer(sys, spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = evaluate.points(X)
+            singles = [evaluate.point(x) for x in X]
+            references = [reference_point(evaluate, x) for x in X]
+        assert singles[1] is None and references[1] is None
+        assert pts.rows == [i for i, pt in enumerate(singles) if pt is not None]
+        assert pts.rows == [0, 2, 3, 4, 5, 6]
+        for j, i in enumerate(pts.rows):
+            got, one, ref = pts.at(j), singles[i], references[i]
+            assert type(got.value) is float
+            assert got.value == one.value == ref[3]
+            for field, want in zip(("V", "Vi", "F"), ref[:3]):
+                assert same_bits(getattr(got, field), getattr(one, field))
+                assert same_bits(getattr(got, field), want)
+        # the nearly normal row took the Schur-form fallback
+        Acl = sys.A + sys.B @ pts.at(pts.rows.index(2)).F
+        total = fro_norm(Acl) ** 2
+        assert total - evaluate.mass < _IDENTITY_FLOOR * total
+
+    def test_all_rows_singular(self):
+        rng, sys, spec, _ = self.normal_loop_case()
+        evaluate = _Evaluator(pp.ObjectiveSpec("normality", 1.0), pp.Placer(sys, spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = evaluate.points(np.zeros((3, sys.m * sys.n)))
+        assert pts.rows == [] and pts.values == []
+
+    def test_fixed_value_rows(self):
+        spec = F_UNIQUE_CASES["real_defective"]
+        sys = random_reachable(np.random.default_rng(53), 4, 2)
+        evaluate = _Evaluator(pp.ObjectiveSpec("normality", 1.0), pp.Placer(sys, spec))
+        assert evaluate.fixed is not None
+        X = np.vstack([np.random.default_rng(71).standard_normal((2, 8)), np.zeros(8)])
+        pts = evaluate.points(X)
+        assert pts.rows == [0, 1]
+        assert pts.values == [evaluate.fixed] * 2
+        assert pts.at(1).value == evaluate.point(X[1]).value == evaluate.fixed
+
+
+def sequential_bfgs_restart(evaluate, x0, pt0, opts):
+    """The BFGS restart with one evaluation per backtracking probe, as
+    `_bfgs_restart` ran before the probes of a step were stacked; the
+    reference the stacked line search is held to, bit for bit."""
+    dim = x0.size
+    eye = np.eye(dim)
+    Hinv = eye.copy()
+    x = x0.copy()
+    probes = 0
+    fx, g = pt0.value, evaluate.grad(pt0)
+    trace = [fx]
+    termination = "max_iters"
+    for _ in range(opts.max_iters):
+        if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+            termination = "grad_tol"
+            break
+        p = -Hinv @ g
+        slope = float(g @ p)
+        if slope >= 0.0:
+            Hinv = eye.copy()
+            p = -g
+            slope = -float(g @ g)
+            if slope == 0.0:
+                termination = "zero_slope"
+                break
+        t = 1.0
+        accepted = None
+        stop = "line_search"
+        for _ in range(optimize._MAX_BACKTRACKS):
+            pc = evaluate.point(x + t * p)
+            probes += 1
+            if pc is not None and pc.value <= fx + optimize._ARMIJO_C1 * t * slope:
+                accepted = pc
+                break
+            t *= 0.5
+            if not fx + optimize._ARMIJO_C1 * t * slope < fx:
+                stop = "roundoff"
+                break
+        if accepted is None:
+            termination = stop
+            break
+        s = t * p
+        x_new = x + s
+        g_new = evaluate.grad(accepted)
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            rho = 1.0 / sy
+            left = eye - rho * np.outer(s, y)
+            Hinv = left @ Hinv @ left.T + rho * np.outer(s, s)
+        x, fx, g = x_new, accepted.value, g_new
+        trace.append(fx)
+    else:
+        if np.linalg.norm(g, np.inf) <= opts.tol_grad:
+            termination = "grad_tol"
+    return x, fx, trace, termination, probes
+
+
+def normality_instances():
+    """Seeded n = 4..6, m = 2 pairs with a conjugate pair and simple,
+    repeated or defective real eigenvalues, as random_normality draws."""
+    rng = np.random.default_rng(72)
+    out = []
+    for n, kind in ((4, "simple"), (5, "repeated"), (6, "defective"), (5, "simple")):
+        for _ in range(50):
+            sys = random_reachable(rng, n, 2)
+            pair = (complex(-1.0, 1.2), complex(-1.0, -1.2))
+            reals = tuple(-float(v) for v in rng.uniform(0.5, 3.0, n - 2))
+            if kind == "simple":
+                spec = pp.EigStructure(pair + reals, ((1,),) * n)
+            else:
+                orders = (1, 1) if kind == "repeated" else (2,)
+                spec = pp.EigStructure(pair + reals[: n - 3],
+                                       ((1,), (1,), orders) + ((1,),) * (n - 4))
+            if pp.check_admissible(spec, sys).satisfied:
+                out.append((sys, spec))
+                break
+    return out
+
+
+class TestStackedLineSearch:
+    @staticmethod
+    def both(monkeypatch, obj, sys, spec, opts):
+        """minimize with the stacked line search and with the sequential
+        reference, and what each stacked search was: (first chunk size,
+        rows of each points call, probes, stop)."""
+        searches = []
+        backtrack, points = optimize._backtrack, _Evaluator.points
+
+        def logged_backtrack(evaluate, x, p, fx, slope, size):
+            searches.append([size, []])
+            out = backtrack(evaluate, x, p, fx, slope, size)
+            searches[-1] += [out[2], out[3]]
+            return out
+
+        def logged_points(self, X):
+            if searches:
+                searches[-1][1].append(len(X))
+            return points(self, X)
+
+        monkeypatch.setattr(optimize, "_backtrack", logged_backtrack)
+        monkeypatch.setattr(_Evaluator, "points", logged_points)
+        stacked = pp.minimize(obj, sys, spec, opts)
+        monkeypatch.undo()
+        monkeypatch.setattr(optimize, "_bfgs_restart", sequential_bfgs_restart)
+        sequential = pp.minimize(obj, sys, spec, opts)
+        return stacked, sequential, searches
+
+    @staticmethod
+    def assert_identical(a, b):
+        assert a.traces == b.traces
+        assert a.terminations == b.terminations
+        assert a.evaluations == b.evaluations
+        assert a.restart_values == b.restart_values
+        assert a.best_value == b.best_value
+        assert same_bits(a.best_K.to_vector(), b.best_K.to_vector())
+        assert same_bits(a.placement.F, b.placement.F)
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("max_iters", (8, 60))
+    def test_normality_instances(self, monkeypatch, case, max_iters):
+        sys, spec = normality_instances()[case]
+        opts = pp.OptOptions(restarts=2, max_iters=max_iters, seed=case)
+        stacked, sequential, searches = self.both(
+            monkeypatch, pp.ObjectiveSpec("normality", 1.0), sys, spec, opts)
+        self.assert_identical(stacked, sequential)
+        # some probes were stacked
+        assert max(max(rows) for _, rows, *_ in searches) > 1
+
+    def test_bn02_roundoff_stop_mid_chunk(self, monkeypatch):
+        sys, spec = TestTerminations.corpus_case("bn02_distillation")
+        stacked, sequential, searches = self.both(
+            monkeypatch, pp.ObjectiveSpec("condition", 1.0), sys, spec,
+            pp.OptOptions(restarts=4))
+        self.assert_identical(stacked, sequential)
+        assert "roundoff" in stacked.terminations
+        # a roundoff stop cut its last chunk short of the chunk size
+        cut = [rows for size, rows, probes, stop in searches
+               if stop == "roundoff"
+               and rows[-1] < (size if len(rows) == 1 else optimize._MAX_STACK)]
+        assert cut
+
+    def test_iteration_cap(self, monkeypatch):
+        sys, spec = TestTerminations.corpus_case("bn02_distillation")
+        stacked, sequential, _ = self.both(
+            monkeypatch, pp.ObjectiveSpec("normality", 0.5), sys, spec,
+            pp.OptOptions(restarts=3, max_iters=7, seed=2))
+        self.assert_identical(stacked, sequential)
+        assert stacked.terminations == ("max_iters",) * 3
+
+    def test_probe_budget_stop(self, monkeypatch):
+        # a budget of 5 probes ends searches "line_search" inside a chunk
+        monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", 5)
+        sys, spec = normality_instances()[0]
+        opts = pp.OptOptions(restarts=6, max_iters=60, seed=1)
+        obj = pp.ObjectiveSpec("condition", 1.0)
+        stacked = pp.minimize(obj, sys, spec, opts)
+        monkeypatch.setattr(optimize, "_bfgs_restart", sequential_bfgs_restart)
+        sequential = pp.minimize(obj, sys, spec, opts)
+        self.assert_identical(stacked, sequential)
+        assert "line_search" in stacked.terminations
+
+    @pytest.mark.parametrize("budget_offset,stop", ((0, "roundoff"), (-1, "line_search")))
+    def test_roundoff_outranks_probe_budget(self, monkeypatch, budget_offset, stop):
+        # every probe is rejected; the roundoff test of the step after the
+        # last probe decides first, as it did one probe at a time
+        fx, slope = 1.0, -1.0
+        t, count = 1.0, 1
+        while fx + optimize._ARMIJO_C1 * (t / 2) * slope < fx:
+            t, count = t / 2, count + 1
+
+        class Rejecting:
+            calls = []
+
+            def points(self, X):
+                self.calls.append(len(X))
+                pts = optimize._Points(list(range(len(X))), None, None)
+                pts.values = [math.inf] * len(X)
+                return pts
+
+        monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", count + budget_offset)
+        evaluate = Rejecting()
+        t, pt, probes, why = optimize._backtrack(
+            evaluate, np.zeros(2), np.ones(2), fx, slope, 3)
+        assert (t, pt, why) == (None, None, stop)
+        assert probes == sum(evaluate.calls) == count + budget_offset
+        assert evaluate.calls[0] == 3
+        assert set(evaluate.calls[1:-1]) <= {optimize._MAX_STACK}

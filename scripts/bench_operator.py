@@ -1,11 +1,11 @@
-"""Time placement layers in two source trees on fixed-seed instances.
+"""Time placement and evaluation layers in two source trees on fixed-seed instances.
 
     python3 scripts/bench_operator.py --parent ../parent --change . \
         --out BENCH.json
 
 Each tree is measured in its own fresh interpreter, with BLAS pinned to one
 thread, on the same instances, drawn by perfbench's generators from seed 1.
-Two sections are written:
+Three sections are written:
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
@@ -17,6 +17,16 @@ Two sections are written:
   per place_ladder cell (each (n, m) of the ladder with each structure
   class), each timed after one untimed call that fills any lazily built
   cache.
+- "evaluation": the optimizer's objective evaluations on k in {1, 2, 4, 8}
+  probes x + t p, t = 1, 1/2, ..., of one line, from a nonsingular start
+  x.  Each tree times k one-row `_Evaluator.point` calls; a tree whose
+  evaluator has the stacked `points` also times one `points` call on the
+  k rows.  The instances are the normality objective (alpha = 1) on the
+  random_normality structures at n = 4..6, m = 2 above, and the condition
+  objective (alpha = 1) on the corpus entry bn02_distillation.  Each row
+  holds "one_at_a_time" (k `point` calls in each tree) and, when the change
+  has `points`, "stacked" (the parent's k `point` calls against the
+  change's one `points` call).
 
 Each probe runs ROUNDS times per tree, alternating which tree goes first,
 so that drift of the host's speed falls on both sides alike; every call is
@@ -46,6 +56,7 @@ INSTANCES = (
 )
 REPEATS = 20
 ROUND_TRIP_REPEATS = 200
+EVALUATION_REPEATS = 300
 ROUNDS = 4
 
 PRELUDE = """
@@ -82,6 +93,43 @@ for label, n, m, gen, cls in json.loads(sys.argv[1]):
         placer.operator()
 
     out[label] = timed(build, int(sys.argv[2]))
+print(json.dumps(out))
+"""
+
+# Run inside each tree: prints {label: {"point": {k: [seconds, ...]},
+# "points": {k: [...]}}}, "points" only where the evaluator has it.
+EVALUATION_PROBE = PRELUDE + """
+from poleplace.bench import defective_zero_structure
+from poleplace.optimize import _Evaluator
+
+cases = []
+for label, n, m, gen, cls in json.loads(sys.argv[1]):
+    if gen != "normality":
+        continue
+    rng = np.random.default_rng([1, n, m])
+    make = lambda r: workloads.normality_structure(pp, r, n, cls)
+    sys_, spec = workloads.admissible_instance(pp, rng, n, m, make)
+    cases.append((f"normality-{label}", "normality", sys_, spec, rng))
+bn02 = pp.load_system(workloads.CORPUS / "bn02_distillation.json").system
+cases.append(("condition-bn02", "condition", bn02,
+              defective_zero_structure(bn02), np.random.default_rng(1)))
+
+out = {}
+for label, method, sys_, spec, rng in cases:
+    evaluate = _Evaluator(pp.ObjectiveSpec(method, 1.0), pp.Placer(sys_, spec))
+    while True:
+        x = rng.standard_normal(sys_.m * sys_.n)
+        if evaluate.point(x) is not None:
+            break
+    X = x + 0.5 ** np.arange(8)[:, None] * rng.standard_normal(x.size)
+    repeats = int(sys.argv[2])
+    row = {"point": {}}
+    for k in (1, 2, 4, 8):
+        row["point"][k] = timed(lambda: [evaluate.point(r) for r in X[:k]], repeats)
+        if hasattr(evaluate, "points"):
+            row.setdefault("points", {})[k] = timed(
+                lambda: evaluate.points(X[:k]), repeats)
+    out[label] = row
 print(json.dumps(out))
 """
 
@@ -181,6 +229,22 @@ def main(argv=None):
         for cell in calls["parent"][0]
     }
 
+    evals = measure(trees, EVALUATION_PROBE, json.dumps(INSTANCES),
+                    str(EVALUATION_REPEATS))
+    evaluation_rows = {}
+    for label, parent_row in evals["parent"][0].items():
+        evaluation_rows[label] = {}
+        for k in parent_row["point"]:
+            row = {"one_at_a_time": compare(
+                {side: [run[label]["point"][k] for run in evals[side]]
+                 for side in trees}, f"{label} k={k} point")}
+            if "points" in evals["change"][0][label]:
+                row["stacked"] = compare(
+                    {"parent": [run[label]["point"][k] for run in evals["parent"]],
+                     "change": [run[label]["points"][k] for run in evals["change"]]},
+                    f"{label} k={k} points")
+            evaluation_rows[label][k] = row
+
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["operator_build"] = {
         "question": "wall time of one Placer.operator() build from empty caches",
@@ -197,6 +261,16 @@ def main(argv=None):
         "rounds": ROUNDS,
         "blas_threads": "1",
         "cells": round_trip_rows,
+    }
+    doc["evaluation"] = {
+        "question": "wall time of the objective evaluations at k probes of "
+                    "one line: k point calls in each tree, and the change's "
+                    "one stacked points call against the parent's k point "
+                    "calls",
+        "repeats": EVALUATION_REPEATS,
+        "rounds": ROUNDS,
+        "blas_threads": "1",
+        "instances": evaluation_rows,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -21,12 +21,15 @@ Three sections are written:
   probes x + t p, t = 1, 1/2, ..., of one line, from a nonsingular start
   x.  Each tree times k one-row `_Evaluator.point` calls; a tree whose
   evaluator has the stacked `points` also times one `points` call on the
-  k rows.  The instances are the normality objective (alpha = 1) on the
-  random_normality structures at n = 4..6, m = 2 above, and the condition
-  objective (alpha = 1) on the corpus entry bn02_distillation.  Each row
-  holds "one_at_a_time" (k `point` calls in each tree) and, when the change
-  has `points`, "stacked" (the parent's k `point` calls against the
-  change's one `points` call).
+  k rows, interleaved with the k `point` calls (each repeat times both,
+  in alternating order), so that the two meet the same state of the host.  The instances are the normality
+  objective (alpha = 1) on the random_normality structures at n = 4..6,
+  m = 2 above, and the condition objective (alpha = 1) on the corpus
+  entry bn02_distillation.  Each row holds "one_at_a_time" (k `point`
+  calls, parent against change) and, when the change has `points`,
+  "stacked" (the change's one `points` call against its own k `point`
+  calls, timed in one process) and "stacked_vs_parent" (against the
+  parent's k `point` calls).  This section runs EVALUATION_ROUNDS rounds.
 
 Each probe runs ROUNDS times per tree, alternating which tree goes first,
 so that drift of the host's speed falls on both sides alike; every call is
@@ -57,6 +60,7 @@ INSTANCES = (
 REPEATS = 20
 ROUND_TRIP_REPEATS = 200
 EVALUATION_REPEATS = 300
+EVALUATION_ROUNDS = 8
 ROUNDS = 4
 
 PRELUDE = """
@@ -123,12 +127,15 @@ for label, method, sys_, spec, rng in cases:
             break
     X = x + 0.5 ** np.arange(8)[:, None] * rng.standard_normal(x.size)
     repeats = int(sys.argv[2])
-    row = {"point": {}}
-    for k in (1, 2, 4, 8):
-        row["point"][k] = timed(lambda: [evaluate.point(r) for r in X[:k]], repeats)
-        if hasattr(evaluate, "points"):
-            row.setdefault("points", {})[k] = timed(
-                lambda: evaluate.points(X[:k]), repeats)
+    calls = {"point": lambda k: [evaluate.point(r) for r in X[:k]]}
+    if hasattr(evaluate, "points"):
+        calls["points"] = lambda k: evaluate.points(X[:k])
+    row = {name: {k: [] for k in (1, 2, 4, 8)} for name in calls}
+    for r in range(repeats):
+        for k in (1, 2, 4, 8):
+            # alternate which call goes first
+            for name, call in list(calls.items())[:: 1 - 2 * (r % 2)]:
+                row[name][k] += timed(lambda: call(k), 1)
     out[label] = row
 print(json.dumps(out))
 """
@@ -174,33 +181,34 @@ def run_probe(tree, probe, *args):
     return json.loads(proc.stdout)
 
 
-def measure(trees, probe, *args):
-    """{side: [probe output, ...]} over ROUNDS alternating rounds."""
+def measure(trees, probe, *args, rounds=ROUNDS):
+    """{side: [probe output, ...]} over alternating rounds."""
     runs = {side: [] for side in trees}
-    for k in range(ROUNDS):
+    for k in range(rounds):
         order = list(trees) if k % 2 == 0 else list(trees)[::-1]
         for side in order:
             runs[side].append(run_probe(trees[side], probe, *args))
     return runs
 
 
-def compare(rounds, label):
+def compare(rounds, label, sides=("parent", "change")):
     """Both sides' minimum and median over all rounds and their median per
-    round, from {side: [call times of one round, ...]}."""
+    round, from {side: [call times of one round, ...]}, and the ratio of the
+    second side's median to the first's ("change_over_parent" by default)."""
+    first, second = sides
     row = {}
-    for side in ("parent", "change"):
+    for side in sides:
         times = [t for run in rounds[side] for t in run]
         row[side] = {"min_s": min(times),
                      "median_s": statistics.median(times),
                      "round_medians_s": [statistics.median(run)
                                          for run in rounds[side]]}
-    row["change_over_parent"] = (row["change"]["median_s"]
-                                 / row["parent"]["median_s"])
+    ratio = row[second]["median_s"] / row[first]["median_s"]
+    row[f"{second}_over_{first}"] = ratio
     spread = {side: [t * 1e6 for t in row[side]["round_medians_s"]]
-              for side in ("parent", "change")}
-    print(f"{label}: {row['parent']['median_s'] * 1e6:.1f} -> "
-          f"{row['change']['median_s'] * 1e6:.1f} us "
-          f"({row['change_over_parent']:.4f}); rounds "
+              for side in sides}
+    print(f"{label}: {row[first]['median_s'] * 1e6:.1f} -> "
+          f"{row[second]['median_s'] * 1e6:.1f} us ({ratio:.4f}); rounds "
           + " -> ".join(f"{min(v):.1f}..{max(v):.1f}" for v in spread.values()),
           flush=True)
     return row
@@ -230,19 +238,26 @@ def main(argv=None):
     }
 
     evals = measure(trees, EVALUATION_PROBE, json.dumps(INSTANCES),
-                    str(EVALUATION_REPEATS))
+                    str(EVALUATION_REPEATS), rounds=EVALUATION_ROUNDS)
     evaluation_rows = {}
     for label, parent_row in evals["parent"][0].items():
         evaluation_rows[label] = {}
         for k in parent_row["point"]:
+            def rounds(side, name):
+                return [run[label][name][k] for run in evals[side]]
+
             row = {"one_at_a_time": compare(
-                {side: [run[label]["point"][k] for run in evals[side]]
-                 for side in trees}, f"{label} k={k} point")}
+                {side: rounds(side, "point") for side in trees},
+                f"{label} k={k} point")}
             if "points" in evals["change"][0][label]:
                 row["stacked"] = compare(
-                    {"parent": [run[label]["point"][k] for run in evals["parent"]],
-                     "change": [run[label]["points"][k] for run in evals["change"]]},
-                    f"{label} k={k} points")
+                    {"point": rounds("change", "point"),
+                     "points": rounds("change", "points")},
+                    f"{label} k={k} change points/point", ("point", "points"))
+                row["stacked_vs_parent"] = compare(
+                    {"parent": rounds("parent", "point"),
+                     "change": rounds("change", "points")},
+                    f"{label} k={k} change points/parent point")
             evaluation_rows[label][k] = row
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -265,10 +280,10 @@ def main(argv=None):
     doc["evaluation"] = {
         "question": "wall time of the objective evaluations at k probes of "
                     "one line: k point calls in each tree, and the change's "
-                    "one stacked points call against the parent's k point "
-                    "calls",
+                    "one stacked points call against its own and the "
+                    "parent's k point calls",
         "repeats": EVALUATION_REPEATS,
-        "rounds": ROUNDS,
+        "rounds": EVALUATION_ROUNDS,
         "blas_threads": "1",
         "instances": evaluation_rows,
     }

@@ -3,22 +3,29 @@
 The placement parameter K has exactly m*n free real coordinates, so
 robustness and gain objectives become unconstrained (nonconvex) functions on
 R^(mn).  Each restart runs BFGS with Armijo backtracking, so accepted steps
-never increase the objective.  A restart ends "grad_tol" when the gradient
-is below tol_grad, "max_iters" at the iteration cap, "line_search" when
-all _MAX_BACKTRACKS probes are singular or rejected, "zero_slope" when the
-steepest-descent fallback has zero slope, and "roundoff" when the full step
-is rejected and the Armijo threshold of the next shorter step rounds to the
-current value: no shorter step can certify a decrease in floating point, so
-the restart sits at the objective's roundoff floor.  A restart whose
-_RESAMPLE_LIMIT start draws are all singular is reported as "singular_start"
-with an empty trace and value +inf.
+never increase the objective.  The backtracking probes t = 1, 1/2, ... of a
+step are checked in stacked chunks of up to _MAX_STACK rows, one numpy call
+per chunk instead of one per probe (see `_backtrack`); the search accepts
+the probe, and counts the evaluations, that one probe at a time would.  A
+restart ends "grad_tol" when the gradient is below tol_grad, "max_iters" at
+the iteration cap, "line_search" when all _MAX_BACKTRACKS probes are
+singular or rejected, "zero_slope" when the steepest-descent fallback has
+zero slope, and "roundoff" when the full step is rejected and the Armijo
+threshold of the next shorter step rounds to the current value: no shorter
+step can certify a decrease in floating point, so the restart sits at the
+objective's roundoff floor.  A restart whose _RESAMPLE_LIMIT start draws
+are all singular is reported as "singular_start" with an empty trace and
+value +inf.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
 per placer (`Placer.operator`, a scatter of the placer's stored placement
 map); values come from L x and F = W V^-1, and gradients are exact, pulled
 back through L.  The evaluator keeps L dense: at n <= 6 one dense product
-is cheaper than the map's gather plus stacked product.  Every placement assigns the
-requested spectrum, so the normality objective needs no Schur form:
+is cheaper than the map's gather plus stacked product.  [V; W] is linear in
+x, so k probes are k columns of one stacked product with L, and their
+singular values, inverses and values come from one stacked call each.
+Every placement assigns the requested spectrum, so the normality objective
+needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
 gives its value and its gradient alike.
 Central finite differences remain as the oracle behind `gradient`.
@@ -115,7 +122,8 @@ class OptResult:
     # "max_iters", "line_search", "zero_slope", "roundoff", the floating-
     # point floor of the objective, or "singular_start"; see the module
     # docstring) and how many objective values it computed, start draws
-    # included
+    # included; a line search counts its probes up to the one that ended
+    # it, not the rows its last stacked chunk held after that probe
     terminations: tuple = ()
     evaluations: tuple = ()
 

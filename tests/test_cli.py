@@ -29,6 +29,14 @@ CHAIN = {
     "B": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
 }
 
+# the double integrator with the pair -1 +- i: F = [-2, -2]
+DI_PAIR = {
+    "name": "di_pair",
+    "A": [[0.0, 1.0], [0.0, 0.0]],
+    "B": [[0.0], [1.0]],
+    "structure": [{"re": -1.0, "im": 1.0, "blocks": [1]}],
+}
+
 UNREACHABLE = {
     "name": "island",
     "A": [[1.0, 0.0], [0.0, 2.0]],
@@ -128,6 +136,41 @@ class TestPlace:
         code, _, err = run(capsys, ["place", "--system", path])
         assert code == 2
 
+    def test_no_structure_exit_one(self, tmp_path, capsys):
+        payload = {k: v for k, v in DI.items() if k != "structure"}
+        path = write(tmp_path, "bare.json", payload)
+        code, out, err = run(capsys, ["place", "--system", path])
+        assert code == 1
+        assert out == ""
+        assert "no structure given" in err
+
+    def test_every_draw_singular_exit_four(self, tmp_path, capsys, monkeypatch):
+        # cond(V) >= 1 always, so a limit of 0.5 rejects every draw
+        path = write(tmp_path, "di.json", DI)
+        monkeypatch.setattr(cli, "ToleranceConfig", functools.partial(
+            pp.ToleranceConfig, singular_cond_limit=0.5))
+        code, out, err = run(capsys, ["place", "--system", path])
+        assert code == 4
+        assert out == ""
+        assert "no nonsingular placement in 20 draws" in err
+
+    def test_complex_pair_report_splits_X(self, tmp_path, capsys):
+        path = write(tmp_path, "dp.json", DI_PAIR)
+        code, out, _ = run(capsys, ["place", "--system", path, "--seed", "0"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "X:" not in lines
+        re_at, im_at = lines.index("X.re:"), lines.index("X.im:")
+        assert im_at == re_at + 3  # two rows of X.re between the headers
+        X = np.array([[float(v) for v in lines[at + 1 + r].split()]
+                      for at in (re_at, im_at) for r in range(2)])
+        # the pair's columns are conjugates: Re equal, Im opposite
+        assert np.array_equal(X[:2, 0], X[:2, 1])
+        assert np.array_equal(X[2:, 0], -X[2:, 1])
+        assert np.abs(X[2:]).max() > 0
+        f_row = lines[lines.index("F:") + 1]
+        assert [float(v) for v in f_row.split()] == pytest.approx([-2.0, -2.0])
+
     def test_singular_k_file_exit_four(self, tmp_path, capsys):
         path = write(tmp_path, "di.json", DI)
         k_path = write(tmp_path, "k0.json", {"blocks": [{"re": [[0.0]]}, {"re": [[0.0]]}]})
@@ -186,6 +229,15 @@ class TestOptimize:
         kappa_gain, gain_gain = metrics("0")
         assert kappa_rob <= kappa_gain * (1 + 1e-9)
         assert gain_gain <= gain_rob * (1 + 1e-9)
+
+    def test_inadmissible_exit_two(self, tmp_path, capsys):
+        payload = dict(CHAIN)
+        payload["structure"] = [{"re": 0.0, "im": 0.0, "blocks": [1, 1, 1]}]
+        path = write(tmp_path, "c.json", payload)
+        code, out, err = run(capsys, ["optimize", "--system", path])
+        assert code == 2
+        assert out == ""
+        assert "inadmissible structure" in err
 
     def test_restart_determinism(self, tmp_path, capsys):
         path = write(tmp_path, "di.json", DI)

@@ -86,10 +86,11 @@ class ParameterMatrix:
     and `blocks` derives the blocks from it on every access, read-only (the
     second member of a pair as the conjugate of the first).
 
-    The constructor checks the blocks it is given (m rows each, exact
-    conjugate pairs, a real eigenvalue's block given as complex with zero
-    imaginary part) and packs them into a new x, so K never shares memory
-    with the caller's arrays.  `from_vector`, `random` and
+    The constructor checks the blocks it is given (m rows each, finite
+    entries, exact conjugate pairs, a real eigenvalue's block given as
+    complex with zero imaginary part) and packs them into a new x, so K
+    never shares memory with the caller's arrays.  `from_vector` (which
+    checks the vector's size and finiteness), `random` and
     `Placer.recover_parameters` build K from a vector directly.
     """
 
@@ -104,6 +105,8 @@ class ParameterMatrix:
         m = blocks[0].shape[0]
         if any(b.shape[0] != m for b in blocks):
             raise StructureError("all parameter blocks must have m rows")
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise StructureError("parameter blocks have non-finite entries")
         parts = []
         for i in range(0, 2 * sigma, 2):
             if not np.array_equal(blocks[i + 1], blocks[i].conj()):
@@ -150,6 +153,8 @@ class ParameterMatrix:
             raise StructureError(
                 f"parameter vector has {vec.size} entries, expected {expected}"
             )
+        if not np.isfinite(vec).all():
+            raise StructureError("parameter vector has non-finite entries")
         return cls._of_vector(spec, m, vec)
 
     @classmethod

@@ -56,7 +56,7 @@ class System:
 class EigStructure:
     """Desired closed-loop eigenstructure.
 
-    eigenvalues : distinct complex numbers, self-conjugate as a set
+    eigenvalues : distinct finite complex numbers, self-conjugate as a set
     block_orders : per eigenvalue, the Jordan mini-block orders (stored
         nonincreasing); the algebraic multiplicity is their sum
     sigma : number of conjugate pairs (derived)
@@ -80,6 +80,8 @@ class EigStructure:
             raise StructureError("eigenstructure must contain at least one eigenvalue")
         if len(eigs) != len(blocks):
             raise StructureError("one block-order list required per eigenvalue")
+        if not np.isfinite(eigs).all():
+            raise StructureError("eigenvalues must be finite (non-finite given)")
         for lam, orders in zip(eigs, blocks):
             if len(orders) == 0 or any(p < 1 for p in orders):
                 raise StructureError(f"block orders of {lam} must be positive")

@@ -75,10 +75,6 @@ def structure_from_records(records, n=None, path="<records>"):
             orders = tuple(int(p) for p in rec["blocks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: structure record {idx} malformed: {exc}")
-        if not np.isfinite(lam):
-            raise ParseError(
-                f"{path}: structure record {idx} has a non-finite eigenvalue"
-            )
         eigs.append(lam)
         blocks.append(orders)
     # auto-complete missing conjugates with identical block orders

@@ -449,6 +449,27 @@ class TestTrustedParameterMatrix:
             assert np.array_equal(blk, before)
             assert not blk.flags.writeable
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", [1.0, 1j])
+    def test_non_finite_blocks_rejected(self, bad, part):
+        spec = pp.EigStructure((-1 + 1j, -1 - 1j, -2.0), ((1,), (1,), (1,)))
+        b0 = np.array([[1 + 2j], [0.5j]])
+        b0[1, 0] += bad * part
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pp.StructureError, match="non-finite"):
+                pp.ParameterMatrix([b0, b0.conj(), np.ones((2, 1))], spec.sigma)
+            with pytest.raises(pp.StructureError, match="non-finite"):
+                pp.ParameterMatrix([b0.real, b0.real, [[1.0], [bad]]], 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        spec = grouped_structure(12, 3)
+        x = np.random.default_rng(1).standard_normal(3 * 12)
+        x[5] = bad
+        with pytest.raises(pp.StructureError, match="non-finite"):
+            pp.ParameterMatrix.from_vector(spec, 3, x)
+
     @pytest.mark.parametrize("blocks,sigma", [([], 0), ([np.eye(2)], 1)])
     def test_too_few_blocks_rejected(self, blocks, sigma):
         with pytest.raises(pp.StructureError,

@@ -27,6 +27,17 @@ class TestEigStructure:
         with pytest.raises(pp.StructureError):
             pp.EigStructure((1 + 1j, 1 - 1j), ((2,), (1, 1)))
 
+    @pytest.mark.parametrize("bad", [
+        complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+        complex(-1.0, np.nan), complex(-1.0, np.inf),
+    ])
+    def test_rejects_non_finite_eigenvalue(self, bad):
+        # named as non-finite even where the partner check would also fail
+        with pytest.raises(pp.StructureError, match="non-finite"):
+            pp.EigStructure((bad, -1.0), ((1,), (1,)))
+        with pytest.raises(pp.StructureError, match="non-finite"):
+            pp.EigStructure((bad, bad.conjugate()), ((1,), (1,)))
+
     def test_sigma_counts_pairs(self):
         spec = pp.EigStructure((2 + 2j, 2 - 2j, 7.0), ((1,), (1,), (1,)))
         assert spec.sigma == 1

@@ -25,6 +25,7 @@ of Mdag is orthogonal to ker S), every parameter column is one projection
 k(l) = N^H h(l), taken for all columns of all groups at once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,10 +244,11 @@ class Placer:
     The cache is what makes repeated evaluation (optimization, finite
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
-    The rest is built on first use: the `_Group` stacks, the placement map
-    (`_map`, the one run of the chain recursion) that `place` and
-    `build_chains` apply, the dense operator L scattered from it, and the
-    recovery's column data.
+    The rest is built on first use, as cached properties held in the
+    instance's `__dict__`: the `_Group` stacks, the placement map (`_map`,
+    the one run of the chain recursion) that `place` and `build_chains`
+    apply, the dense operator L scattered from it, and the recovery's
+    column data.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -263,10 +265,6 @@ class Placer:
         self.spec = spec
         self.tol = tol
         self.Lambda = jordan_matrix(spec)
-        self._operator = None
-        self._recovery_data = None
-        self._group_data = None
-        self._map_data = None
         self._param_layout = (
             spec.sigma, tuple((sys.m, mult) for mult in spec.multiplicities)
         )
@@ -284,6 +282,7 @@ class Placer:
                 f"!= {self._param_layout} of the structure"
             )
 
+    @functools.cached_property
     def _groups(self):
         """The `_Group`s of the representative eigenvalues, built on first
         use; the one walk of the conformable layout.
@@ -293,37 +292,36 @@ class Placer:
         one run of `_chain_columns` serves all of them.  Pair groups come
         first, as pairs do in conformable order.
         """
-        if self._group_data is None:
-            spec, m = self.spec, self.sys.m
-            two_sigma = 2 * spec.sigma
-            # per group: the members' indices, first chain columns and first
-            # coordinates in the layout of ParameterMatrix.to_vector (each
-            # block row-major, a pair's real parts before its imaginary ones)
-            members = {}
-            col = pos = 0
-            for i, orders in enumerate(spec.block_orders):
-                mult = sum(orders)
-                if not (i % 2 == 1 and i < two_sigma):
-                    pair = i < two_sigma
-                    members.setdefault((pair, orders), []).append((i, col, pos))
-                    pos += (1 + pair) * m * mult
-                col += mult
-            groups = []
-            for (pair, orders), reps in members.items():
-                idx, first, start = zip(*reps)
-                mult = sum(orders)
-                groups.append(_Group(
-                    orders=orders,
-                    pair=pair,
-                    lam=np.array([spec.eigenvalues[i] for i in idx]),
-                    N=np.array([self.pencils[i].N for i in idx]),
-                    Mdag=np.array([self.pencils[i].Mdag for i in idx]),
-                    cols=np.add.outer(first, np.arange(mult)),
-                    start=np.array(start)[:, None],
-                ))
-            self._group_data = tuple(groups)
-        return self._group_data
+        spec, m = self.spec, self.sys.m
+        two_sigma = 2 * spec.sigma
+        # per group: the members' indices, first chain columns and first
+        # coordinates in the layout of ParameterMatrix.to_vector (each
+        # block row-major, a pair's real parts before its imaginary ones)
+        members = {}
+        col = pos = 0
+        for i, orders in enumerate(spec.block_orders):
+            mult = sum(orders)
+            if not (i % 2 == 1 and i < two_sigma):
+                pair = i < two_sigma
+                members.setdefault((pair, orders), []).append((i, col, pos))
+                pos += (1 + pair) * m * mult
+            col += mult
+        groups = []
+        for (pair, orders), reps in members.items():
+            idx, first, start = zip(*reps)
+            mult = sum(orders)
+            groups.append(_Group(
+                orders=orders,
+                pair=pair,
+                lam=np.array([spec.eigenvalues[i] for i in idx]),
+                N=np.array([self.pencils[i].N for i in idx]),
+                Mdag=np.array([self.pencils[i].Mdag for i in idx]),
+                cols=np.add.outer(first, np.arange(mult)),
+                start=np.array(start)[:, None],
+            ))
+        return tuple(groups)
 
+    @functools.cached_property
     def _map(self):
         """The placement map as its stored blocks, built on first use.
 
@@ -339,37 +337,35 @@ class Placer:
         coordinates.  A pair's second columns follow its first, and its
         imaginary coordinates its real ones.
         """
-        if self._map_data is None:
-            n, m = self.sys.n, self.sys.m
-            groups = self._groups()
-            width = m * max((1 + grp.pair) * grp.cols.shape[1] for grp in groups)
-            T = np.zeros((n, width, n + m))
-            start = np.empty(n, int)
-            gather = None
-            if self.spec.sigma:
-                gather = np.arange(n), np.arange(n), np.zeros(n, complex)
-            for grp in groups:
-                g, mult = grp.cols.shape
-                size = m * mult
-                E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
-                Hg = np.array(_chain_columns(grp, E))  # (mult, g, n+m, size)
-                cols = grp.cols
-                if grp.pair:
-                    first, second = grp.cols, grp.cols + mult
-                    re, im, isign = gather
-                    re[second], im[first] = first, second
-                    isign[first], isign[second] = 1j, -1j
-                    # over the (real, imaginary) coordinates, the first
-                    # columns' blocks are Re [H, i H], the second's Im [H, i H]
-                    Hg = np.concatenate([Hg, 1j * Hg], axis=3)
-                    Hg = np.concatenate([Hg.real, Hg.imag])
-                    cols = np.concatenate([first, second], axis=1)
-                # each column c of the group gets its (coordinates, n+m) block
-                T[cols, : Hg.shape[3]] = Hg.transpose(1, 0, 3, 2)
-                start[cols] = grp.start
-            coords = (start[:, None] + np.arange(width)) % (m * n)
-            self._map_data = _PlacementMap(T, coords, gather)
-        return self._map_data
+        n, m = self.sys.n, self.sys.m
+        groups = self._groups
+        width = m * max((1 + grp.pair) * grp.cols.shape[1] for grp in groups)
+        T = np.zeros((n, width, n + m))
+        start = np.empty(n, int)
+        gather = None
+        if self.spec.sigma:
+            gather = np.arange(n), np.arange(n), np.zeros(n, complex)
+        for grp in groups:
+            g, mult = grp.cols.shape
+            size = m * mult
+            E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
+            Hg = np.array(_chain_columns(grp, E))  # (mult, g, n+m, size)
+            cols = grp.cols
+            if grp.pair:
+                first, second = grp.cols, grp.cols + mult
+                re, im, isign = gather
+                re[second], im[first] = first, second
+                isign[first], isign[second] = 1j, -1j
+                # over the (real, imaginary) coordinates, the first
+                # columns' blocks are Re [H, i H], the second's Im [H, i H]
+                Hg = np.concatenate([Hg, 1j * Hg], axis=3)
+                Hg = np.concatenate([Hg.real, Hg.imag])
+                cols = np.concatenate([first, second], axis=1)
+            # each column c of the group gets its (coordinates, n+m) block
+            T[cols, : Hg.shape[3]] = Hg.transpose(1, 0, 3, 2)
+            start[cols] = grp.start
+        coords = (start[:, None] + np.arange(width)) % (m * n)
+        return _PlacementMap(T, coords, gather)
 
     def build_chains(self, K):
         """The complex chain matrix H of K, in conformable order.
@@ -382,7 +378,7 @@ class Placer:
         pairs.
         """
         self._check_param(K)
-        pmap = self._map()
+        pmap = self._map
         return ChainSet._of_matrix(self.spec, pmap.chains(pmap.vw(K._x)))
 
     def operator(self):
@@ -394,13 +390,15 @@ class Placer:
         optimizer's evaluator multiplies by L: at the sizes it runs, one
         dense product beats a gather plus a stacked product.
         """
-        if self._operator is None:
-            n, m = self.sys.n, self.sys.m
-            pmap = self._map()
-            L = np.zeros((n + m, n, m * n))
-            L[:, np.arange(n)[:, None], pmap.coords] = pmap.T.transpose(2, 0, 1)
-            self._operator = L.reshape((n + m) * n, m * n)
         return self._operator
+
+    @functools.cached_property
+    def _operator(self):
+        n, m = self.sys.n, self.sys.m
+        pmap = self._map
+        L = np.zeros((n + m, n, m * n))
+        L[:, np.arange(n)[:, None], pmap.coords] = pmap.T.transpose(2, 0, 1)
+        return L.reshape((n + m) * n, m * n)
 
     def place(self, K):
         """Place one parameter matrix: F = W V^{-1}.
@@ -410,7 +408,7 @@ class Placer:
         `build_chains` would return, gathered from V.
         """
         self._check_param(K)
-        pmap = self._map()
+        pmap = self._map
         n = self.sys.n
         VW = pmap.vw(K._x)
         V, W = VW[:n], VW[n:]
@@ -426,6 +424,7 @@ class Placer:
         # module function
         return residual_scale(self.sys, F)
 
+    @functools.cached_property
     def _recovery(self):
         """The column data of `recover_parameters`, built on first use.
 
@@ -435,47 +434,45 @@ class Placer:
         the columns serves every group; the pencil data is stacked to
         match.
         """
-        if self._recovery_data is None:
-            sys, sigma, groups = self.sys, self.spec.sigma, self._groups()
-            # per representative eigenvalue
-            mults = np.array([len(row) for grp in groups for row in grp.cols])
-            cols = np.concatenate([grp.cols.ravel() for grp in groups])
-            lam = np.repeat(np.concatenate([grp.lam for grp in groups]), mults)
-            n_pair = int(mults[:sigma].sum())
-            # (m, columns): entry (i, l) of a member's block sits at
-            # start + i * mult + l
-            real_coords = np.concatenate([
-                (grp.start + np.arange(grp.cols.shape[1])).ravel()
-                + grp.cols.shape[1] * np.arange(sys.m)[:, None]
-                for grp in groups
-            ], axis=1)
-            # a pair's second block sits mult columns after its first, its
-            # imaginary coordinates m * mult after its real ones
-            shift = np.repeat(mults[:sigma], mults[:sigma])
-            pair_orders = [p for grp in groups if grp.pair
-                           for _ in grp.lam for p in grp.orders]
-            N = np.concatenate([grp.N for grp in groups])
-            NH = np.repeat(N.conj().transpose(0, 2, 1), mults, axis=0)
-            self._recovery_data = _Recovery(
-                cols=cols,
-                pair_cols=cols[:n_pair] + shift,
-                lam=lam,
-                # the tolerance of a column h is scale * max(1, |h|)
-                scale=self.tol.residual_tol * (
-                    1.0 + fro_norm(sys.A) + np.abs(lam) * np.sqrt(sys.n)
-                    + fro_norm(sys.B)
-                ),
-                # complex when NH is, so the products need no cast per call
-                SH=np.hstack([sys.A, sys.B]).astype(NH.dtype),
-                Lambda=self.Lambda[np.ix_(cols, cols)],
-                NH=NH,
-                n_pair=n_pair,
-                starts=np.cumsum(mults) - mults,
-                real_coords=real_coords,
-                imag_coords=real_coords[:, :n_pair] + sys.m * shift,
-                pair_starts=np.cumsum([0, *pair_orders])[:-1],
-            )
-        return self._recovery_data
+        sys, sigma, groups = self.sys, self.spec.sigma, self._groups
+        # per representative eigenvalue
+        mults = np.array([len(row) for grp in groups for row in grp.cols])
+        cols = np.concatenate([grp.cols.ravel() for grp in groups])
+        lam = np.repeat(np.concatenate([grp.lam for grp in groups]), mults)
+        n_pair = int(mults[:sigma].sum())
+        # (m, columns): entry (i, l) of a member's block sits at
+        # start + i * mult + l
+        real_coords = np.concatenate([
+            (grp.start + np.arange(grp.cols.shape[1])).ravel()
+            + grp.cols.shape[1] * np.arange(sys.m)[:, None]
+            for grp in groups
+        ], axis=1)
+        # a pair's second block sits mult columns after its first, its
+        # imaginary coordinates m * mult after its real ones
+        shift = np.repeat(mults[:sigma], mults[:sigma])
+        pair_orders = [p for grp in groups if grp.pair
+                       for _ in grp.lam for p in grp.orders]
+        N = np.concatenate([grp.N for grp in groups])
+        NH = np.repeat(N.conj().transpose(0, 2, 1), mults, axis=0)
+        return _Recovery(
+            cols=cols,
+            pair_cols=cols[:n_pair] + shift,
+            lam=lam,
+            # the tolerance of a column h is scale * max(1, |h|)
+            scale=self.tol.residual_tol * (
+                1.0 + fro_norm(sys.A) + np.abs(lam) * np.sqrt(sys.n)
+                + fro_norm(sys.B)
+            ),
+            # complex when NH is, so the products need no cast per call
+            SH=np.hstack([sys.A, sys.B]).astype(NH.dtype),
+            Lambda=self.Lambda[np.ix_(cols, cols)],
+            NH=NH,
+            n_pair=n_pair,
+            starts=np.cumsum(mults) - mults,
+            real_coords=real_coords,
+            imag_coords=real_coords[:, :n_pair] + sys.m * shift,
+            pair_starts=np.cumsum([0, *pair_orders])[:-1],
+        )
 
     def recover_parameters(self, chain_set):
         """Invert the chain construction: k(l) = N^H h(l) for every column.
@@ -489,7 +486,7 @@ class Placer:
         columns at once as A X + B Y - X Lambda, are verified; violations
         raise ChainConsistencyError.
         """
-        rec = self._recovery()
+        rec = self._recovery
         n, sigma = self.sys.n, self.spec.sigma
         H = chain_set.H
         Hr = H[:, rec.cols]

@@ -367,7 +367,7 @@ class TestGroupedRecursion:
         for n, m in GROUPED_CASES:
             placer, _ = grouped_instance(n, m)
             placer.operator()
-            sizes = sorted(grp.cols.shape[0] for grp in placer._groups())
+            sizes = sorted(grp.cols.shape[0] for grp in placer._groups)
             assert sizes[-1] >= 2 and len(sizes) >= 2
 
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
@@ -404,9 +404,9 @@ class TestGroupedRecursion:
 
     def test_group_data_built_on_first_use(self):
         placer, rng = grouped_instance(15, 3)
-        assert placer._group_data is None
+        assert "_groups" not in placer.__dict__
         placer.build_chains(pp.ParameterMatrix.random(placer.spec, 3, rng))
-        assert placer._group_data is not None
+        assert "_groups" in placer.__dict__
 
 
 class TestTrustedParameterMatrix:

@@ -91,18 +91,21 @@ def _row_values(row):
     )
 
 
+def _cells(row, fmt):
+    """The table cells of one row: floats through fmt, None blank."""
+    return [
+        fmt(value) if isinstance(value, (float, np.floating))
+        else "" if value is None else str(value)
+        for value in _row_values(row)
+    ]
+
+
 def render_markdown(rows):
-    header = "| " + " | ".join(TABLE_COLUMNS) + " |"
-    rule = "|" + "|".join("---" for _ in TABLE_COLUMNS) + "|"
-    lines = [header, rule]
-    for row in rows:
-        cells = []
-        for value in _row_values(row):
-            if isinstance(value, (float, np.floating)):
-                cells.append(_fmt_sig4(value))
-            else:
-                cells.append("" if value is None else str(value))
-        lines.append("| " + " | ".join(cells) + " |")
+    lines = [
+        "| " + " | ".join(TABLE_COLUMNS) + " |",
+        "|" + "|".join("---" for _ in TABLE_COLUMNS) + "|",
+    ]
+    lines += ["| " + " | ".join(_cells(row, _fmt_sig4)) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -110,12 +113,5 @@ def render_csv(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TABLE_COLUMNS)
-    for row in rows:
-        cells = []
-        for value in _row_values(row):
-            if isinstance(value, (float, np.floating)):
-                cells.append(_fmt_full(value))
-            else:
-                cells.append("" if value is None else str(value))
-        writer.writerow(cells)
+    writer.writerows(_cells(row, _fmt_full) for row in rows)
     return buf.getvalue()

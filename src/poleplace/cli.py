@@ -33,10 +33,17 @@ EXIT_INADMISSIBLE = 2
 EXIT_UNREACHABLE = 3
 EXIT_SINGULAR = 4
 
+
+
+class _InadmissibleError(PolePlaceError):
+    """The target structure fails the Rosenbrock conditions."""
+
+
 # exception type -> exit code, first match wins; any other PolePlaceError
 # (parse and structure errors included) is a usage error
 _EXIT_CODES = (
     (NotReachableError, EXIT_UNREACHABLE),
+    (_InadmissibleError, EXIT_INADMISSIBLE),
     ((SingularMatrixError, ChainConsistencyError), EXIT_SINGULAR),
 )
 
@@ -55,61 +62,52 @@ def build_parser():
     parser = _Parser(prog="poleplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec_required=False):
-        p.add_argument("--system", required=True, help="system file (JSON)")
-        p.add_argument(
-            "--spec",
-            required=spec_required,
-            help="structure file; defaults to the system file's structure",
+    def command(name, func, summary, *flags):
+        # flags: (flag, add_argument keywords) pairs in --help order
+        p = sub.add_parser(name, help=summary)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
+
+    def outputs(what):
+        return (
+            ("--tol", dict(type=float, default=1e-8,
+                           help="residual tolerance (default 1e-8)")),
+            ("--out", dict(help=f"write the {what} here instead of stdout")),
         )
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="residual tolerance (default 1e-8)")
-        p.add_argument("--out", help="write the report here instead of stdout")
 
-    p_check = sub.add_parser("check", help="Rosenbrock admissibility check")
-    common(p_check)
-    p_check.set_defaults(func=cmd_check)
-
-    p_place = sub.add_parser("place", help="place once with a random or given K")
-    common(p_place)
-    p_place.add_argument("--seed", type=int, default=0)
-    p_place.add_argument("--k-file", help="parameter matrix file (JSON)")
-    p_place.set_defaults(func=cmd_place)
-
-    p_opt = sub.add_parser("optimize", help="multi-start optimization over K")
-    common(p_opt)
-    p_opt.add_argument("--method", choices=("condition", "normality"),
-                       default="condition")
-    p_opt.add_argument("--alpha", type=float, default=1.0)
-    p_opt.add_argument("--restarts", type=int, default=10)
-    p_opt.add_argument("--max-iters", type=int, default=500)
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_bench = sub.add_parser("bench", help="run the benchmark corpus")
-    p_bench.add_argument("--corpus", help="directory of system files; "
-                         "defaults to the built-in synthetic systems")
-    p_bench.add_argument("--method", choices=("condition", "normality"),
-                         default="condition")
-    p_bench.add_argument("--alpha", type=float, default=1.0)
-    p_bench.add_argument("--restarts", type=int, default=10)
-    p_bench.add_argument("--max-iters", type=int, default=500)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--tol", type=float, default=1e-8)
-    p_bench.add_argument("--format", choices=("md", "csv"), default="md")
-    p_bench.add_argument("--out", help="write the table here instead of stdout")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_rec = sub.add_parser(
-        "recover",
-        help="recover the parameter matrix reproducing a given feedback "
-        "(simple spectra only)",
+    inputs = (
+        ("--system", dict(required=True, help="system file (JSON)")),
+        ("--spec", dict(
+            help="structure file; defaults to the system file's structure")),
+        *outputs("report"),
     )
-    common(p_rec, spec_required=False)
-    p_rec.add_argument("--feedback", required=True,
-                       help='feedback file: {"F": [[...]]}')
-    p_rec.set_defaults(func=cmd_recover)
+    seed = (("--seed", dict(type=int, default=0)),)
+    search = (
+        ("--method", dict(choices=("condition", "normality"),
+                          default="condition")),
+        ("--alpha", dict(type=float, default=1.0)),
+        ("--restarts", dict(type=int, default=10)),
+        ("--max-iters", dict(type=int, default=500)),
+    )
 
+    command("check", cmd_check, "Rosenbrock admissibility check", *inputs)
+    command("place", cmd_place, "place once with a random or given K",
+            *inputs, *seed,
+            ("--k-file", dict(help="parameter matrix file (JSON)")))
+    command("optimize", cmd_optimize, "multi-start optimization over K",
+            *inputs, *search, *seed)
+    command("bench", cmd_bench, "run the benchmark corpus",
+            ("--corpus", dict(help="directory of system files; "
+                              "defaults to the built-in synthetic systems")),
+            *search, *seed, *outputs("table"),
+            ("--format", dict(choices=("md", "csv"), default="md")))
+    command("recover", cmd_recover,
+            "recover the parameter matrix reproducing a given feedback "
+            "(simple spectra only)",
+            *inputs,
+            ("--feedback", dict(required=True,
+                                help='feedback file: {"F": [[...]]}')))
     return parser
 
 
@@ -154,8 +152,23 @@ def _load_inputs(args):
     return sf, spec
 
 
+def _admissible_inputs(args, tol):
+    """`_load_inputs`, then raise unless the structure is admissible."""
+    sf, spec = _load_inputs(args)
+    report = check_admissible(spec, sf.system, tol)
+    if not report.satisfied:
+        raise _InadmissibleError(f"inadmissible structure: {report.message}")
+    return sf, spec
+
+
 def _metrics_fields(res, metrics):
     return [("residual", res.residual), ("cond_V", res.cond_V), *metrics.items()]
+
+
+def _report(args, fields, matrices, ok):
+    """Write the report; exit 0 on an accepted placement, else 4."""
+    _emit(render_report(fields, matrices), args.out)
+    return EXIT_OK if ok else EXIT_SINGULAR
 
 
 def cmd_check(args):
@@ -180,12 +193,8 @@ def cmd_check(args):
 
 def cmd_place(args):
     tol, _, _ = _options(args)
-    sf, spec = _load_inputs(args)
+    sf, spec = _admissible_inputs(args, tol)
     sys = sf.system
-    report = check_admissible(spec, sys, tol)
-    if not report.satisfied:
-        _sys.stderr.write(f"inadmissible structure: {report.message}\n")
-        return EXIT_INADMISSIBLE
     placer = Placer(sys, spec, tol)
 
     if args.k_file:
@@ -194,14 +203,13 @@ def cmd_place(args):
         source = ("k_file", args.k_file)
     else:
         rng = np.random.default_rng(args.seed)
-        res = None
         for _ in range(_PLACE_DRAWS):
             try:
                 res = placer.place(ParameterMatrix.random(spec, sys.m, rng))
                 break
             except SingularMatrixError:
                 continue
-        if res is None:
+        else:
             raise SingularMatrixError(
                 f"no nonsingular placement in {_PLACE_DRAWS} draws"
             )
@@ -216,19 +224,13 @@ def cmd_place(args):
         source,
         ("status", "ok" if ok else "failed"),
     ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
-    _emit(render_report(fields, [("F", res.F), ("V", res.V), ("X", res.X)]),
-          args.out)
-    return EXIT_OK if ok else EXIT_SINGULAR
+    return _report(args, fields, [("F", res.F), ("V", res.V), ("X", res.X)], ok)
 
 
 def cmd_optimize(args):
     tol, obj, opts = _options(args)
-    sf, spec = _load_inputs(args)
+    sf, spec = _admissible_inputs(args, tol)
     sys = sf.system
-    report = check_admissible(spec, sys, tol)
-    if not report.satisfied:
-        _sys.stderr.write(f"inadmissible structure: {report.message}\n")
-        return EXIT_INADMISSIBLE
     result = minimize(obj, sys, spec, opts, tol)
     res = result.placement
     ok = residual_ok(sys, res, tol)
@@ -245,14 +247,15 @@ def cmd_optimize(args):
     per_restart = zip(result.restart_values, result.traces,
                       result.terminations, result.evaluations)
     for i, (final, trace, termination, evals) in enumerate(per_restart):
-        fields.append((f"restart_{i}_final", final))
-        # a singular_start restart has the empty trace: 0 steps
-        fields.append((f"restart_{i}_steps", max(len(trace) - 1, 0)))
-        fields.append((f"restart_{i}_termination", termination))
-        fields.append((f"restart_{i}_evals", evals))
+        fields += [
+            (f"restart_{i}_final", final),
+            # a singular_start restart has the empty trace: 0 steps
+            (f"restart_{i}_steps", max(len(trace) - 1, 0)),
+            (f"restart_{i}_termination", termination),
+            (f"restart_{i}_evals", evals),
+        ]
     fields += _metrics_fields(res, result.metrics)
-    _emit(render_report(fields, [("F", res.F)]), args.out)
-    return EXIT_OK if ok else EXIT_SINGULAR
+    return _report(args, fields, [("F", res.F)], ok)
 
 
 def cmd_bench(args):
@@ -285,10 +288,8 @@ def cmd_recover(args):
          res.cond_V * np.finfo(float).eps * (1.0 + fro_norm(F))),
     ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
     matrices = [("F", F), ("F_reproduced", res.F)]
-    for i, blk in enumerate(K.blocks):
-        matrices.append((f"K_{i}", blk))
-    _emit(render_report(fields, matrices), args.out)
-    return EXIT_OK if ok else EXIT_SINGULAR
+    matrices += [(f"K_{i}", blk) for i, blk in enumerate(K.blocks)]
+    return _report(args, fields, matrices, ok)
 
 
 def main(argv=None):

@@ -223,6 +223,39 @@ class TestGradient:
         assert not flags.any()
         assert np.abs(g - exact).max() <= 1e-10 * (1 + np.abs(exact).max())
 
+    def test_singular_probe_falls_back_to_one_side(self):
+        # a singular_cond_limit between cond V(x) and the larger cond of
+        # coordinate j's two central-difference probes: g[j] is the
+        # one-sided difference through the other probe
+        rng = np.random.default_rng(49)
+        sys = random_reachable(rng, 3, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
+        placer = pp.Placer(sys, spec)
+        x = well_conditioned_probes(placer, rng, 1)[0]
+        j = 1
+        h = optimize._FD_STEP * (1.0 + abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        K, Kp, Km = (pp.ParameterMatrix.from_vector(spec, sys.m, v)
+                     for v in (x, xp, xm))
+        c0, cp, cm = (placer.place(k).cond_V for k in (K, Kp, Km))
+        assert min(cp, cm) < c0 < max(cp, cm)
+        tol = pp.ToleranceConfig(singular_cond_limit=0.5 * (c0 + max(cp, cm)))
+        f = lambda k, t=tol: pp.objective_f1(k, sys, spec, 1.0, t)
+        if cp < cm:
+            one_sided = (f(Kp) - f(K)) / h
+        else:
+            one_sided = (f(K) - f(Km)) / h
+        with pytest.raises(pp.SingularMatrixError):
+            f(Km if cp < cm else Kp)
+        g = pp.gradient(pp.ObjectiveSpec("condition", 1.0), K, sys, spec, tol)
+        assert g[j] == one_sided
+        loose = pp.ToleranceConfig()
+        central = (f(Kp, loose) - f(Km, loose)) / (2.0 * h)
+        assert g[j] != central
+        assert g[j] == pytest.approx(central, rel=1e-4)
+
     def test_step_halving_richardson_ratio(self):
         rng = np.random.default_rng(48)
         sys = random_reachable(rng, 3, 2)

@@ -34,7 +34,6 @@ EXIT_UNREACHABLE = 3
 EXIT_SINGULAR = 4
 
 
-
 class _InadmissibleError(PolePlaceError):
     """The target structure fails the Rosenbrock conditions."""
 
@@ -80,8 +79,8 @@ def build_parser():
         ("--system", dict(required=True, help="system file (JSON)")),
         ("--spec", dict(
             help="structure file; defaults to the system file's structure")),
-        *outputs("report"),
     )
+    report = outputs("report")
     seed = (("--seed", dict(type=int, default=0)),)
     search = (
         ("--method", dict(choices=("condition", "normality"),
@@ -91,12 +90,13 @@ def build_parser():
         ("--max-iters", dict(type=int, default=500)),
     )
 
-    command("check", cmd_check, "Rosenbrock admissibility check", *inputs)
+    command("check", cmd_check, "Rosenbrock admissibility check",
+            *inputs, *report)
     command("place", cmd_place, "place once with a random or given K",
-            *inputs, *seed,
+            *inputs, *report, *seed,
             ("--k-file", dict(help="parameter matrix file (JSON)")))
     command("optimize", cmd_optimize, "multi-start optimization over K",
-            *inputs, *search, *seed)
+            *inputs, *report, *search, *seed)
     command("bench", cmd_bench, "run the benchmark corpus",
             ("--corpus", dict(help="directory of system files; "
                               "defaults to the built-in synthetic systems")),
@@ -105,7 +105,7 @@ def build_parser():
     command("recover", cmd_recover,
             "recover the parameter matrix reproducing a given feedback "
             "(simple spectra only)",
-            *inputs,
+            *inputs, *report,
             ("--feedback", dict(required=True,
                                 help='feedback file: {"F": [[...]]}')))
     return parser

@@ -81,7 +81,7 @@ class EigStructure:
         if len(eigs) != len(blocks):
             raise StructureError("one block-order list required per eigenvalue")
         if not np.isfinite(eigs).all():
-            raise StructureError("eigenvalues must be finite (non-finite given)")
+            raise StructureError("non-finite eigenvalue given")
         for lam, orders in zip(eigs, blocks):
             if len(orders) == 0 or any(p < 1 for p in orders):
                 raise StructureError(f"block orders of {lam} must be positive")

@@ -209,6 +209,13 @@ class TestGradient:
         g = pp.gradient(pp.ObjectiveSpec("condition", 0.0), K, sys, spec)
         assert np.linalg.norm(g) <= 1e-6
 
+    def test_singular_base_point_raises(self):
+        sys = random_reachable(np.random.default_rng(46), 3, 1)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,), (1,), (1,)))
+        K = pp.ParameterMatrix.from_vector(spec, 1, np.zeros(3))  # V = 0
+        with pytest.raises(pp.SingularMatrixError, match="evaluation point"):
+            pp.gradient(pp.ObjectiveSpec("condition", 1.0), K, sys, spec)
+
     def test_quadratic_functional_exact(self):
         # central differences are exact on quadratics up to roundoff
         rng = np.random.default_rng(47)
@@ -369,6 +376,33 @@ class TestTerminations:
         assert len(result.evaluations) == 3
         for count, trace in zip(result.evaluations, result.traces):
             assert count >= len(trace)
+
+    def test_gradient_tolerance_met_at_the_iteration_cap(self):
+        # restart 0 meets tol_grad after its 30th step; capped at 30 steps
+        # it ends "grad_tol" all the same, with the same trace, and capped
+        # at 29 it ends "max_iters"
+        sys, spec = self.corpus_case("bn01_reactor")
+        obj = pp.ObjectiveSpec("condition", 1.0)
+        runs = {
+            cap: pp.minimize(obj, sys, spec,
+                             pp.OptOptions(restarts=4, max_iters=cap, seed=0))
+            for cap in (500, 30, 29)
+        }
+        assert len(runs[500].traces[0]) == 31
+        assert runs[500].terminations[0] == runs[30].terminations[0] == "grad_tol"
+        assert runs[30].traces[0] == runs[500].traces[0]
+        assert runs[29].terminations[0] == "max_iters"
+        assert runs[29].traces[0] == runs[500].traces[0][:30]
+
+    def test_all_starts_singular_raises(self):
+        # cond V >= 1, so a limit of 1 rejects every start draw
+        sys = random_reachable(np.random.default_rng(64), 4, 2)
+        spec = gradient_structures(2)["simple"]
+        with pytest.raises(pp.SingularMatrixError, match="all restarts"):
+            pp.minimize(
+                pp.ObjectiveSpec("condition", 1.0), sys, spec,
+                pp.OptOptions(restarts=2), pp.ToleranceConfig(singular_cond_limit=1.0),
+            )
 
     def test_iteration_cap_reported(self):
         sys, spec = self.corpus_case("bn02_distillation")
@@ -822,11 +856,16 @@ class TestStackedLineSearch:
 
     @pytest.mark.parametrize("case", range(4))
     @pytest.mark.parametrize("max_iters", (8, 60))
-    def test_normality_instances(self, monkeypatch, case, max_iters):
+    @pytest.mark.parametrize(
+        "obj",
+        (pp.ObjectiveSpec("normality", 1.0), pp.ObjectiveSpec("condition", 0.5)),
+        ids=("normality", "condition-0.5"),
+    )
+    def test_normality_instances(self, monkeypatch, obj, case, max_iters):
         sys, spec = normality_instances()[case]
         opts = pp.OptOptions(restarts=2, max_iters=max_iters, seed=case)
         stacked, sequential, searches = self.both(
-            monkeypatch, pp.ObjectiveSpec("normality", 1.0), sys, spec, opts)
+            monkeypatch, obj, sys, spec, opts)
         self.assert_identical(stacked, sequential)
         # some probes were stacked
         assert max(max(rows) for _, rows, *_ in searches) > 1

@@ -174,31 +174,22 @@ class _Point(NamedTuple):
     value: float
 
 
-class _Points:
+class _Points(NamedTuple):
     """The evaluations at the rows of one stacked call (`_Evaluator.points`).
 
     rows lists the rows of X whose V is nonsingular, in order; values (a
-    list of floats), V, W and, where formed, Vi and F hold one entry per
-    such row.  Vi and F are None when the value needs neither (condition at
-    alpha = 1, or a value fixed at K*); `at` then forms them for the one
-    row it is asked for, so that a rejected probe pays no inverse.
+    list of floats), V, Vi and F hold one entry per such row.
     """
 
-    __slots__ = ("rows", "values", "V", "W", "Vi", "F", "fixed")
-
-    def __init__(self, rows, V, W, fixed=False):
-        self.rows, self.V, self.W, self.fixed = rows, V, W, fixed
-        self.values = self.Vi = self.F = None
+    rows: list
+    values: list
+    V: np.ndarray
+    Vi: np.ndarray
+    F: np.ndarray
 
     def at(self, j):
         """The `_Point` of the j-th nonsingular row."""
-        V, value = self.V[j], self.values[j]
-        if self.fixed:
-            return _Point(V, None, None, value)
-        if self.Vi is None:
-            Vi = np.linalg.inv(V)
-            return _Point(V, Vi, self.W[j] @ Vi, value)
-        return _Point(V, self.Vi[j], self.F[j], value)
+        return _Point(self.V[j], self.Vi[j], self.F[j], self.values[j])
 
 
 class _Evaluator:
@@ -223,6 +214,7 @@ class _Evaluator:
     def __init__(self, obj, placer):
         self.obj = obj
         self.placer = placer
+        self.L = placer.operator()
         self.sys = placer.sys
         self.spec = placer.spec
         self.m = placer.sys.m
@@ -267,30 +259,23 @@ class _Evaluator:
         alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
         """
         n, k = self.sys.n, len(X)
-        VW = np.matmul(self.placer.operator(), X[:, :, None])
-        VW = VW.reshape(k, n + self.m, n)
+        VW = np.matmul(self.L, X[:, :, None]).reshape(k, n + self.m, n)
         V, W = VW[:, :n], VW[:, n:]
         s = np.linalg.svd(V, compute_uv=False)
         rows = nonsingular_rows(s, self.placer.tol)
         if len(rows) < k:
             V, W, s = V[rows], W[rows], s[rows]
-        pts = _Points(rows, V, W, self.fixed is not None)
-        if pts.fixed or not rows:
-            pts.values = [self.fixed] * len(rows)
-            return pts
-        alpha = self.obj.alpha
-        if self.obj.method == "normality" or alpha != 1.0:
-            pts.Vi = np.linalg.inv(V)
-            pts.F = W @ pts.Vi
-        if self.obj.method == "condition":
-            robust = (np.sum(s**2, axis=1) + np.sum(s**-2, axis=1)).tolist()
+        Vi = np.linalg.inv(V)
+        F = W @ Vi
+        if self.fixed is not None:
+            values = [self.fixed] * len(rows)
+        elif self.obj.method == "condition":
+            values = (np.sum(s**2, axis=1) + np.sum(s**-2, axis=1)).tolist()
         else:
-            Acl = self.sys.A + self.sys.B @ pts.F
-            robust = assigned_departure_sq(Acl, self.mass)
-        if alpha != 1.0:
-            robust = [self._blend(r, F) for r, F in zip(robust, pts.F)]
-        pts.values = robust
-        return pts
+            values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
+        if self.fixed is None and self.obj.alpha != 1.0:
+            values = [self._blend(r, f) for r, f in zip(values, F)]
+        return _Points(rows, values, V, Vi, F)
 
     def point(self, x):
         """The evaluation at x, or None when V is singular: `points` on
@@ -318,7 +303,7 @@ class _Evaluator:
         dV = -F.T @ dW
         if self.obj.method == "condition":
             dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
-        return np.concatenate((dV, dW)).ravel() @ self.placer.operator()
+        return np.concatenate((dV, dW)).ravel() @ self.L
 
     def __call__(self, x):
         pt = self.point(x)
@@ -355,8 +340,12 @@ def objective_f2(K, sys, spec, alpha, tol=DEFAULT_TOL):
 _FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
-def _fd_gradient(evaluate, x, step, f0=None):
-    """Central differences with one-sided fallback at singular probes."""
+def _fd_gradient(evaluate, x, step):
+    """Central differences with one-sided fallback at singular probes; a
+    coordinate whose two probes are both singular gets 0."""
+    f0, ok = evaluate(x)
+    if not ok:
+        raise SingularMatrixError("objective singular at the evaluation point")
     g = np.zeros_like(x)
     flags = np.zeros(x.size, dtype=bool)
     for j in range(x.size):
@@ -367,22 +356,13 @@ def _fd_gradient(evaluate, x, step, f0=None):
         xm[j] -= h
         fp, okp = evaluate(xp)
         fm, okm = evaluate(xm)
+        flags[j] = not (okp and okm)
         if okp and okm:
             g[j] = (fp - fm) / (2.0 * h)
-        else:
-            flags[j] = True
-            if f0 is None:
-                f0, ok0 = evaluate(x)
-                if not ok0:
-                    raise SingularMatrixError(
-                        "objective singular at the gradient base point"
-                    )
-            if okp:
-                g[j] = (fp - f0) / h
-            elif okm:
-                g[j] = (f0 - fm) / h
-            else:
-                g[j] = 0.0
+        elif okp:
+            g[j] = (fp - f0) / h
+        elif okm:
+            g[j] = (f0 - fm) / h
     return g, flags
 
 
@@ -395,14 +375,8 @@ def gradient(obj, K, sys, spec, tol=DEFAULT_TOL):
     difference.  Values come from the same evaluation as `minimize`, so an
     F-only objective on an F-unique structure has gradient exactly zero.
     """
-    placer = Placer(sys, spec, tol)
-    evaluate = _Evaluator(obj, placer)
-    x = K.to_vector()
-    f0, ok = evaluate(x)
-    if not ok:
-        raise SingularMatrixError("objective singular at the evaluation point")
-    g, _ = _fd_gradient(evaluate, x, _FD_STEP, f0)
-    return g
+    evaluate = _Evaluator(obj, Placer(sys, spec, tol))
+    return _fd_gradient(evaluate, K.to_vector(), _FD_STEP)[0]
 
 
 def _backtrack(evaluate, x, p, fx, slope, size):
@@ -514,47 +488,35 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
     """
     placer = Placer(sys, spec, tol)
     evaluate = _Evaluator(obj, placer)
-    if evaluate.K_star is not None:
-        res = evaluate.placement_star
-        return OptResult(
-            evaluate.K_star,
-            evaluate.fixed,
-            ((evaluate.fixed,),) * opts.restarts,
-            (evaluate.fixed,) * opts.restarts,
-            res,
-            placement_metrics(sys, spec, res, tol),
-            ("grad_tol",) * opts.restarts,
-            (0,) * opts.restarts,
-        )
-
-    dim = sys.m * sys.n
-    streams = np.random.SeedSequence(opts.seed).spawn(opts.restarts)
     # (trace, final value, termination, evaluations) per restart
-    runs = []
-    best_x, best_val = None, float("inf")
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        for draws in range(1, _RESAMPLE_LIMIT + 1):
-            x0 = rng.standard_normal(dim)
-            pt0 = evaluate.point(x0)
-            if pt0 is not None:
-                break
-        else:
-            runs.append(((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
-            continue
-        x, val, trace, termination, probes = _bfgs_restart(
-            evaluate, x0, pt0, opts
-        )
-        runs.append((tuple(trace), val, termination, draws + probes))
-        if val < best_val:
-            best_x, best_val = x, val
-    if best_x is None:
-        raise SingularMatrixError(
-            "all restarts produced singular placements at initialization"
-        )
-
-    best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
-    res = placer.place(best_K)
+    if evaluate.K_star is not None:
+        best_K, best_val, res = evaluate.K_star, evaluate.fixed, evaluate.placement_star
+        runs = [((best_val,), best_val, "grad_tol", 0)] * opts.restarts
+    else:
+        runs = []
+        best_x, best_val = None, float("inf")
+        for stream in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
+            rng = np.random.default_rng(stream)
+            for draws in range(1, _RESAMPLE_LIMIT + 1):
+                x0 = rng.standard_normal(sys.m * sys.n)
+                pt0 = evaluate.point(x0)
+                if pt0 is not None:
+                    break
+            else:
+                runs.append(((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
+                continue
+            x, val, trace, termination, probes = _bfgs_restart(
+                evaluate, x0, pt0, opts
+            )
+            runs.append((tuple(trace), val, termination, draws + probes))
+            if val < best_val:
+                best_x, best_val = x, val
+        if best_x is None:
+            raise SingularMatrixError(
+                "all restarts produced singular placements at initialization"
+            )
+        best_K = ParameterMatrix.from_vector(spec, sys.m, best_x)
+        res = placer.place(best_K)
     traces, finals, terminations, evaluations = zip(*runs)
     return OptResult(best_K, best_val, traces, finals, res,
                      placement_metrics(sys, spec, res, tol), terminations,

@@ -917,9 +917,8 @@ class TestStackedLineSearch:
 
             def points(self, X):
                 self.calls.append(len(X))
-                pts = optimize._Points(list(range(len(X))), None, None)
-                pts.values = [math.inf] * len(X)
-                return pts
+                rows = list(range(len(X)))
+                return optimize._Points(rows, [math.inf] * len(X), None, None, None)
 
         monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", count + budget_offset)
         evaluate = Rejecting()

@@ -8,6 +8,7 @@ sigma_max`` throughout, so callers get one consistent notion of numerical
 rank.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ class ToleranceConfig:
 
     rank_tol_factor scales the standard SVD rank threshold, residual_tol
     scales acceptance of placement residuals, and singular_cond_limit is the
-    condition number beyond which a matrix is treated as singular.
+    condition number beyond which a matrix is treated as singular.  The
+    first two must be finite, or every rank and residual test would pass;
+    singular_cond_limit = inf treats only exact singularity as singular.
     """
 
     rank_tol_factor: float = 1.0
@@ -29,9 +32,11 @@ class ToleranceConfig:
     singular_cond_limit: float = 1e12
 
     def __post_init__(self):
-        for name in ("rank_tol_factor", "residual_tol", "singular_cond_limit"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("rank_tol_factor", "residual_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.singular_cond_limit > 0:
+            raise ValueError("singular_cond_limit must be strictly positive")
 
     def rank_threshold(self, shape, sigma_max):
         return self.rank_tol_factor * max(shape) * np.finfo(float).eps * sigma_max

@@ -359,6 +359,7 @@ class TestBadInputValues:
             ["place", "--seed", "-1"],
             ["optimize", "--seed", "-1"],
             ["bench", "--seed", "-1"],
+            ["place", "--tol", "inf"],
         ],
     )
     def test_out_of_range_flag_exits_one(self, tmp_path, capsys, argv):

@@ -41,6 +41,15 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(residual_tol=float("nan"))
 
 
+def test_tolerance_config_rejects_infinite_tolerances():
+    # an infinite tolerance would pass every rank and residual test
+    for name in ("rank_tol_factor", "residual_tol"):
+        with pytest.raises(ValueError, match="finite"):
+            ToleranceConfig(**{name: float("inf")})
+    # an infinite limit means "only exact singularity"
+    assert ToleranceConfig(singular_cond_limit=float("inf")).singular_cond_limit > 0
+
+
 class TestKernelBasis:
     def test_rank_one_row(self):
         N = kernel_basis(np.array([[1.0, 1.0]]))

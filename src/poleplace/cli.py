@@ -7,6 +7,7 @@ numerics.  All commands are deterministic for a fixed --seed.
 """
 
 import argparse
+import functools
 import sys as _sys
 from pathlib import Path
 
@@ -57,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# built once per process: the five subparsers cost ~1 ms, more than a parse
+@functools.cache
 def build_parser():
     parser = _Parser(prog="poleplace", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,7 +8,6 @@ sigma_max`` throughout, so callers get one consistent notion of numerical
 rank.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +22,9 @@ class ToleranceConfig:
     rank_tol_factor scales the standard SVD rank threshold, residual_tol
     scales acceptance of placement residuals, and singular_cond_limit is the
     condition number beyond which a matrix is treated as singular.  The
-    first two must be finite, or every rank and residual test would pass;
-    singular_cond_limit = inf treats only exact singularity as singular.
+    first two must be finite: an infinite residual_tol passes every
+    residual test, and an infinite rank_tol_factor gives every matrix rank
+    0.  singular_cond_limit = inf treats only exact singularity as singular.
     """
 
     rank_tol_factor: float = 1.0
@@ -33,7 +33,7 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("rank_tol_factor", "residual_tol"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not self.singular_cond_limit > 0:
             raise ValueError("singular_cond_limit must be strictly positive")

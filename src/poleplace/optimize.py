@@ -341,8 +341,13 @@ _FD_STEP = float(np.finfo(float).eps ** (1.0 / 3.0))
 
 
 def _fd_gradient(evaluate, x, step):
-    """Central differences with one-sided fallback at singular probes; a
-    coordinate whose two probes are both singular gets 0."""
+    """Central differences with one-sided fallback at singular probes.
+
+    The one-sided differences go through f(x), which is evaluated first
+    and must be nonsingular; a coordinate whose two probes are both
+    singular gets 0.  Returns the gradient and the flags of the
+    coordinates that fell back.
+    """
     f0, ok = evaluate(x)
     if not ok:
         raise SingularMatrixError("objective singular at the evaluation point")

@@ -161,15 +161,13 @@ def normalize_ordering(raw):
 
 def jordan_matrix(spec):
     """Assemble the complex block-diagonal Jordan matrix of the structure."""
-    n = spec.n
-    J = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for lam, orders in zip(spec.eigenvalues, spec.block_orders):
-        for p in orders:
-            blk = np.diag(np.full(p, lam)) + np.diag(np.ones(p - 1), 1)
-            J[pos : pos + p, pos : pos + p] = blk
-            pos += p
-    return J
+    orders = [p for block in spec.block_orders for p in block]
+    diagonal = np.repeat(np.asarray(spec.eigenvalues, dtype=complex),
+                         spec.multiplicities)
+    # ones on the superdiagonal but at the last column of each mini-block
+    ones = np.ones(spec.n - 1)
+    ones[np.cumsum(orders)[:-1] - 1] = 0.0
+    return np.diag(diagonal) + np.diag(ones, 1)
 
 
 def controllability_indices(sys, tol=DEFAULT_TOL):

@@ -6,13 +6,18 @@ of the closed loop with the squared gain.  alpha = 1 is pure robustness,
 alpha = 0 pure minimum gain.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 import poleplace as pp
 
+# the shipped corpus beside demos/, so the demo runs from any directory
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
 # the classic 4-state chemical reactor with the hardest admissible request:
 # all poles at zero, Jordan blocks sized by the controllability indices
-entry = pp.load_system("corpus/bn01_reactor.json")
+entry = pp.load_system(CORPUS / "bn01_reactor.json")
 sys = entry.system
 spec = pp.defective_zero_structure(sys)
 print("system:", entry.name, f"(n={sys.n}, m={sys.m})")

@@ -8,10 +8,13 @@ command line:
     poleplace bench --corpus corpus --restarts 6 --max-iters 300 --seed 0
 """
 
+from pathlib import Path
+
 import poleplace as pp
 from poleplace.report import render_csv, render_markdown
 
-entries = pp.load_corpus("corpus")
+# the shipped corpus beside demos/, so the demo runs from any directory
+entries = pp.load_corpus(Path(__file__).resolve().parent.parent / "corpus")
 print(f"{len(entries)} corpus entries:", ", ".join(e.name for e in entries))
 print()
 

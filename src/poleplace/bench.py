@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PolePlaceError
+from .errors import ParseError, PolePlaceError
 from .linalg import DEFAULT_TOL
 from .optimize import ObjectiveSpec, OptOptions, minimize
 from .placement import residual_ok
@@ -67,11 +67,15 @@ def builtin_systems():
 
 
 def load_corpus(corpus_dir):
-    """Load every *.json entry of a corpus directory, sorted by name."""
-    entries = []
-    for path in sorted(Path(corpus_dir).glob("*.json")):
-        entries.append(load_system(path))
-    return entries
+    """Load every *.json entry of a corpus directory, sorted by name.
+
+    A missing directory, or one without entries, raises ParseError.
+    """
+    paths = sorted(Path(corpus_dir).glob("*.json"))
+    if not paths:
+        raise ParseError(f"corpus directory {corpus_dir}: no *.json entries "
+                         "(missing or empty)")
+    return [load_system(path) for path in paths]
 
 
 def run_bench(entries, objective=ObjectiveSpec("condition", 1.0),

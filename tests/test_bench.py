@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 
 import poleplace as pp
 from poleplace.bench import (
@@ -25,6 +26,14 @@ class TestDefectiveZeroStructure:
         assert spec.eigenvalues == (0.0,)
         assert spec.block_orders == ((2, 1),)
         assert pp.check_admissible(spec, sys).satisfied
+
+
+class TestLoadCorpus:
+    def test_missing_or_empty_directory_raises(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("no entries here")
+        for corpus in (tmp_path / "no_such_dir", tmp_path):
+            with pytest.raises(pp.ParseError, match=str(corpus)):
+                load_corpus(corpus)
 
 
 class TestRunBench:

@@ -318,6 +318,17 @@ class TestBench:
         assert text.startswith("example,method,")
         assert len(text.strip().splitlines()) == 3
 
+    @pytest.mark.parametrize("make", ("missing", "empty"))
+    def test_corpus_without_entries_is_an_error(self, capsys, tmp_path, make):
+        corpus = tmp_path / "corpus"
+        if make == "empty":
+            corpus.mkdir()
+        code, out, err = run(
+            capsys, ["bench", "--corpus", str(corpus), "--format", "csv"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(corpus) in err
+
 
 class TestRecover:
     def test_round_trip_via_cli(self, tmp_path, capsys):

@@ -5,7 +5,10 @@ Only the complex Schur form needs scipy; `schur_triangular` imports it on
 first call, so importing the package does not load scipy.  Rank decisions
 use the singular-value threshold ``rank_tol_factor * max(dims) * eps *
 sigma_max`` throughout, so callers get one consistent notion of numerical
-rank.
+rank.  Singularity is likewise decided by one test, `nonsingular_rows` on
+the singular values; `certified_rows` only spares that SVD on the rows an
+inverse already formed shows to be well within the limit, rows the SVD
+test would accept.
 """
 
 from dataclasses import dataclass
@@ -54,6 +57,58 @@ def nonsingular_rows(s, tol=DEFAULT_TOL):
     limit = tol.singular_cond_limit
     return [i for i, row in enumerate(s.tolist())
             if row[-1] > 0 and row[0] / row[-1] <= limit]
+
+
+# where n eps kappa, the relative error of a computed inverse and of the
+# SVD's sigma_min at condition kappa, stays ~1e-3 for small n
+_CERTIFY_COND = 1e-3 / np.finfo(float).eps
+
+
+def certified_rows(V, Vi, tol=DEFAULT_TOL):
+    """The rows of a stack V of square matrices that `nonsingular_rows`
+    would accept, certified from their computed inverses Vi without an SVD.
+
+    Row i is certified when c = ||V_i||_F ||Vi_i||_F <= b, with
+    b = min(tol.singular_cond_limit, _CERTIFY_COND) / 2.  Since kappa_2 <=
+    kappa_F, the true kappa_2 is at most c (1 + d1), where d1 ~ n eps kappa
+    is the relative error of the computed inverse; the SVD's
+    sigma_max / sigma_min is within a factor 1 + d2 of kappa_2, d2 ~ n eps
+    kappa as well.  At kappa <= b both are ~1e-3, so the SVD reads at most
+    c (1 + d1)(1 + d2) < 2 b <= tol.singular_cond_limit with sigma_min > 0:
+    every certified row passes `nonsingular_rows`, which still decides the
+    rows left over.  A NaN or infinite c, such as an overflowing Vi gives,
+    is never certified, and raises no warning.
+    """
+    bound = 0.5 * min(tol.singular_cond_limit, _CERTIFY_COND)
+    k = len(V)
+    a, b = V.reshape(k, -1), Vi.reshape(k, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_sq = np.vecdot(a, a) * np.vecdot(b, b)
+    return np.flatnonzero(c_sq <= bound * bound).tolist()
+
+
+def nonsingular_inverses(V, tol=DEFAULT_TOL):
+    """The rows of a stack V of square matrices that pass
+    `nonsingular_rows`, and their inverses: (rows, Vi[rows]).
+
+    The stacked inverse comes first, and `certified_rows` accepts the rows
+    it shows to be well conditioned; only the rows left over go through
+    `nonsingular_rows` on their own stacked SVD.  When the inverse raises
+    (an exactly singular row), the SVD decides every row first.  Each row's
+    inverse has the bits of a one-row call either way.
+    """
+    try:
+        Vi = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        rows = nonsingular_rows(np.linalg.svd(V, compute_uv=False), tol)
+        return rows, np.linalg.inv(V[rows])
+    rows = certified_rows(V, Vi, tol)
+    if len(rows) < len(V):
+        rest = [i for i in range(len(V)) if i not in rows]
+        s = np.linalg.svd(V[rest], compute_uv=False)
+        rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
+        Vi = Vi[rows]
+    return rows, Vi
 
 
 def checked_svals(M, tol=DEFAULT_TOL):

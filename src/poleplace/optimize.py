@@ -23,7 +23,11 @@ map); values come from L x and F = W V^-1, and gradients are exact, pulled
 back through L.  The evaluator keeps L dense: at n <= 6 one dense product
 is cheaper than the map's gather plus stacked product.  [V; W] is linear in
 x, so k probes are k columns of one stacked product with L, and their
-singular values, inverses and values come from one stacked call each.
+inverses and values come from one stacked call each.  Only the condition
+term at alpha > 0 reads V's singular values, so only it takes a stacked
+SVD of every probe; elsewhere the inverse certifies the well-conditioned
+probes nonsingular (`linalg.certified_rows`), and the SVD singularity test
+runs only on the rest, accepting the same probes.
 Every placement assigns the requested spectrum, so the normality objective
 needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
@@ -50,8 +54,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import DEFAULT_TOL, fro_norm, nonsingular_rows
-from .metrics import (
+from .linalg import (
+    DEFAULT_TOL,
+    checked_svals,
+    fro_norm,
+    nonsingular_inverses,
+    nonsingular_rows,
+)
+# kappa_2 is unused here but stays a module attribute: perfbench's tracer
+# wraps optimize.kappa_fro and optimize.kappa_2 by name
+from .metrics import (  # noqa: F401
     assigned_departure_sq,
     departure_from_normality,
     kappa_2,
@@ -219,6 +231,8 @@ class _Evaluator:
         self.spec = placer.spec
         self.m = placer.sys.m
         self.mass = spectrum_mass(self.spec)
+        # only the condition term at alpha > 0 reads V's singular values
+        self.reads_svals = obj.method == "condition" and obj.alpha > 0.0
         self.K_star = self.placement_star = self.fixed = None
         f_only = obj.method == "normality" or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
@@ -249,30 +263,44 @@ class _Evaluator:
     def points(self, X):
         """The evaluations at the rows of X, as `_Points`.
 
-        Singularity is decided per row by `linalg.nonsingular_rows` on one
-        stacked `svd`, and values are formed only on the nonsingular rows.
-        The condition term is sum s^2 + sum s^-2 of V's singular values;
+        Values are formed only on the rows whose V passes the one
+        singularity test, `linalg.nonsingular_rows`.  The condition term at
+        alpha > 0 is sum s^2 + sum s^-2 of V's singular values, so there one
+        stacked `svd` decides every row before the stacked `inv`.  Every
+        other objective reads only V^-1 and F: the stacked `inv` comes
+        first, and a row whose Frobenius condition number, read from that
+        inverse, is well within the limit is accepted without an SVD
+        (`linalg.nonsingular_inverses`); only the rows left over take one.
+        Both orders accept the same rows, with the same bits.
         the normality term is Henrici's identity on the stacked A + B F
         (`assigned_departure_sq`, which falls back to the Schur form row by
         row on a nearly normal loop), the same identity `grad`
         differentiates.  The gain term is added row by row, as
         alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
         """
-        n, k = self.sys.n, len(X)
+        n, k, tol = self.sys.n, len(X), self.placer.tol
         VW = np.matmul(self.L, X[:, :, None]).reshape(k, n + self.m, n)
         V, W = VW[:, :n], VW[:, n:]
-        s = np.linalg.svd(V, compute_uv=False)
-        rows = nonsingular_rows(s, self.placer.tol)
-        if len(rows) < k:
-            V, W, s = V[rows], W[rows], s[rows]
-        Vi = np.linalg.inv(V)
+        if self.reads_svals:
+            s = np.linalg.svd(V, compute_uv=False)
+            rows = nonsingular_rows(s, tol)
+            if len(rows) < k:
+                V, W, s = V[rows], W[rows], s[rows]
+            Vi = np.linalg.inv(V)
+        else:
+            rows, Vi = nonsingular_inverses(V, tol)
+            if len(rows) < k:
+                V, W = V[rows], W[rows]
         F = W @ Vi
         if self.fixed is not None:
             values = [self.fixed] * len(rows)
-        elif self.obj.method == "condition":
+        elif self.reads_svals:
             values = (np.sum(s**2, axis=1) + np.sum(s**-2, axis=1)).tolist()
-        else:
+        elif self.obj.method == "normality":
             values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
+        else:
+            # condition at alpha = 0, the gain alone: 0 robust is +0.0
+            values = [0.0] * len(rows)
         if self.fixed is None and self.obj.alpha != 1.0:
             values = [self._blend(r, f) for r, f in zip(values, F)]
         return _Points(rows, values, V, Vi, F)
@@ -540,9 +568,12 @@ def placement_metrics(sys, spec, res, tol):
         delta = float(np.sqrt(assigned_departure_sq(Acl, spectrum_mass(spec))))
     else:
         delta = departure_from_normality(Acl)
+    # both condition numbers of V from one SVD, as `kappa_fro` and `kappa_2`
+    # form them
+    s = checked_svals(res.V, tol)
     return {
-        "kappa_fro": kappa_fro(res.V, tol),
-        "kappa_2": kappa_2(res.V, tol),
+        "kappa_fro": float(np.sqrt(np.sum(s**2) * np.sum(s**-2))),
+        "kappa_2": float(s[0] / s[-1]),
         "kappa_fro_X": kappa_fro(res.X, tol),
         "delta_fro": delta,
         "gain_fro": fro_norm(res.F),

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 
 from poleplace.linalg import (
     ToleranceConfig,
+    certified_rows,
     fro_norm,
     kernel_and_pseudo_inverse,
     kernel_basis,
+    nonsingular_inverses,
+    nonsingular_rows,
     pseudo_inverse,
     schur_triangular,
     two_norm,
@@ -206,3 +210,85 @@ class TestNorms:
             M = rng.standard_normal((r, c))
             assert two_norm(M) <= fro_norm(M) + 1e-14
             assert fro_norm(M) <= np.sqrt(min(r, c)) * two_norm(M) + 1e-12
+
+
+def conditioned_stack(rng, n, conds):
+    """One n x n matrix U diag(s) W^T per entry of conds, with orthogonal
+    U, W and singular values s geometric from 1 down to 1 / cond, scaled by
+    a random power of ten."""
+    out = []
+    for cond in conds:
+        U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        W = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-3, 3)
+        out.append((U * s) @ W.T)
+    return np.array(out)
+
+
+class TestCertifiedRows:
+    """`certified_rows` plus the SVD of the rows it leaves decides as
+    `nonsingular_rows` on the SVD of every row."""
+
+    @pytest.mark.parametrize("limit", (1e12, 1e6, 1e3, np.inf))
+    @pytest.mark.parametrize("singular", ("rank_deficient", "zero_column", "tiny"))
+    def test_same_rows_as_the_svd_test(self, limit, singular):
+        tol = ToleranceConfig(singular_cond_limit=limit)
+        rng = np.random.default_rng(80)
+        certified = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            V = conditioned_stack(rng, n, 10.0 ** rng.uniform(0, 15, 8))
+            i = int(rng.integers(8))
+            if singular == "rank_deficient":
+                # rank n - 1 before rounding: w spans its kernel
+                w = rng.standard_normal(n)
+                w /= np.linalg.norm(w)
+                V[i] -= np.outer(V[i] @ w, w)
+            elif singular == "zero_column":
+                # an exact zero pivot: the stacked inverse raises
+                V[i][:, int(rng.integers(n))] = 0.0
+            else:
+                # well conditioned, but ||V^-1||_F^2 overflows
+                V[i] = 1e-170 * conditioned_stack(rng, n, [10.0])[0]
+            expected = nonsingular_rows(np.linalg.svd(V, compute_uv=False), tol)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    want = np.linalg.inv(V[expected])
+                except np.linalg.LinAlgError:
+                    # the SVD passed a row with an exact zero pivot, which
+                    # only an infinite limit lets through: both orders raise
+                    assert limit == np.inf
+                    with pytest.raises(np.linalg.LinAlgError):
+                        nonsingular_inverses(V, tol)
+                    continue
+                rows, Vi = nonsingular_inverses(V, tol)
+                try:
+                    cert = certified_rows(V, np.linalg.inv(V), tol)
+                except np.linalg.LinAlgError:
+                    # an exact zero pivot: the SVD decides every row
+                    assert singular != "tiny"
+                    cert = []
+            assert rows == expected
+            assert set(cert) <= set(expected)
+            assert np.array_equal(Vi, want)
+            certified += len(cert)
+        # every zero-column stack falls back to the SVD of every row
+        assert (certified > 0) == (singular != "zero_column")
+
+    def test_certificate_bound(self):
+        tol = ToleranceConfig()
+        rng = np.random.default_rng(81)
+        conds = [1.0, 1e6, 1e10, 4e11, 1e12]
+        V = conditioned_stack(rng, 4, conds)
+        c = [fro_norm(v) * fro_norm(np.linalg.inv(v)) for v in V]
+        got = certified_rows(V, np.linalg.inv(V), tol)
+        # half the default limit, 1e12
+        assert got == [i for i, ci in enumerate(c) if ci <= 5e11]
+        assert got[:3] == [0, 1, 2] and 4 not in got
+
+    def test_nan_is_never_certified(self):
+        V = np.array([np.eye(2), np.full((2, 2), np.nan)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert certified_rows(V, np.linalg.inv(V)) == [0]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import poleplace as pp
-from poleplace import optimize
+from poleplace import linalg, optimize
 from poleplace.bench import defective_zero_structure
 from poleplace.linalg import checked_svals, fro_norm
 from poleplace.metrics import (
@@ -684,7 +684,7 @@ class TestStackedPoints:
         return rng, sys, spec, K.to_vector()
 
     @pytest.mark.parametrize("method", ("condition", "normality"))
-    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
     def test_rows_match_one_row_calls_bitwise(self, method, alpha):
         rng, sys, spec, x_normal = self.normal_loop_case()
         dim = sys.m * sys.n
@@ -715,6 +715,47 @@ class TestStackedPoints:
         Acl = sys.A + sys.B @ pts.at(pts.rows.index(2)).F
         total = fro_norm(Acl) ** 2
         assert total - evaluate.mass < _IDENTITY_FLOOR * total
+
+    @pytest.mark.parametrize("method,alpha",
+                             (("normality", 1.0), ("condition", 0.0)))
+    def test_rows_near_a_singular_point_match_the_svd_test(
+            self, monkeypatch, method, alpha):
+        # probes along a line through a point where V is singular, at
+        # relative distances 1e-1 .. 1e-16 in quarter decades: the certified
+        # rows and the SVD of the others decide as the SVD of every row
+        rng, sys, spec, _ = self.normal_loop_case()
+        evaluate = _Evaluator(pp.ObjectiveSpec(method, alpha), pp.Placer(sys, spec))
+        n, dim = sys.n, sys.m * sys.n
+        xa, xb = rng.standard_normal((2, dim))
+        Va, Vb = (evaluate.L @ np.array([xa, xb]).T).T.reshape(2, -1, n)[:, :n]
+        # det(Va + t (Vb - Va)) = 0 at each real eigenvalue t of this pencil
+        ts = np.linalg.eigvals(-np.linalg.solve(Vb - Va, Va))
+        t0 = float(ts[np.argmin(np.abs(ts.imag))].real)
+        offsets = t0 * 10.0 ** -np.arange(1.0, 17.0, 0.25)
+        X = xa + np.multiply.outer(t0 + np.concatenate((offsets, -offsets)),
+                                   xb - xa)
+        certify, calls = linalg.certified_rows, []
+
+        def logged_certify(V, Vi, tol):
+            rows = certify(V, Vi, tol)
+            calls.append((len(V), len(rows)))
+            return rows
+
+        monkeypatch.setattr(linalg, "certified_rows", logged_certify)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = [evaluate.points(chunk) for chunk in np.split(X, 16)]
+            references = [reference_point(evaluate, x) for x in X]
+        rows = [8 * c + i for c, p in enumerate(pts) for i in p.rows]
+        assert rows == [i for i, ref in enumerate(references) if ref is not None]
+        # both sides of the limit occur, and some chunk certified only part
+        # of its rows
+        assert 0 < len(rows) < len(X)
+        assert any(0 < certified < k for k, certified in calls)
+        got = [p.at(j) for p in pts for j in range(len(p.rows))]
+        for pt, i in zip(got, rows):
+            assert pt.value == references[i][3]
+            assert same_bits(pt.F, references[i][2])
 
     def test_all_rows_singular(self):
         rng, sys, spec, _ = self.normal_loop_case()
@@ -820,10 +861,13 @@ class TestStackedLineSearch:
     @staticmethod
     def both(monkeypatch, obj, sys, spec, opts):
         """minimize with the stacked line search and with the sequential
-        reference, and what each stacked search was: (first chunk size,
-        rows of each points call, probes, stop)."""
-        searches = []
+        reference, what each stacked search was: (first chunk size, rows of
+        each points call, probes, stop), and how many rows the stacked run
+        certified nonsingular from their inverses.  The reference decides
+        every row by the SVD test: nothing is certified there."""
+        searches, certified = [], []
         backtrack, points = optimize._backtrack, _Evaluator.points
+        certify = linalg.certified_rows
 
         def logged_backtrack(evaluate, x, p, fx, slope, size):
             searches.append([size, []])
@@ -836,13 +880,20 @@ class TestStackedLineSearch:
                 searches[-1][1].append(len(X))
             return points(self, X)
 
+        def logged_certify(V, Vi, tol):
+            rows = certify(V, Vi, tol)
+            certified.append(len(rows))
+            return rows
+
         monkeypatch.setattr(optimize, "_backtrack", logged_backtrack)
         monkeypatch.setattr(_Evaluator, "points", logged_points)
+        monkeypatch.setattr(linalg, "certified_rows", logged_certify)
         stacked = pp.minimize(obj, sys, spec, opts)
         monkeypatch.undo()
         monkeypatch.setattr(optimize, "_bfgs_restart", sequential_bfgs_restart)
+        monkeypatch.setattr(linalg, "certified_rows", lambda V, Vi, tol: [])
         sequential = pp.minimize(obj, sys, spec, opts)
-        return stacked, sequential, searches
+        return stacked, sequential, searches, sum(certified)
 
     @staticmethod
     def assert_identical(a, b):
@@ -864,15 +915,17 @@ class TestStackedLineSearch:
     def test_normality_instances(self, monkeypatch, obj, case, max_iters):
         sys, spec = normality_instances()[case]
         opts = pp.OptOptions(restarts=2, max_iters=max_iters, seed=case)
-        stacked, sequential, searches = self.both(
+        stacked, sequential, searches, certified = self.both(
             monkeypatch, obj, sys, spec, opts)
         self.assert_identical(stacked, sequential)
         # some probes were stacked
         assert max(max(rows) for _, rows, *_ in searches) > 1
+        # only the condition term at alpha > 0 has every row take the SVD
+        assert (certified > 0) == (obj.method == "normality")
 
     def test_bn02_roundoff_stop_mid_chunk(self, monkeypatch):
         sys, spec = TestTerminations.corpus_case("bn02_distillation")
-        stacked, sequential, searches = self.both(
+        stacked, sequential, searches, _ = self.both(
             monkeypatch, pp.ObjectiveSpec("condition", 1.0), sys, spec,
             pp.OptOptions(restarts=4))
         self.assert_identical(stacked, sequential)
@@ -885,7 +938,7 @@ class TestStackedLineSearch:
 
     def test_iteration_cap(self, monkeypatch):
         sys, spec = TestTerminations.corpus_case("bn02_distillation")
-        stacked, sequential, _ = self.both(
+        stacked, sequential, _, _ = self.both(
             monkeypatch, pp.ObjectiveSpec("normality", 0.5), sys, spec,
             pp.OptOptions(restarts=3, max_iters=7, seed=2))
         self.assert_identical(stacked, sequential)

@@ -1,11 +1,17 @@
-"""Time placement and evaluation layers in two source trees on fixed-seed instances.
+"""Time placement and evaluation layers of two source trees in one interpreter.
 
     python3 scripts/bench_operator.py --parent ../parent --change . \
         --out BENCH.json
 
-Each tree is measured in its own fresh interpreter, with BLAS pinned to one
-thread, on the same instances, drawn by perfbench's generators from seed 1.
-Three sections are written:
+Both trees' `src/poleplace` packages are loaded side by side in this one
+process, under the distinct names poleplace_parent and poleplace_change,
+and their calls are interleaved: every repeat times the parent's call and
+the change's call back to back, alternating which goes first.  So both
+sides meet the same state of the host, down to the µs, which separate
+interpreters per tree cannot give.  BLAS is pinned to one thread.  The
+instances are drawn by the change tree's perfbench generators from seed 1,
+once per tree from equal generator states, so both sides get the same
+inputs.  Three sections are written:
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
@@ -17,37 +23,37 @@ Three sections are written:
   per place_ladder cell (each (n, m) of the ladder with each structure
   class), each timed after one untimed call that fills any lazily built
   cache.
-- "evaluation": the optimizer's objective evaluations on k in {1, 2, 4, 8}
+- "evaluation": one stacked `_Evaluator.points` call on k in {1, 2, 4, 8}
   probes x + t p, t = 1, 1/2, ..., of one line, from a nonsingular start
-  x.  Each tree times k one-row `_Evaluator.point` calls; a tree whose
-  evaluator has the stacked `points` also times one `points` call on the
-  k rows, interleaved with the k `point` calls (each repeat times both,
-  in alternating order), so that the two meet the same state of the host.  The instances are the normality
+  x, the rows the line search hands it.  The instances are the normality
   objective (alpha = 1) on the random_normality structures at n = 4..6,
-  m = 2 above, and the condition objective (alpha = 1) on the corpus
-  entry bn02_distillation.  Each row holds "one_at_a_time" (k `point`
-  calls, parent against change) and, when the change has `points`,
-  "stacked" (the change's one `points` call against its own k `point`
-  calls, timed in one process) and "stacked_vs_parent" (against the
-  parent's k `point` calls).  This section runs EVALUATION_ROUNDS rounds.
+  m = 2 above, and the condition objective (alpha = 1) on the corpus entry
+  bn02_distillation.
 
-Each probe runs ROUNDS times per tree, alternating which tree goes first,
-so that drift of the host's speed falls on both sides alike; every call is
-timed REPEATS times per instance, tree and round.  The record holds each
-side's minimum and median over all rounds, its median in each round (so
-that a difference can be judged against the round-to-round spread of
-either side) and the change/parent ratio of the overall medians.  The
-sections are stored under their keys of the --out JSON file, which is
-created when missing and otherwise updated in place.
+Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation") of
+its repeats.  The record holds each side's minimum and median over all
+rounds, its median in each round (so that a difference can be judged
+against the round-to-round spread of either side) and the change/parent
+ratio of the overall medians.  The sections are stored under their keys of
+the --out JSON file, which is created when missing and otherwise updated
+in place.
 """
 
-import argparse
-import json
 import os
-import statistics
-import subprocess
-import sys
-from pathlib import Path
+
+# before numpy is imported: one BLAS thread, as perfbench runs
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 # (label, n, m, generator, structure class)
 INSTANCES = (
@@ -57,161 +63,162 @@ INSTANCES = (
     ("n16-m4-defective", 16, 4, "ladder", "defective"),
     ("n32-m8-simple", 32, 8, "ladder", "simple"),
 )
+PROBES = (1, 2, 4, 8)
 REPEATS = 20
 ROUND_TRIP_REPEATS = 200
 EVALUATION_REPEATS = 300
 EVALUATION_ROUNDS = 8
 ROUNDS = 4
 
-PRELUDE = """
-import json, sys, time
-import numpy as np
-sys.path[:0] = ["src", "perfbench"]
-import poleplace as pp
-import workloads
 
-def timed(call, repeats):
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
+def load_module(name, path, package_dir=None):
+    """Import the file at path as module `name`; with package_dir, as a
+    package whose submodules are found there."""
+    spec = importlib.util.spec_from_file_location(
+        name, path,
+        submodule_search_locations=None if package_dir is None else [str(package_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_tree(tree, side):
+    """The poleplace package of a source tree, as poleplace_<side>."""
+    src = tree / "src" / "poleplace"
+    return load_module(f"poleplace_{side}", src / "__init__.py", src)
+
+
+def interleaved(calls, repeats, rounds):
+    """{side: [[seconds of each call] per round]}, timing the calls of
+    calls = {side: call} back to back, the first side alternating."""
+    times = {side: [[] for _ in range(rounds)] for side in calls}
+    sides = list(calls)
+    for r in range(rounds):
+        for i in range(repeats):
+            for side in sides if (r + i) % 2 == 0 else sides[::-1]:
+                t0 = time.perf_counter()
+                calls[side]()
+                times[side][r].append(time.perf_counter() - t0)
     return times
-"""
-
-# Run inside each tree: prints {label: [build seconds, ...]} as JSON.
-OPERATOR_PROBE = PRELUDE + """
-out = {}
-for label, n, m, gen, cls in json.loads(sys.argv[1]):
-    rng = np.random.default_rng([1, n, m])
-    if gen == "normality":
-        make = lambda r: workloads.normality_structure(pp, r, n, cls)
-    else:
-        make = lambda r: workloads.ladder_structure(pp, r, n, m, cls)
-    placer = pp.Placer(*workloads.admissible_instance(pp, rng, n, m, make))
-    fresh = dict(placer.__dict__)
-
-    def build():
-        # back to the freshly built placer, whatever its caches are called
-        placer.__dict__ = dict(fresh)
-        placer.operator()
-
-    out[label] = timed(build, int(sys.argv[2]))
-print(json.dumps(out))
-"""
-
-# Run inside each tree: prints {label: {"point": {k: [seconds, ...]},
-# "points": {k: [...]}}}, "points" only where the evaluator has it.
-EVALUATION_PROBE = PRELUDE + """
-from poleplace.bench import defective_zero_structure
-from poleplace.optimize import _Evaluator
-
-cases = []
-for label, n, m, gen, cls in json.loads(sys.argv[1]):
-    if gen != "normality":
-        continue
-    rng = np.random.default_rng([1, n, m])
-    make = lambda r: workloads.normality_structure(pp, r, n, cls)
-    sys_, spec = workloads.admissible_instance(pp, rng, n, m, make)
-    cases.append((f"normality-{label}", "normality", sys_, spec, rng))
-bn02 = pp.load_system(workloads.CORPUS / "bn02_distillation.json").system
-cases.append(("condition-bn02", "condition", bn02,
-              defective_zero_structure(bn02), np.random.default_rng(1)))
-
-out = {}
-for label, method, sys_, spec, rng in cases:
-    evaluate = _Evaluator(pp.ObjectiveSpec(method, 1.0), pp.Placer(sys_, spec))
-    while True:
-        x = rng.standard_normal(sys_.m * sys_.n)
-        if evaluate.point(x) is not None:
-            break
-    X = x + 0.5 ** np.arange(8)[:, None] * rng.standard_normal(x.size)
-    repeats = int(sys.argv[2])
-    calls = {"point": lambda k: [evaluate.point(r) for r in X[:k]]}
-    if hasattr(evaluate, "points"):
-        calls["points"] = lambda k: evaluate.points(X[:k])
-    row = {name: {k: [] for k in (1, 2, 4, 8)} for name in calls}
-    for r in range(repeats):
-        for k in (1, 2, 4, 8):
-            # alternate which call goes first
-            for name, call in list(calls.items())[:: 1 - 2 * (r % 2)]:
-                row[name][k] += timed(lambda: call(k), 1)
-    out[label] = row
-print(json.dumps(out))
-"""
-
-# Run inside each tree: prints
-# {label: {"build_chains": [...], "place": [...], "recover": [...]}}
-# over the place_ladder cells, seconds per call.
-ROUND_TRIP_PROBE = PRELUDE + """
-out = {}
-for n, m in workloads.LADDER_CELLS:
-    for cls in workloads.STRUCTURE_CLASSES:
-        rng = np.random.default_rng([1, n, m])
-        make = lambda r: workloads.ladder_structure(pp, r, n, m, cls)
-        placer = pp.Placer(*workloads.admissible_instance(pp, rng, n, m, make))
-        while True:
-            K = pp.ParameterMatrix.random(placer.spec, m, rng)
-            try:
-                placer.place(K)
-                break
-            except pp.SingularMatrixError:
-                continue
-        chains = placer.build_chains(K)
-        placer.recover_parameters(chains)
-        repeats = int(sys.argv[1])
-        out[f"n{n}-m{m}-{cls}"] = {
-            "build_chains": timed(lambda: placer.build_chains(K), repeats),
-            "place": timed(lambda: placer.place(K), repeats),
-            "recover": timed(lambda: placer.recover_parameters(chains), repeats),
-        }
-print(json.dumps(out))
-"""
 
 
-def run_probe(tree, probe, *args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, *args],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise SystemExit(f"probe failed in {tree}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def measure(trees, probe, *args, rounds=ROUNDS):
-    """{side: [probe output, ...]} over alternating rounds."""
-    runs = {side: [] for side in trees}
-    for k in range(rounds):
-        order = list(trees) if k % 2 == 0 else list(trees)[::-1]
-        for side in order:
-            runs[side].append(run_probe(trees[side], probe, *args))
-    return runs
-
-
-def compare(rounds, label, sides=("parent", "change")):
+def compare(rounds, label):
     """Both sides' minimum and median over all rounds and their median per
     round, from {side: [call times of one round, ...]}, and the ratio of the
-    second side's median to the first's ("change_over_parent" by default)."""
-    first, second = sides
+    change's median to the parent's."""
     row = {}
-    for side in sides:
+    for side in ("parent", "change"):
         times = [t for run in rounds[side] for t in run]
         row[side] = {"min_s": min(times),
                      "median_s": statistics.median(times),
                      "round_medians_s": [statistics.median(run)
                                          for run in rounds[side]]}
-    ratio = row[second]["median_s"] / row[first]["median_s"]
-    row[f"{second}_over_{first}"] = ratio
-    spread = {side: [t * 1e6 for t in row[side]["round_medians_s"]]
-              for side in sides}
-    print(f"{label}: {row[first]['median_s'] * 1e6:.1f} -> "
-          f"{row[second]['median_s'] * 1e6:.1f} us ({ratio:.4f}); rounds "
-          + " -> ".join(f"{min(v):.1f}..{max(v):.1f}" for v in spread.values()),
+    ratio = row["change"]["median_s"] / row["parent"]["median_s"]
+    row["change_over_parent"] = ratio
+    spread = [[t * 1e6 for t in row[side]["round_medians_s"]]
+              for side in ("parent", "change")]
+    print(f"{label}: {row['parent']['median_s'] * 1e6:.1f} -> "
+          f"{row['change']['median_s'] * 1e6:.1f} us ({ratio:.4f}); rounds "
+          + " -> ".join(f"{min(v):.1f}..{max(v):.1f}" for v in spread),
           flush=True)
     return row
+
+
+def instance(pp, workloads, n, m, gen, cls, rng):
+    """A placer on the perfbench instance of the given generator."""
+    if gen == "normality":
+        def make(r):
+            return workloads.normality_structure(pp, r, n, cls)
+    else:
+        def make(r):
+            return workloads.ladder_structure(pp, r, n, m, cls)
+    return pp.Placer(*workloads.admissible_instance(pp, rng, n, m, make))
+
+
+def operator_builds(pps, workloads):
+    rows = {}
+    for label, n, m, gen, cls in INSTANCES:
+        calls = {}
+        for side, pp in pps.items():
+            placer = instance(pp, workloads, n, m, gen, cls,
+                              np.random.default_rng([1, n, m]))
+            fresh = dict(placer.__dict__)
+
+            def build(placer=placer, fresh=fresh):
+                # back to the freshly built placer, whatever its caches are called
+                placer.__dict__ = dict(fresh)
+                placer.operator()
+
+            calls[side] = build
+        rows[label] = compare(interleaved(calls, REPEATS, ROUNDS), label)
+    return rows
+
+
+def round_trips(pps, workloads):
+    rows = {}
+    for n, m in workloads.LADDER_CELLS:
+        for cls in workloads.STRUCTURE_CLASSES:
+            cell = f"n{n}-m{m}-{cls}"
+            calls = {"build_chains": {}, "place": {}, "recover": {}}
+            for side, pp in pps.items():
+                rng = np.random.default_rng([1, n, m])
+                placer = instance(pp, workloads, n, m, "ladder", cls, rng)
+                while True:
+                    K = pp.ParameterMatrix.random(placer.spec, m, rng)
+                    try:
+                        placer.place(K)
+                        break
+                    except pp.SingularMatrixError:
+                        continue
+                chains = placer.build_chains(K)
+                placer.recover_parameters(chains)
+                calls["build_chains"][side] = lambda p=placer, K=K: p.build_chains(K)
+                calls["place"][side] = lambda p=placer, K=K: p.place(K)
+                calls["recover"][side] = (
+                    lambda p=placer, c=chains: p.recover_parameters(c))
+            rows[cell] = {
+                call: compare(interleaved(by_side, ROUND_TRIP_REPEATS, ROUNDS),
+                              f"{cell} {call}")
+                for call, by_side in calls.items()
+            }
+    return rows
+
+
+def evaluations(pps, workloads):
+    cases = [(f"normality-{label}", "normality", n, m, cls)
+             for label, n, m, gen, cls in INSTANCES if gen == "normality"]
+    cases.append(("condition-bn02", "condition", None, None, None))
+    rows = {}
+    for label, method, n, m, cls in cases:
+        evaluators = {}
+        for side, pp in pps.items():
+            if method == "normality":
+                rng = np.random.default_rng([1, n, m])
+                sys_, spec = workloads.admissible_instance(
+                    pp, rng, n, m,
+                    lambda r, pp=pp: workloads.normality_structure(pp, r, n, cls))
+            else:
+                rng = np.random.default_rng(1)
+                sys_ = pp.load_system(workloads.CORPUS / "bn02_distillation.json").system
+                spec = pp.defective_zero_structure(sys_)
+            evaluators[side] = pp.optimize._Evaluator(
+                pp.ObjectiveSpec(method, 1.0), pp.Placer(sys_, spec))
+        # one start and one line for both sides, from the change's generator
+        while True:
+            x = rng.standard_normal(evaluators["change"].L.shape[1])
+            if evaluators["change"].point(x) is not None:
+                break
+        X = x + 0.5 ** np.arange(max(PROBES))[:, None] * rng.standard_normal(x.size)
+        rows[label] = {
+            k: {"points": compare(
+                interleaved({side: lambda e=e, k=k: e.points(X[:k])
+                             for side, e in evaluators.items()},
+                            EVALUATION_REPEATS, EVALUATION_ROUNDS),
+                f"{label} k={k} points")}
+            for k in PROBES
+        }
+    return rows
 
 
 def main(argv=None):
@@ -221,72 +228,27 @@ def main(argv=None):
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {side: getattr(args, side).resolve() for side in ("parent", "change")}
+    pps = {side: load_tree(tree, side) for side, tree in trees.items()}
+    workloads = load_module("perfbench_workloads",
+                            trees["change"] / "perfbench" / "workloads.py")
 
-    builds = measure(trees, OPERATOR_PROBE, json.dumps(INSTANCES), str(REPEATS))
-    operator_rows = {
-        label: compare({side: [run[label] for run in builds[side]]
-                        for side in trees}, label)
-        for label, *_ in INSTANCES
-    }
-
-    calls = measure(trees, ROUND_TRIP_PROBE, str(ROUND_TRIP_REPEATS))
-    round_trip_rows = {
-        cell: {call: compare({side: [run[cell][call] for run in calls[side]]
-                              for side in trees}, f"{cell} {call}")
-               for call in ("build_chains", "place", "recover")}
-        for cell in calls["parent"][0]
-    }
-
-    evals = measure(trees, EVALUATION_PROBE, json.dumps(INSTANCES),
-                    str(EVALUATION_REPEATS), rounds=EVALUATION_ROUNDS)
-    evaluation_rows = {}
-    for label, parent_row in evals["parent"][0].items():
-        evaluation_rows[label] = {}
-        for k in parent_row["point"]:
-            def rounds(side, name):
-                return [run[label][name][k] for run in evals[side]]
-
-            row = {"one_at_a_time": compare(
-                {side: rounds(side, "point") for side in trees},
-                f"{label} k={k} point")}
-            if "points" in evals["change"][0][label]:
-                row["stacked"] = compare(
-                    {"point": rounds("change", "point"),
-                     "points": rounds("change", "points")},
-                    f"{label} k={k} change points/point", ("point", "points"))
-                row["stacked_vs_parent"] = compare(
-                    {"parent": rounds("parent", "point"),
-                     "change": rounds("change", "points")},
-                    f"{label} k={k} change points/parent point")
-            evaluation_rows[label][k] = row
-
+    common = {"blas_threads": "1",
+              "timing": "both trees in one interpreter, calls interleaved"}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["operator_build"] = {
-        "question": "wall time of one Placer.operator() build from empty caches",
-        "repeats": REPEATS,
-        "rounds": ROUNDS,
-        "blas_threads": "1",
-        "instances": operator_rows,
-    }
-    doc["round_trip"] = {
-        "question": "wall time of one Placer.build_chains, one Placer.place "
-                    "and one Placer.recover_parameters call per place_ladder "
-                    "cell",
-        "repeats": ROUND_TRIP_REPEATS,
-        "rounds": ROUNDS,
-        "blas_threads": "1",
-        "cells": round_trip_rows,
-    }
-    doc["evaluation"] = {
-        "question": "wall time of the objective evaluations at k probes of "
-                    "one line: k point calls in each tree, and the change's "
-                    "one stacked points call against its own and the "
-                    "parent's k point calls",
-        "repeats": EVALUATION_REPEATS,
-        "rounds": EVALUATION_ROUNDS,
-        "blas_threads": "1",
-        "instances": evaluation_rows,
-    }
+    doc["operator_build"] = dict(
+        question="wall time of one Placer.operator() build from empty caches",
+        repeats=REPEATS, rounds=ROUNDS, **common,
+        instances=operator_builds(pps, workloads))
+    doc["round_trip"] = dict(
+        question="wall time of one Placer.build_chains, one Placer.place and "
+                 "one Placer.recover_parameters call per place_ladder cell",
+        repeats=ROUND_TRIP_REPEATS, rounds=ROUNDS, **common,
+        cells=round_trips(pps, workloads))
+    doc["evaluation"] = dict(
+        question="wall time of one stacked _Evaluator.points call on k "
+                 "probes of one line",
+        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
+        instances=evaluations(pps, workloads))
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

@@ -271,8 +271,8 @@ class _Evaluator:
         first, and a row whose Frobenius condition number, read from that
         inverse, is well within the limit is accepted without an SVD
         (`linalg.nonsingular_inverses`); only the rows left over take one.
-        Both orders accept the same rows, with the same bits.
-        the normality term is Henrici's identity on the stacked A + B F
+        Both orders accept the same rows, with the same bits.  The
+        normality term is Henrici's identity on the stacked A + B F
         (`assigned_departure_sq`, which falls back to the Schur form row by
         row on a nearly normal loop), the same identity `grad`
         differentiates.  The gain term is added row by row, as
@@ -299,7 +299,8 @@ class _Evaluator:
         elif self.obj.method == "normality":
             values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
         else:
-            # condition at alpha = 0, the gain alone: 0 robust is +0.0
+            # condition at alpha = 0 is the gain alone: alpha * robust is
+            # +0.0 for every finite robust term, so none is formed
             values = [0.0] * len(rows)
         if self.fixed is None and self.obj.alpha != 1.0:
             values = [self._blend(r, f) for r, f in zip(values, F)]

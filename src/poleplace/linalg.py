@@ -5,10 +5,12 @@ Only the complex Schur form needs scipy; `schur_triangular` imports it on
 first call, so importing the package does not load scipy.  Rank decisions
 use the singular-value threshold ``rank_tol_factor * max(dims) * eps *
 sigma_max`` throughout, so callers get one consistent notion of numerical
-rank.  Singularity is likewise decided by one test, `nonsingular_rows` on
-the singular values; `certified_rows` only spares that SVD on the rows an
-inverse already formed shows to be well within the limit, rows the SVD
-test would accept.
+rank.  Singularity is likewise decided by one rule: a matrix is singular
+when its inverse meets an exact zero pivot, or when `nonsingular_rows`
+rejects its singular values.  `nonsingular_inverses` applies it to a
+stack, inverse first: `certified_rows` spares the SVD on the rows the
+inverse shows to be well within the limit, rows the SVD test would
+accept, and a zero pivot makes only its own row singular.
 """
 
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def nonsingular_rows(s, tol=DEFAULT_TOL):
-    """The one singularity test, on a stack of matrices: the indices of the
+    """The singular-value test, on a stack of matrices: the indices of the
     rows of s (one row of singular values per matrix, largest first) whose
     matrix is not singular.  A matrix is singular when sigma_min = 0 or
     sigma_max / sigma_min (NaN included) exceeds tol.singular_cond_limit.
@@ -88,20 +90,27 @@ def certified_rows(V, Vi, tol=DEFAULT_TOL):
 
 
 def nonsingular_inverses(V, tol=DEFAULT_TOL):
-    """The rows of a stack V of square matrices that pass
-    `nonsingular_rows`, and their inverses: (rows, Vi[rows]).
+    """The rows of a stack V of square matrices that are not singular, and
+    their inverses: (rows, Vi[rows]).
 
     The stacked inverse comes first, and `certified_rows` accepts the rows
     it shows to be well conditioned; only the rows left over go through
-    `nonsingular_rows` on their own stacked SVD.  When the inverse raises
-    (an exactly singular row), the SVD decides every row first.  Each row's
+    `nonsingular_rows` on their own stacked SVD.  When the stacked inverse
+    raises (an exact zero pivot), each row is decided on its own, as a
+    one-row stack: a row whose own inverse raises is singular, whatever its
+    singular values, and every other row takes the same rule.  Each row's
     inverse has the bits of a one-row call either way.
     """
     try:
         Vi = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        rows = nonsingular_rows(np.linalg.svd(V, compute_uv=False), tol)
-        return rows, np.linalg.inv(V[rows])
+        if len(V) == 1:
+            # a C-ordered empty stack, so that concatenating it keeps the
+            # layout (and the later bits) of the other rows' inverses
+            return [], V[:0].copy()
+        parts = [nonsingular_inverses(v[None], tol) for v in V]
+        rows = [i for i, (row, _) in enumerate(parts) if row]
+        return rows, np.concatenate([vi for _, vi in parts])
     rows = certified_rows(V, Vi, tol)
     if len(rows) < len(V):
         rest = [i for i in range(len(V)) if i not in rows]

@@ -23,11 +23,12 @@ map); values come from L x and F = W V^-1, and gradients are exact, pulled
 back through L.  The evaluator keeps L dense: at n <= 6 one dense product
 is cheaper than the map's gather plus stacked product.  [V; W] is linear in
 x, so k probes are k columns of one stacked product with L, and their
-inverses and values come from one stacked call each.  Only the condition
-term at alpha > 0 reads V's singular values, so only it takes a stacked
-SVD of every probe; elsewhere the inverse certifies the well-conditioned
-probes nonsingular (`linalg.certified_rows`), and the SVD singularity test
-runs only on the rest, accepting the same probes.
+inverses and values come from one stacked call each.  Every objective
+takes the same singularity path, inverse first
+(`linalg.nonsingular_inverses`): the inverse certifies the
+well-conditioned probes nonsingular, the SVD test runs only on the rest,
+and an exactly singular probe is rejected, never raised.  The condition
+term ||V||_F^2 + ||V^-1||_F^2 reads V and that inverse, with no SVD.
 Every placement assigns the requested spectrum, so the normality objective
 needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
@@ -59,7 +60,6 @@ from .linalg import (
     checked_svals,
     fro_norm,
     nonsingular_inverses,
-    nonsingular_rows,
 )
 # kappa_2 is unused here but stays a module attribute: perfbench's tracer
 # wraps optimize.kappa_fro and optimize.kappa_2 by name
@@ -211,11 +211,11 @@ class _Evaluator:
     `Placer.operator`), then F = W V^-1.  `points` evaluates the rows of a
     matrix X in one stacked call, and `point` is its one-row case, so a
     line search checks several probes for the numpy call overhead of one;
-    every stacked step (the product with L, `svd`, `inv`, the matrix
-    products and the squared norms) gives each row the bits of a one-row
-    call.  The normality value and gradient both use Henrici's identity
-    with the assigned spectrum, whose mass sum mult |lambda|^2 is computed
-    once here.  Calling the evaluator returns (value, ok); singular
+    every stacked step (the product with L, `inv`, the matrix products and
+    the squared norms) gives each row the bits of a one-row call.  The
+    normality value and gradient both use Henrici's identity with the
+    assigned spectrum, whose mass sum mult |lambda|^2 is computed once
+    here.  Calling the evaluator returns (value, ok); singular
     placements yield (+inf, False) so line searches reject the step and
     move on.  For an F-only objective on an F-unique structure the value is
     computed once at K* (see `unique_parameter`), from the Schur form, and
@@ -231,8 +231,6 @@ class _Evaluator:
         self.spec = placer.spec
         self.m = placer.sys.m
         self.mass = spectrum_mass(self.spec)
-        # only the condition term at alpha > 0 reads V's singular values
-        self.reads_svals = obj.method == "condition" and obj.alpha > 0.0
         self.K_star = self.placement_star = self.fixed = None
         f_only = obj.method == "normality" or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
@@ -263,41 +261,35 @@ class _Evaluator:
     def points(self, X):
         """The evaluations at the rows of X, as `_Points`.
 
-        Values are formed only on the rows whose V passes the one
-        singularity test, `linalg.nonsingular_rows`.  The condition term at
-        alpha > 0 is sum s^2 + sum s^-2 of V's singular values, so there one
-        stacked `svd` decides every row before the stacked `inv`.  Every
-        other objective reads only V^-1 and F: the stacked `inv` comes
-        first, and a row whose Frobenius condition number, read from that
-        inverse, is well within the limit is accepted without an SVD
-        (`linalg.nonsingular_inverses`); only the rows left over take one.
-        Both orders accept the same rows, with the same bits.  The
-        normality term is Henrici's identity on the stacked A + B F
-        (`assigned_departure_sq`, which falls back to the Schur form row by
-        row on a nearly normal loop), the same identity `grad`
-        differentiates.  The gain term is added row by row, as
-        alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
+        Values are formed only on the rows whose V is not singular, by one
+        path for every objective (`linalg.nonsingular_inverses`): the
+        stacked `inv` comes first, a row whose Frobenius condition number,
+        read from that inverse, is well within the limit is accepted
+        without an SVD, only the rows left over take one, and a row with an
+        exact zero pivot is dropped.  The condition term at alpha > 0 is
+        ||V||_F^2 + ||V^-1||_F^2, two squared norms per row of the V and
+        V^-1 already formed.  The normality term is Henrici's identity on
+        the stacked A + B F (`assigned_departure_sq`, which falls back to
+        the Schur form row by row on a nearly normal loop), the same
+        identity `grad` differentiates.  The gain term is added row by row,
+        as alpha robust + (1 - alpha) ||F||_F^2 in the float order of one
+        row.
         """
-        n, k, tol = self.sys.n, len(X), self.placer.tol
+        n, k = self.sys.n, len(X)
         VW = np.matmul(self.L, X[:, :, None]).reshape(k, n + self.m, n)
         V, W = VW[:, :n], VW[:, n:]
-        if self.reads_svals:
-            s = np.linalg.svd(V, compute_uv=False)
-            rows = nonsingular_rows(s, tol)
-            if len(rows) < k:
-                V, W, s = V[rows], W[rows], s[rows]
-            Vi = np.linalg.inv(V)
-        else:
-            rows, Vi = nonsingular_inverses(V, tol)
-            if len(rows) < k:
-                V, W = V[rows], W[rows]
+        rows, Vi = nonsingular_inverses(V, self.placer.tol)
+        if len(rows) < k:
+            V, W = V[rows], W[rows]
         F = W @ Vi
         if self.fixed is not None:
             values = [self.fixed] * len(rows)
-        elif self.reads_svals:
-            values = (np.sum(s**2, axis=1) + np.sum(s**-2, axis=1)).tolist()
         elif self.obj.method == "normality":
             values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
+        elif self.obj.alpha > 0.0:
+            # n * n, not -1: a chunk may have no nonsingular row
+            a, b = V.reshape(len(rows), n * n), Vi.reshape(len(rows), n * n)
+            values = (np.vecdot(a, a) + np.vecdot(b, b)).tolist()
         else:
             # condition at alpha = 0 is the gain alone: alpha * robust is
             # +0.0 for every finite robust term, so none is formed

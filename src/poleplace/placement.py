@@ -30,7 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChainConsistencyError, NotReachableError, StructureError
+from .errors import (
+    ChainConsistencyError,
+    NotReachableError,
+    SingularMatrixError,
+    StructureError,
+)
 from .linalg import (
     DEFAULT_TOL,
     checked_svals,
@@ -414,7 +419,14 @@ class Placer:
         V, W = VW[:n], VW[n:]
         X = pmap.chains(V)
         s = checked_svals(V, self.tol)
-        F = np.linalg.solve(V.T, W.T).T
+        try:
+            F = np.linalg.solve(V.T, W.T).T
+        except np.linalg.LinAlgError:
+            # an exact zero pivot that the singular values let through,
+            # which only singular_cond_limit = inf allows
+            raise SingularMatrixError(
+                "matrix exactly singular (cond=inf)", cond=np.inf
+            ) from None
         res = _residual(self.sys, F, X, self.Lambda)
         return PlacementResult(V, W, X, F, res, float(s[0] / s[-1]))
 
@@ -655,8 +667,8 @@ def place(sys, spec, K, tol=DEFAULT_TOL):
 
     Returns a PlacementResult with real F, the complex chain-top matrix X,
     the closed-loop residual ||(A+BF)X - X Lambda||_F and cond(V).  Raises
-    SingularMatrixError when cond(V) exceeds the configured limit, which
-    callers may treat as a resample signal.
+    SingularMatrixError when cond(V) exceeds the configured limit or V is
+    exactly singular, which callers may treat as a resample signal.
     """
     return Placer(sys, spec, tol).place(K)
 

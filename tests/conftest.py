@@ -133,6 +133,19 @@ def place_random(rng, sys, spec, tries=25, tol=None, best_of=1):
     return best
 
 
+def zero_column_draw(placer, rng, i):
+    """A random parameter matrix whose i-th eigenvalue has its first
+    parameter column zero (with its conjugate's, for a pair), so that V has
+    an exact zero column: exactly singular, although V's SVD may still read
+    sigma_min > 0 and pass an infinite singular_cond_limit."""
+    spec = placer.spec
+    K = pp.ParameterMatrix.random(spec, placer.sys.m, rng)
+    blocks = [b.copy() for b in K.blocks]
+    for j in {i, i ^ 1} if i < 2 * spec.sigma else {i}:
+        blocks[j][:, 0] = 0.0
+    return pp.ParameterMatrix(blocks, spec.sigma)
+
+
 def start_conds(placer, seed, restarts):
     """cond(V) of the first start draw of each `minimize` restart.
 

@@ -225,16 +225,26 @@ def conditioned_stack(rng, n, conds):
     return np.array(out)
 
 
+def own_inverse(v):
+    """The inverse of one matrix as a one-row stack, or None where that
+    inverse meets an exact zero pivot."""
+    try:
+        return np.linalg.inv(v[None])
+    except np.linalg.LinAlgError:
+        return None
+
+
 class TestCertifiedRows:
-    """`certified_rows` plus the SVD of the rows it leaves decides as
-    `nonsingular_rows` on the SVD of every row."""
+    """`nonsingular_inverses` decides as `nonsingular_rows` on the SVD of
+    every row, except that a row whose own inverse meets an exact zero
+    pivot is singular; every row keeps the bits of a one-row call."""
 
     @pytest.mark.parametrize("limit", (1e12, 1e6, 1e3, np.inf))
     @pytest.mark.parametrize("singular", ("rank_deficient", "zero_column", "tiny"))
     def test_same_rows_as_the_svd_test(self, limit, singular):
         tol = ToleranceConfig(singular_cond_limit=limit)
         rng = np.random.default_rng(80)
-        certified = 0
+        certified = dropped = 0
         for _ in range(60):
             n = int(rng.integers(2, 7))
             V = conditioned_stack(rng, n, 10.0 ** rng.uniform(0, 15, 8))
@@ -253,28 +263,24 @@ class TestCertifiedRows:
             expected = nonsingular_rows(np.linalg.svd(V, compute_uv=False), tol)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                try:
-                    want = np.linalg.inv(V[expected])
-                except np.linalg.LinAlgError:
-                    # the SVD passed a row with an exact zero pivot, which
-                    # only an infinite limit lets through: both orders raise
-                    assert limit == np.inf
-                    with pytest.raises(np.linalg.LinAlgError):
-                        nonsingular_inverses(V, tol)
-                    continue
                 rows, Vi = nonsingular_inverses(V, tol)
-                try:
-                    cert = certified_rows(V, np.linalg.inv(V), tol)
-                except np.linalg.LinAlgError:
-                    # an exact zero pivot: the SVD decides every row
-                    assert singular != "tiny"
-                    cert = []
-            assert rows == expected
+                own = [own_inverse(v) for v in V]
+                cert = [j for j, vi in enumerate(own)
+                        if vi is not None and certified_rows(V[j:j + 1], vi, tol)]
+            # the SVD passes a row with an exact zero pivot only under an
+            # infinite limit; neither path returns that row
+            kept = [j for j in expected if own[j] is not None]
+            assert limit == np.inf or kept == expected
+            assert rows == kept
             assert set(cert) <= set(expected)
-            assert np.array_equal(Vi, want)
+            want = np.concatenate([V[:0]] + [own[j] for j in rows])
+            assert Vi.shape == want.shape and Vi.tobytes() == want.tobytes()
             certified += len(cert)
-        # every zero-column stack falls back to the SVD of every row
-        assert (certified > 0) == (singular != "zero_column")
+            dropped += len(expected) - len(kept)
+        # the zero-column stacks certify their other rows too
+        assert certified > 0
+        if singular == "zero_column":
+            assert (dropped > 0) == (limit == np.inf)
 
     def test_certificate_bound(self):
         tol = ToleranceConfig()

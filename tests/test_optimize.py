@@ -21,7 +21,13 @@ from poleplace.optimize import (
     is_f_unique,
     unique_parameter,
 )
-from conftest import realify, random_reachable, split_limit, start_conds
+from conftest import (
+    realify,
+    random_reachable,
+    split_limit,
+    start_conds,
+    zero_column_draw,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -191,11 +197,15 @@ class TestAlphaOne:
             K = pp.ParameterMatrix.from_vector(spec, 2, x)
             VW = (placer.operator() @ x).reshape(6, 4)
             V, W = VW[:4], VW[4:]
-            F = W @ np.linalg.inv(V)
+            Vi = np.linalg.inv(V)
+            F = W @ Vi
             gain = (1.0 - alpha) * fro_norm(F) ** 2
-            s = np.linalg.svd(V, compute_uv=False)
-            cond = float(np.sum(s**2)) + float(np.sum(s**-2))
+            v, vi = V.ravel(), Vi.ravel()
+            cond = float(v @ v) + float(vi @ vi)
             assert pp.objective_f1(K, sys, spec, alpha) == alpha * cond + gain
+            # the same term from V's singular values
+            s = np.linalg.svd(V, compute_uv=False)
+            assert cond == pytest.approx(np.sum(s**2) + np.sum(s**-2), rel=1e-12)
             normal = assigned_departure_sq(sys.A + sys.B @ F, spectrum_mass(spec))
             assert pp.objective_f2(K, sys, spec, alpha) == alpha * normal + gain
 
@@ -352,12 +362,33 @@ class TestAnalyticGradient:
             g = evaluate.grad(evaluate.point(x))
             assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
-    def test_singular_point_rejected(self):
+    @pytest.mark.parametrize("method", ("condition", "normality"))
+    def test_singular_point_rejected(self, method):
         sys = random_reachable(np.random.default_rng(63), 4, 2)
         spec = gradient_structures(2)["simple"]
-        evaluate = _Evaluator(pp.ObjectiveSpec("condition", 1.0), pp.Placer(sys, spec))
+        obj = pp.ObjectiveSpec(method, 1.0)
+        evaluate = _Evaluator(obj, pp.Placer(sys, spec))
         assert evaluate.point(np.zeros(8)) is None
         assert evaluate(np.zeros(8)) == (float("inf"), False)
+        # an exact zero column of V whose singular values pass an infinite
+        # limit: the zero pivot rejects it all the same, and no
+        # LinAlgError escapes the evaluator or place
+        placer = pp.Placer(sys, spec, pp.ToleranceConfig(singular_cond_limit=np.inf))
+        evaluate = _Evaluator(obj, placer)
+        rng = np.random.default_rng(66)
+        good = well_conditioned_probes(placer, rng, 2)
+        passed = 0
+        for _ in range(10):
+            K = zero_column_draw(placer, rng, 1)
+            x = K.to_vector()
+            V = (placer.operator() @ x).reshape(6, 4)[:4]
+            passed += np.linalg.svd(V, compute_uv=False)[-1] > 0
+            assert evaluate.point(x) is None
+            assert evaluate.points(np.array([good[0], x, good[1]])).rows == [0, 2]
+            with pytest.raises(pp.SingularMatrixError) as exc:
+                placer.place(K)
+            assert exc.value.cond == np.inf
+        assert passed > 0
 
 
 class TestTerminations:
@@ -642,7 +673,10 @@ class TestFUnique:
 
 def reference_point(evaluate, x):
     """One evaluation the way it was computed one point at a time: L x, the
-    `checked_svals` test, inv, W V^-1, then the scalar value formula."""
+    `checked_svals` test, inv, W V^-1, then the scalar value formula; the
+    condition term ||V||_F^2 + ||V^-1||_F^2 is also checked against its
+    singular-value form sum s^2 + sum s^-2, the same value in exact
+    arithmetic."""
     sys, n, alpha = evaluate.sys, evaluate.sys.n, evaluate.obj.alpha
     VW = (evaluate.placer.operator() @ x).reshape(n + sys.m, n)
     V, W = VW[:n], VW[n:]
@@ -653,7 +687,12 @@ def reference_point(evaluate, x):
     Vi = np.linalg.inv(V)
     F = W @ Vi
     if evaluate.obj.method == "condition":
-        robust = float(np.sum(s**2)) + float(np.sum(s**-2))
+        v, vi = np.ravel(V), np.ravel(Vi)
+        robust = float(v @ v) + float(vi @ vi)
+        # both forms carry roundoff ~ n eps kappa_2 relative from the inverse
+        # and from sigma_min
+        rel = max(1e-12, n * np.finfo(float).eps * s[0] / s[-1])
+        assert robust == pytest.approx(np.sum(s**2) + np.sum(s**-2), rel=rel)
     else:
         a = np.ravel(sys.A + sys.B @ F)
         total = float(a @ a)
@@ -920,8 +959,8 @@ class TestStackedLineSearch:
         self.assert_identical(stacked, sequential)
         # some probes were stacked
         assert max(max(rows) for _, rows, *_ in searches) > 1
-        # only the condition term at alpha > 0 has every row take the SVD
-        assert (certified > 0) == (obj.method == "normality")
+        # every objective certifies rows from their inverses
+        assert certified > 0
 
     def test_bn02_roundoff_stop_mid_chunk(self, monkeypatch):
         sys, spec = TestTerminations.corpus_case("bn02_distillation")

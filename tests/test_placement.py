@@ -14,6 +14,7 @@ from conftest import (
     realify,
     random_reachable,
     weyr_ranks_ok,
+    zero_column_draw,
 )
 
 
@@ -850,6 +851,11 @@ class TestLoopFreeRoundTrip:
             assert np.array_equal(res.W, W)
             assert res.X.dtype == chains.H.dtype
             assert np.array_equal(res.X, chains.X)
+        # an exact zero column of V is still singular there, whatever its
+        # singular values read: SingularMatrixError, not LinAlgError
+        for i in range(placer.spec.nu):
+            with pytest.raises(pp.SingularMatrixError):
+                placer.place(zero_column_draw(placer, rng, i))
 
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
     def test_recover_matches_per_column_reference(self, make):

@@ -11,13 +11,17 @@ sides meet the same state of the host, down to the µs, which separate
 interpreters per tree cannot give.  BLAS is pinned to one thread.  The
 instances are drawn by the change tree's perfbench generators from seed 1,
 once per tree from equal generator states, so both sides get the same
-inputs.  Three sections are written:
+inputs.  Four sections are written:
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
   `Placer()`, so every cache the operator fills is rebuilt), on the
   random_normality structures of perfbench at n = 4..6, m = 2 and the
   place_ladder structures at (16, 4) and (32, 8).
+- "first_place": one `Placer.place` from empty caches, reset as for
+  "operator_build", on the same instances and the place_ladder structures
+  at (8, 2) and (16, 8): the cost of a one-shot placement, which builds
+  the placement map.
 - "round_trip": one `Placer.build_chains`, one `Placer.place` and one
   `Placer.recover_parameters` call on the same K (recover on its chains),
   per place_ladder cell (each (n, m) of the ladder with each structure
@@ -62,6 +66,10 @@ INSTANCES = (
     ("n6-m2-simple", 6, 2, "normality", "simple"),
     ("n16-m4-defective", 16, 4, "ladder", "defective"),
     ("n32-m8-simple", 32, 8, "ladder", "simple"),
+)
+FIRST_PLACE_INSTANCES = INSTANCES + (
+    ("n8-m2-simple", 8, 2, "ladder", "simple"),
+    ("n16-m8-repeated", 16, 8, "ladder", "repeated"),
 )
 PROBES = (1, 2, 4, 8)
 REPEATS = 20
@@ -136,23 +144,52 @@ def instance(pp, workloads, n, m, gen, cls, rng):
     return pp.Placer(*workloads.admissible_instance(pp, rng, n, m, make))
 
 
-def operator_builds(pps, workloads):
+def nonsingular_parameter(pp, placer, rng):
+    """The first draw of K that the placer places without a singular V."""
+    while True:
+        K = pp.ParameterMatrix.random(placer.spec, placer.sys.m, rng)
+        try:
+            placer.place(K)
+            return K
+        except pp.SingularMatrixError:
+            continue
+
+
+def from_fresh(pps, workloads, instances, section, make_call):
+    """Time call = make_call(pp, placer, rng) on each instance, the placer
+    set back before every call to its attributes right after `Placer()`."""
     rows = {}
-    for label, n, m, gen, cls in INSTANCES:
+    for label, n, m, gen, cls in instances:
         calls = {}
         for side, pp in pps.items():
-            placer = instance(pp, workloads, n, m, gen, cls,
-                              np.random.default_rng([1, n, m]))
+            rng = np.random.default_rng([1, n, m])
+            placer = instance(pp, workloads, n, m, gen, cls, rng)
             fresh = dict(placer.__dict__)
+            call = make_call(pp, placer, rng)
 
-            def build(placer=placer, fresh=fresh):
+            def run(placer=placer, fresh=fresh, call=call):
                 # back to the freshly built placer, whatever its caches are called
                 placer.__dict__ = dict(fresh)
-                placer.operator()
+                call()
 
-            calls[side] = build
-        rows[label] = compare(interleaved(calls, REPEATS, ROUNDS), label)
+            calls[side] = run
+        rows[label] = compare(interleaved(calls, REPEATS, ROUNDS),
+                              f"{section} {label}")
     return rows
+
+
+def operator_builds(pps, workloads):
+    return from_fresh(pps, workloads, INSTANCES, "operator_build",
+                      lambda pp, placer, rng: placer.operator)
+
+
+def first_places(pps, workloads):
+    def make_call(pp, placer, rng):
+        K = nonsingular_parameter(pp, placer, rng)
+        return lambda: placer.place(K)
+
+    return from_fresh(pps, workloads, FIRST_PLACE_INSTANCES, "first_place",
+                      make_call)
 
 
 def round_trips(pps, workloads):
@@ -164,13 +201,7 @@ def round_trips(pps, workloads):
             for side, pp in pps.items():
                 rng = np.random.default_rng([1, n, m])
                 placer = instance(pp, workloads, n, m, "ladder", cls, rng)
-                while True:
-                    K = pp.ParameterMatrix.random(placer.spec, m, rng)
-                    try:
-                        placer.place(K)
-                        break
-                    except pp.SingularMatrixError:
-                        continue
+                K = nonsingular_parameter(pp, placer, rng)
                 chains = placer.build_chains(K)
                 placer.recover_parameters(chains)
                 calls["build_chains"][side] = lambda p=placer, K=K: p.build_chains(K)
@@ -239,6 +270,10 @@ def main(argv=None):
         question="wall time of one Placer.operator() build from empty caches",
         repeats=REPEATS, rounds=ROUNDS, **common,
         instances=operator_builds(pps, workloads))
+    doc["first_place"] = dict(
+        question="wall time of one Placer.place from empty caches",
+        repeats=REPEATS, rounds=ROUNDS, **common,
+        instances=first_places(pps, workloads))
     doc["round_trip"] = dict(
         question="wall time of one Placer.build_chains, one Placer.place and "
                  "one Placer.recover_parameters call per place_ladder cell",

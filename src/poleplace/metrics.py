@@ -7,6 +7,7 @@ perturbations; the gain norm measures control effort.
 
 import numpy as np
 
+from .errors import SingularMatrixError
 from .linalg import DEFAULT_TOL, checked_svals, fro_norm, schur_triangular, two_norm
 from .structure import jordan_matrix
 
@@ -15,22 +16,36 @@ from .structure import jordan_matrix
 _IDENTITY_FLOOR = 1e-6
 
 
-def _square(X):
+def _nonsingular_svals(X, tol):
+    """Singular values of a square X, largest first, when X is not
+    singular by the rule of `linalg.nonsingular_inverses`; otherwise
+    SingularMatrixError.
+
+    X is singular when `checked_svals` rejects it, or when its inverse
+    meets an exact zero pivot, which the singular values can let through
+    under an infinite singular_cond_limit.  The pivots are those of the
+    LU factorization `np.linalg.inv` takes; `np.linalg.slogdet` takes the
+    same one without the inverse, and reads sign 0 exactly on a zero
+    pivot.
+    """
     X = np.atleast_2d(np.asarray(X))
     if X.shape[0] != X.shape[1]:
         raise ValueError("condition numbers require a square matrix")
-    return X
+    s = checked_svals(X, tol)
+    if np.linalg.slogdet(X)[0] == 0:
+        raise SingularMatrixError("matrix exactly singular (cond=inf)", cond=np.inf)
+    return s
 
 
 def kappa_fro(X, tol=DEFAULT_TOL):
     """Frobenius condition number ||X||_F ||X^-1||_F."""
-    s = checked_svals(_square(X), tol)
+    s = _nonsingular_svals(X, tol)
     return float(np.sqrt(np.sum(s**2) * np.sum(s**-2)))
 
 
 def kappa_2(X, tol=DEFAULT_TOL):
     """Spectral condition number sigma_max / sigma_min."""
-    s = checked_svals(_square(X), tol)
+    s = _nonsingular_svals(X, tol)
     return float(s[0] / s[-1])
 
 

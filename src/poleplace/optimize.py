@@ -226,7 +226,6 @@ class _Evaluator:
     def __init__(self, obj, placer):
         self.obj = obj
         self.placer = placer
-        self.L = placer.operator()
         self.sys = placer.sys
         self.spec = placer.spec
         self.m = placer.sys.m
@@ -249,6 +248,12 @@ class _Evaluator:
                 Acl = self.sys.A + self.sys.B @ self.placement_star.F
                 robust = departure_from_normality(Acl) ** 2
             self.fixed = self._blend(robust, self.placement_star.F)
+
+    @property
+    def L(self):
+        """The placer's dense operator (`Placer.operator`), built on first
+        use: an F-only objective on an F-unique structure never needs it."""
+        return self.placer.operator()
 
     def _blend(self, robust, F):
         """alpha robust + (1 - alpha) ||F||_F^2 for one row, in float order."""

@@ -9,24 +9,25 @@ coordinate vector x to the real [V; W], and a `Placer` holds it once, in
 `_PlacementMap`: column c of [V; W] reads only its own eigenvalue's
 coordinates, so [V; W][:, c] = T[c]^T x[coords[c]], one gather and one
 stacked product for all columns.  The map's blocks come from one run of the
-chain recursion, `_chain_columns`, per group of eigenvalues, on unit
-parameter blocks: the representative eigenvalues (each pair's first member,
-then the reals) with equal (pair or real, block orders) form one group,
-whose pencils are stacked so that every product runs once for all members.
-`Placer._groups` is the one walk of the conformable layout: the groups carry
-each member's chain columns, first coordinate in x and eigenvalue, which
-every other step reads.  `Placer.place` and `Placer.build_chains` apply the
-map; the complex chain matrix H is an exact gather of the real [V; W]
-(a pair's columns are V_1 +- i V_2); `Placer.operator` scatters the same
-blocks into the dense matrix L the optimizer multiplies by.  The map is
-exactly invertible, which `recover_parameters` exploits: a chain column is
+chain recursion, `_chain_columns`, per representative eigenvalue (each
+pair's first member, then the reals), on the unit blocks of that
+eigenvalue's own parameters and with its own pencil.  `Placer._reps` is the
+one walk of the conformable layout: one record per representative, holding
+its index, first chain column, first coordinate in x and whether it is a
+pair, which every other step reads.  `Placer.place` and
+`Placer.build_chains` apply the map; the complex chain matrix H is an exact
+gather of the real [V; W] (a pair's columns are V_1 +- i V_2);
+`Placer.operator` scatters the same blocks into the dense matrix L the
+optimizer multiplies by.  The map is exactly invertible, which
+`recover_parameters` exploits: a chain column is
 h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
 of Mdag is orthogonal to ker S), every parameter column is one projection
-k(l) = N^H h(l), taken for all columns of all groups at once.
+k(l) = N^H h(l), taken for all representative columns at once.
 """
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,10 +251,10 @@ class Placer:
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
     The rest is built on first use, as cached properties held in the
-    instance's `__dict__`: the `_Group` stacks, the placement map (`_map`,
-    the one run of the chain recursion) that `place` and `build_chains`
-    apply, the dense operator L scattered from it, and the recovery's
-    column data.
+    instance's `__dict__`: the records of the representative eigenvalues
+    (`_reps`), the placement map (`_map`, the one run of the chain
+    recursion per record) that `place` and `build_chains` apply, the dense
+    operator L scattered from it, and the recovery's column data.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -288,43 +289,21 @@ class Placer:
             )
 
     @functools.cached_property
-    def _groups(self):
-        """The `_Group`s of the representative eigenvalues, built on first
-        use; the one walk of the conformable layout.
+    def _reps(self):
+        """One `_Rep` per representative eigenvalue, built on first use; the
+        one walk of the conformable layout.
 
-        The representatives are each pair's first member, then the reals;
-        those with equal (pair or real, block orders) share one group, so
-        one run of `_chain_columns` serves all of them.  Pair groups come
-        first, as pairs do in conformable order.
+        The representatives are each pair's first member, then the reals,
+        in conformable order; every other step reads their records.
         """
         spec, m = self.spec, self.sys.m
-        two_sigma = 2 * spec.sigma
-        # per group: the members' indices, first chain columns and first
-        # coordinates in the layout of ParameterMatrix.to_vector (each
-        # block row-major, a pair's real parts before its imaginary ones)
-        members = {}
-        col = pos = 0
-        for i, orders in enumerate(spec.block_orders):
-            mult = sum(orders)
-            if not (i % 2 == 1 and i < two_sigma):
-                pair = i < two_sigma
-                members.setdefault((pair, orders), []).append((i, col, pos))
-                pos += (1 + pair) * m * mult
-            col += mult
-        groups = []
-        for (pair, orders), reps in members.items():
-            idx, first, start = zip(*reps)
-            mult = sum(orders)
-            groups.append(_Group(
-                orders=orders,
-                pair=pair,
-                lam=np.array([spec.eigenvalues[i] for i in idx]),
-                N=np.array([self.pencils[i].N for i in idx]),
-                Mdag=np.array([self.pencils[i].Mdag for i in idx]),
-                cols=np.add.outer(first, np.arange(mult)),
-                start=np.array(start)[:, None],
-            ))
-        return tuple(groups)
+        reps, pos = [], 0
+        for i, (col, end) in enumerate(conformable_column_blocks(spec)):
+            if not (i % 2 == 1 and i < 2 * spec.sigma):
+                pair = i < 2 * spec.sigma
+                reps.append(_Rep(i, col, pos, pair))
+                pos += (1 + pair) * m * (end - col)
+        return tuple(reps)
 
     @functools.cached_property
     def _map(self):
@@ -333,42 +312,43 @@ class Placer:
         The chain recursion and realification are linear in the m*n free
         coordinates x = K.to_vector(), and column c of the real [V; W]
         reads only its own eigenvalue's coordinates (see `_PlacementMap`).
-        Each `_Group` runs `_chain_columns` once, on the unit tensor of its
-        members' coordinates (batch b = m * mult), and the chains H(E) are
-        stored as computed: as the blocks of a real eigenvalue's columns,
-        and, since a conjugate pair's imaginary coordinates have chains
-        i H(E), as (Re H, -Im H) in a pair's first columns (Re h) and
-        (Im H, Re H) in its second ones (Im h), over its (real, imaginary)
-        coordinates.  A pair's second columns follow its first, and its
-        imaginary coordinates its real ones.
+        Each representative eigenvalue (`_reps`) runs `_chain_columns`
+        once, on the unit blocks of its own coordinates (batch
+        b = m * mult), and its chains H(E) are stored as computed: as the
+        blocks of a real eigenvalue's columns, and, since a conjugate
+        pair's imaginary coordinates have chains i H(E), as (Re H, -Im H)
+        in a pair's first columns (Re h) and (Im H, Re H) in its second
+        ones (Im h), over its (real, imaginary) coordinates.  A pair's
+        second columns follow its first, and its imaginary coordinates its
+        real ones, so each record writes one slice of columns.
         """
-        n, m = self.sys.n, self.sys.m
-        groups = self._groups
-        width = m * max((1 + grp.pair) * grp.cols.shape[1] for grp in groups)
+        n, m, spec = self.sys.n, self.sys.m, self.spec
+        width = m * max((1 + rep.pair) * spec.multiplicities[rep.i]
+                        for rep in self._reps)
         T = np.zeros((n, width, n + m))
         start = np.empty(n, int)
-        gather = None
-        if self.spec.sigma:
-            gather = np.arange(n), np.arange(n), np.zeros(n, complex)
-        for grp in groups:
-            g, mult = grp.cols.shape
-            size = m * mult
-            E = np.eye(size, dtype=grp.N.dtype).reshape(1, m, mult, size)
-            Hg = np.array(_chain_columns(grp, E))  # (mult, g, n+m, size)
-            cols = grp.cols
-            if grp.pair:
-                first, second = grp.cols, grp.cols + mult
+        gather = (
+            (np.arange(n), np.arange(n), np.zeros(n, complex)) if spec.sigma else None
+        )
+        for rep in self._reps:
+            pencil, mult = self.pencils[rep.i], spec.multiplicities[rep.i]
+            E = np.eye(m * mult, dtype=pencil.N.dtype).reshape(m, mult, -1)
+            H = np.array(_chain_columns(pencil, spec.block_orders[rep.i], E))
+            # the columns rep.col:mid are the eigenvalue's (a pair's first
+            # member's), mid:end a pair's second member's
+            mid = end = rep.col + mult
+            if rep.pair:
+                end += mult
                 re, im, isign = gather
-                re[second], im[first] = first, second
-                isign[first], isign[second] = 1j, -1j
+                re[mid:end], im[rep.col : mid] = re[rep.col : mid], im[mid:end]
+                isign[rep.col : mid], isign[mid:end] = 1j, -1j
                 # over the (real, imaginary) coordinates, the first
                 # columns' blocks are Re [H, i H], the second's Im [H, i H]
-                Hg = np.concatenate([Hg, 1j * Hg], axis=3)
-                Hg = np.concatenate([Hg.real, Hg.imag])
-                cols = np.concatenate([first, second], axis=1)
-            # each column c of the group gets its (coordinates, n+m) block
-            T[cols, : Hg.shape[3]] = Hg.transpose(1, 0, 3, 2)
-            start[cols] = grp.start
+                H = np.concatenate([H, 1j * H], axis=2)
+                H = np.concatenate([H.real, H.imag])
+            # each column gets its (coordinates, n+m) block
+            T[rep.col : end, : H.shape[2]] = H.transpose(0, 2, 1)
+            start[rep.col : end] = rep.start
         coords = (start[:, None] + np.arange(width)) % (m * n)
         return _PlacementMap(T, coords, gather)
 
@@ -441,31 +421,31 @@ class Placer:
         """The column data of `recover_parameters`, built on first use.
 
         Only the representative eigenvalues carry parameters.  Their chain
-        columns, eigenvalues and coordinates are the groups' own, laid end
-        to end in group order (pair groups first), so that one pass over
-        the columns serves every group; the pencil data is stacked to
-        match.
+        columns, eigenvalues and coordinates are read from their records
+        (`_reps`), laid end to end in conformable order (pairs first), so
+        that one pass over the columns serves every eigenvalue; the pencil
+        data is stacked to match.
         """
-        sys, sigma, groups = self.sys, self.spec.sigma, self._groups
+        sys, spec, reps = self.sys, self.spec, self._reps
         # per representative eigenvalue
-        mults = np.array([len(row) for grp in groups for row in grp.cols])
-        cols = np.concatenate([grp.cols.ravel() for grp in groups])
-        lam = np.repeat(np.concatenate([grp.lam for grp in groups]), mults)
-        n_pair = int(mults[:sigma].sum())
-        # (m, columns): entry (i, l) of a member's block sits at
+        mults = np.array([spec.multiplicities[rep.i] for rep in reps])
+        cols = np.concatenate([rep.col + np.arange(k) for rep, k in zip(reps, mults)])
+        lam = np.repeat([spec.eigenvalues[rep.i] for rep in reps], mults)
+        n_pair = int(mults[: spec.sigma].sum())
+        # (m, columns): entry (i, l) of an eigenvalue's block sits at
         # start + i * mult + l
         real_coords = np.concatenate([
-            (grp.start + np.arange(grp.cols.shape[1])).ravel()
-            + grp.cols.shape[1] * np.arange(sys.m)[:, None]
-            for grp in groups
+            rep.start + np.arange(k) + k * np.arange(sys.m)[:, None]
+            for rep, k in zip(reps, mults)
         ], axis=1)
         # a pair's second block sits mult columns after its first, its
         # imaginary coordinates m * mult after its real ones
-        shift = np.repeat(mults[:sigma], mults[:sigma])
-        pair_orders = [p for grp in groups if grp.pair
-                       for _ in grp.lam for p in grp.orders]
-        N = np.concatenate([grp.N for grp in groups])
-        NH = np.repeat(N.conj().transpose(0, 2, 1), mults, axis=0)
+        shift = np.repeat(mults[: spec.sigma], mults[: spec.sigma])
+        pair_orders = [p for rep in reps[: spec.sigma]
+                       for p in spec.block_orders[rep.i]]
+        NH = np.repeat(
+            np.array([self.pencils[rep.i].N.conj().T for rep in reps]), mults, axis=0
+        )
         return _Recovery(
             cols=cols,
             pair_cols=cols[:n_pair] + shift,
@@ -528,9 +508,10 @@ class Placer:
 class _Recovery:
     """Index and pencil data of `Placer.recover_parameters`.
 
-    The representative columns are those of the `_Group`s in group order:
-    the pair first members' n_pair columns, then the real eigenvalues'
-    columns, each eigenvalue's columns adjacent and in chain order.
+    The representative columns are those of `Placer._reps` in conformable
+    order: the pair first members' n_pair columns, then the real
+    eigenvalues' columns, each eigenvalue's columns adjacent and in chain
+    order.
     """
 
     cols: np.ndarray  # representative chain columns of H
@@ -579,24 +560,18 @@ def _first_beyond(values, bound):
     return bad[0] if bad.size else None
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Representative eigenvalues with equal (pair or real, block orders).
+class _Rep(NamedTuple):
+    """The record of one representative eigenvalue (see `Placer._reps`).
 
-    Stacks hold one member per leading row, in conformable order; `cols`
-    are each member's chain columns of H, and `start` the position in
-    x = K.to_vector() of its parameter block's first coordinate.  The
-    block's m * mult entries follow row-major (for a pair, its real parts,
-    then as many imaginary parts).
+    Its chain columns of H begin at `col`, and its parameter block's
+    coordinates in x = K.to_vector() at `start`: m * mult entries
+    row-major (for a pair, its real parts, then as many imaginary parts).
     """
 
-    orders: tuple  # the members' common mini-block orders
-    pair: bool  # conjugate pairs, represented by their first members
-    lam: np.ndarray  # (g,) the members' eigenvalues
-    N: np.ndarray  # (g, n+m, m) kernel bases
-    Mdag: np.ndarray  # (g, n+m, n) pencil pseudoinverses
-    cols: np.ndarray  # (g, mult)
-    start: np.ndarray  # (g, 1)
+    i: int  # index in the structure's eigenvalues
+    col: int  # first chain column
+    start: int  # position of the first coordinate in x
+    pair: bool  # the first member of a conjugate pair
 
 
 @dataclass(frozen=True)
@@ -631,27 +606,23 @@ class _PlacementMap:
         return rows[:, re] + isign * rows[:, im]
 
 
-def _chain_columns(group, Kg):
-    """The chain recursion of a group of eigenvalues over a batch of
-    parameters.
+def _chain_columns(pencil, orders, K):
+    """The chain recursion of one eigenvalue over a batch of parameters.
 
-    Kg has shape (g, m, mult, b): for each of the group's g members, b
-    parameter blocks whose columns run over the mini-blocks of the group's
-    orders (a leading 1 in place of g shares them between the members).
-    Returns the mult chain columns in that order, each a
-    (g, n+m, b) array, from h(1) = N k(1) and
-    h(l) = Mdag pi_upper(h(l-1)) + N k(l) within each mini-block.  The
-    products are stacked matmuls over the leading axis, which round each
-    member exactly as its own 2-D product would.
+    K has shape (m, mult, b): b parameter blocks whose columns run over
+    the mini-blocks of the eigenvalue's block orders.  Returns the mult
+    chain columns in that order, each an (n+m, b) array, from
+    h(1) = N k(1) and h(l) = Mdag pi_upper(h(l-1)) + N k(l) within each
+    mini-block.
     """
-    n = group.Mdag.shape[2]
+    n = pencil.Mdag.shape[1]
     cols = []
     off = 0
-    for p in group.orders:
+    for p in orders:
         for ell in range(p):
-            h = group.N @ Kg[:, :, off + ell]
+            h = pencil.N @ K[:, off + ell]
             if ell > 0:
-                h = h + group.Mdag @ cols[-1][:, :n]
+                h = h + pencil.Mdag @ cols[-1][:n]
             cols.append(h)
         off += p
     return cols

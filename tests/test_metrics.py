@@ -5,7 +5,7 @@ import pytest
 
 import poleplace as pp
 from poleplace import metrics, optimize
-from poleplace.linalg import fro_norm
+from poleplace.linalg import fro_norm, nonsingular_rows
 from poleplace.metrics import assigned_departure_sq, spectrum_mass
 from poleplace.placement import residual_ok
 from conftest import place_random, random_admissible_spec, random_reachable
@@ -48,6 +48,21 @@ class TestConditionNumbers:
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(pp.SingularMatrixError):
             pp.kappa_fro(X)
+        # an exact zero pivot is singular, also where an infinite limit
+        # lets its singular values (sigma_min ~ 1e-17) through
+        tol = pp.ToleranceConfig(singular_cond_limit=np.inf)
+        rng = np.random.default_rng(34)
+        svd_passed = 0
+        for _ in range(8):
+            X = rng.standard_normal((4, 4))
+            X[:, int(rng.integers(4))] = 0.0
+            s = np.linalg.svd(X[None], compute_uv=False)
+            svd_passed += bool(nonsingular_rows(s, tol))
+            for kappa in (pp.kappa_fro, pp.kappa_2):
+                with pytest.raises(pp.SingularMatrixError) as err:
+                    kappa(X, tol)
+                assert err.value.cond == np.inf
+        assert svd_passed > 0
 
     def test_am_gm_chain(self):
         # ||V||^2 + ||V^-1||^2 >= 2 kappa_fro(V) >= 2n

@@ -637,18 +637,26 @@ class TestFUnique:
         spec = F_UNIQUE_CASES["real_defective"]
         sys = random_reachable(np.random.default_rng(53), 4, 2)
         calls = []
-        place = pp.Placer.place
+        place, operator = pp.Placer.place, pp.Placer.operator
+        builds = []
 
         def counted(self, K):
             calls.append(K)
             return place(self, K)
 
+        def counted_operator(self):
+            builds.append(self)
+            return operator(self)
+
         monkeypatch.setattr(pp.Placer, "place", counted)
+        monkeypatch.setattr(pp.Placer, "operator", counted_operator)
         result = pp.minimize(
             pp.ObjectiveSpec("normality", 1.0), sys, spec,
             pp.OptOptions(restarts=10, seed=9),
         )
         assert len(calls) <= 2
+        # nothing is searched, so the dense operator L is never built
+        assert builds == []
         assert result.traces == ((result.best_value,),) * 10
         assert result.restart_values == (result.best_value,) * 10
         assert result.terminations == ("grad_tol",) * 10

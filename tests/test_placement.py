@@ -261,8 +261,8 @@ def assert_chain_layout(chain_set):
 
 
 def grouped_structure(n, m):
-    """A structure whose representative eigenvalues fall into groups of
-    several members: two pairs with blocks (2, 1) (order 2 alone when
+    """A structure in which several representative eigenvalues share
+    their block orders: two pairs with blocks (2, 1) (order 2 alone when
     m = 1), then reals with blocks (1, 1), (2,) and (3,), in turn while
     they fit, then simple reals."""
     eigs, orders = [], []
@@ -364,13 +364,6 @@ def per_eigenvalue_operator(placer):
 
 
 class TestGroupedRecursion:
-    def test_grouped_structures_have_shared_groups(self):
-        for n, m in GROUPED_CASES:
-            placer, _ = grouped_instance(n, m)
-            placer.operator()
-            sizes = sorted(grp.cols.shape[0] for grp in placer._groups)
-            assert sizes[-1] >= 2 and len(sizes) >= 2
-
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
     def test_build_chains_matches_per_eigenvalue_reference(self, make):
         placer, rng = make()
@@ -403,11 +396,11 @@ class TestGroupedRecursion:
             for blk, blk_o in zip(group, other):
                 assert np.array_equal(blk, blk_o)
 
-    def test_group_data_built_on_first_use(self):
+    def test_map_and_records_built_on_first_use(self):
         placer, rng = grouped_instance(15, 3)
-        assert "_groups" not in placer.__dict__
+        assert "_map" not in placer.__dict__ and "_reps" not in placer.__dict__
         placer.build_chains(pp.ParameterMatrix.random(placer.spec, 3, rng))
-        assert "_groups" in placer.__dict__
+        assert "_map" in placer.__dict__ and "_reps" in placer.__dict__
 
 
 class TestTrustedParameterMatrix:

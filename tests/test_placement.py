@@ -1,3 +1,4 @@
+import collections
 import warnings
 
 import numpy as np
@@ -364,6 +365,17 @@ def per_eigenvalue_operator(placer):
 
 
 class TestGroupedRecursion:
+    def test_grouped_structures_have_shared_groups(self):
+        # several representatives share (pair or real, block orders), in
+        # at least two such groups
+        for n, m in GROUPED_CASES:
+            placer, _ = grouped_instance(n, m)
+            keys = collections.Counter(
+                (rep.pair, placer.spec.block_orders[rep.i])
+                for rep in placer._reps)
+            sizes = sorted(keys.values())
+            assert sizes[-1] >= 2 and len(sizes) >= 2
+
     @pytest.mark.parametrize("make", GROUP_CASE_INSTANCES)
     def test_build_chains_matches_per_eigenvalue_reference(self, make):
         placer, rng = make()

@@ -26,7 +26,9 @@ inputs.  Four sections are written:
   `Placer.recover_parameters` call on the same K (recover on its chains),
   per place_ladder cell (each (n, m) of the ladder with each structure
   class), each timed after one untimed call that fills any lazily built
-  cache.
+  cache.  Beside the times, each cell's "place" records its quality: both
+  sides' residual over its acceptance bound, and how far the change's F
+  lies from the parent's, in units of cond(V) eps (1 + ||F||_F).
 - "evaluation": one stacked `_Evaluator.points` call on k in {1, 2, 4, 8}
   probes x + t p, t = 1, 1/2, ..., of one line, from a nonsingular start
   x, the rows the line search hands it.  The instances are the normality
@@ -198,12 +200,14 @@ def round_trips(pps, workloads):
         for cls in workloads.STRUCTURE_CLASSES:
             cell = f"n{n}-m{m}-{cls}"
             calls = {"build_chains": {}, "place": {}, "recover": {}}
+            placed = {}
             for side, pp in pps.items():
                 rng = np.random.default_rng([1, n, m])
                 placer = instance(pp, workloads, n, m, "ladder", cls, rng)
                 K = nonsingular_parameter(pp, placer, rng)
                 chains = placer.build_chains(K)
                 placer.recover_parameters(chains)
+                placed[side] = (placer, placer.place(K))
                 calls["build_chains"][side] = lambda p=placer, K=K: p.build_chains(K)
                 calls["place"][side] = lambda p=placer, K=K: p.place(K)
                 calls["recover"][side] = (
@@ -213,7 +217,28 @@ def round_trips(pps, workloads):
                               f"{cell} {call}")
                 for call, by_side in calls.items()
             }
+            rows[cell]["place"]["quality"] = place_quality(placed)
     return rows
+
+
+def place_quality(placed):
+    """The accuracy of both sides' `place` on one K, from
+    {side: (placer, result)}: each side's residual over its acceptance
+    bound residual_tol * scale, and the largest entry of |F_change -
+    F_parent| over cond(V) eps (1 + ||F_parent||_F), the error a
+    backward-stable F may show."""
+    res, change = placed["parent"][1], placed["change"][1]
+    bound = res.cond_V * np.finfo(float).eps * (1.0 + np.linalg.norm(res.F))
+    quality = {
+        "residual_over_bound": {
+            side: r.residual / (p.tol.residual_tol * p.residual_scale(r.F))
+            for side, (p, r) in placed.items()},
+        "F_change_over_cond_eps": float(np.abs(change.F - res.F).max() / bound),
+    }
+    print("  place quality: residual/bound "
+          + " -> ".join(f"{v:.3g}" for v in quality["residual_over_bound"].values())
+          + f", F change {quality['F_change_over_cond_eps']:.3g}", flush=True)
+    return quality
 
 
 def evaluations(pps, workloads):

@@ -47,6 +47,7 @@ ill-conditioned) V, so every nonsingular draw returns the same value and
 `minimize` returns the placement at K* without searching.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -239,20 +240,26 @@ class _Evaluator:
             except SingularMatrixError:
                 # only under a singular_cond_limit near cond V(K*): keep
                 # evaluating per draw, where better-conditioned draws pass
-                return
-            self.K_star = K_star
-            # once per evaluator, off the search path: the Schur form; an
-            # F-only condition objective has alpha = 0, the gain alone
-            robust = 0.0
-            if obj.method == "normality":
-                Acl = self.sys.A + self.sys.B @ self.placement_star.F
-                robust = departure_from_normality(Acl) ** 2
-            self.fixed = self._blend(robust, self.placement_star.F)
+                pass
+            else:
+                self.K_star = K_star
+                # once per evaluator, off the search path: the Schur form;
+                # an F-only condition objective has alpha = 0, the gain alone
+                robust = 0.0
+                if obj.method == "normality":
+                    Acl = self.sys.A + self.sys.B @ self.placement_star.F
+                    robust = departure_from_normality(Acl) ** 2
+                self.fixed = self._blend(robust, self.placement_star.F)
+        if self.fixed is None:
+            # a plain attribute, shadowing the class's lazy L: every
+            # evaluation reads it
+            self.L = placer.operator()
 
-    @property
+    @functools.cached_property
     def L(self):
         """The placer's dense operator (`Placer.operator`), built on first
-        use: an F-only objective on an F-unique structure never needs it."""
+        read by an evaluator with a value fixed at K*, which `minimize`
+        never searches; every other evaluator binds it in `__init__`."""
         return self.placer.operator()
 
     def _blend(self, robust, F):

@@ -42,6 +42,7 @@ from .linalg import (
     checked_svals,
     fro_norm,
     kernel_and_pseudo_inverse,
+    nonsingular_inverses,
 )
 from .structure import conformable_column_blocks, jordan_matrix
 
@@ -234,14 +235,23 @@ class ChainSet:
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """Feedback and eigenvector data for one parameter choice."""
+    """Feedback and eigenvector data for one parameter choice.
+
+    `cond_V`, the spectral condition number sigma_max / sigma_min of V from
+    its singular values, is computed on first read and then kept: a
+    placement that never reads it takes no SVD.
+    """
 
     V: np.ndarray
     W: np.ndarray
     X: np.ndarray
     F: np.ndarray
     residual: float
-    cond_V: float
+
+    @functools.cached_property
+    def cond_V(self):
+        s = np.linalg.svd(self.V, compute_uv=False)
+        return float(s[0] / s[-1])
 
 
 class Placer:
@@ -390,25 +400,35 @@ class Placer:
 
         [V; W] comes from the stored map (`_map`) in one gather and one
         stacked product; X is the top of the chain matrix that
-        `build_chains` would return, gathered from V.
+        `build_chains` would return, gathered from V.  V's singularity is
+        decided as the optimizer's evaluator decides it, inverse first
+        (`linalg.nonsingular_inverses`), and F is formed from that inverse
+        with one step of iterative refinement, F = F0 + (W - F0 V) V^{-1}
+        for F0 = W V^{-1} (Higham, Accuracy and Stability of Numerical
+        Algorithms, sec. 12), which brings F's error down to that of
+        Gaussian elimination on F V = W.  A rejected V raises
+        SingularMatrixError with the condition number its singular values
+        read, or cond=inf when they pass and the inverse met an exact zero
+        pivot.
         """
         self._check_param(K)
         pmap = self._map
         n = self.sys.n
         VW = pmap.vw(K._x)
         V, W = VW[:n], VW[n:]
-        X = pmap.chains(V)
-        s = checked_svals(V, self.tol)
-        try:
-            F = np.linalg.solve(V.T, W.T).T
-        except np.linalg.LinAlgError:
-            # an exact zero pivot that the singular values let through,
-            # which only singular_cond_limit = inf allows
+        rows, Vi = nonsingular_inverses(V[None], self.tol)
+        if not rows:
+            # the singular values name the condition number; a V they pass
+            # met an exact zero pivot
+            checked_svals(V, self.tol)
             raise SingularMatrixError(
                 "matrix exactly singular (cond=inf)", cond=np.inf
-            ) from None
-        res = _residual(self.sys, F, X, self.Lambda)
-        return PlacementResult(V, W, X, F, res, float(s[0] / s[-1]))
+            )
+        Vi = Vi[0]
+        F = W @ Vi
+        F += (W - F @ V) @ Vi
+        X = pmap.chains(V)
+        return PlacementResult(V, W, X, F, _residual(self.sys, F, X, self.Lambda))
 
     def residual_scale(self, F):
         # kept as a method for callers outside the package (the perfbench
@@ -637,9 +657,10 @@ def place(sys, spec, K, tol=DEFAULT_TOL):
     """Compute the feedback for one parameter matrix.
 
     Returns a PlacementResult with real F, the complex chain-top matrix X,
-    the closed-loop residual ||(A+BF)X - X Lambda||_F and cond(V).  Raises
-    SingularMatrixError when cond(V) exceeds the configured limit or V is
-    exactly singular, which callers may treat as a resample signal.
+    the closed-loop residual ||(A+BF)X - X Lambda||_F and cond(V), the last
+    computed on first read.  Raises SingularMatrixError when cond(V)
+    exceeds the configured limit or V is exactly singular, which callers
+    may treat as a resample signal (see `Placer.place`).
     """
     return Placer(sys, spec, tol).place(K)
 

@@ -633,6 +633,22 @@ class TestFUnique:
         values = {evaluate(rng.standard_normal(8))[0] for _ in range(20)}
         assert len(values) == 20
 
+    def test_operator_bound_once_unless_fixed(self):
+        # a searching evaluator holds L as a plain attribute from the start;
+        # one with a value fixed at K* builds it only when a draw is checked
+        sys = random_reachable(np.random.default_rng(53), 4, 2)
+        spec = F_UNIQUE_CASES["real_defective"]
+        placer = pp.Placer(sys, spec)
+        searching = _Evaluator(pp.ObjectiveSpec("condition", 1.0), placer)
+        assert searching.fixed is None
+        assert searching.__dict__["L"] is placer.operator()
+        placer = pp.Placer(sys, spec)
+        fixed = _Evaluator(pp.ObjectiveSpec("normality", 1.0), placer)
+        assert fixed.fixed is not None
+        assert "L" not in fixed.__dict__ and "_operator" not in placer.__dict__
+        assert fixed(np.random.default_rng(54).standard_normal(8)) == (fixed.fixed, True)
+        assert fixed.__dict__["L"] is placer.operator()
+
     def test_search_skipped(self, monkeypatch):
         spec = F_UNIQUE_CASES["real_defective"]
         sys = random_reachable(np.random.default_rng(53), 4, 2)

@@ -709,6 +709,128 @@ class TestSingleOwners:
         assert res.residual == pp.residual(sys, res.F, res.X, spec)
 
 
+def spread_simple_instance(rng, n, m, tol=pp.linalg.DEFAULT_TOL):
+    """A Placer on a random pair (A scaled by 1/sqrt(n), as perfbench draws
+    it) with a simple spectrum of n // 4 conjugate pairs and spread reals."""
+    sys = pp.System(rng.standard_normal((n, n)) / np.sqrt(n), rng.standard_normal((n, m)))
+    eigs = []
+    for k in range(n // 4):
+        eigs += [complex(-1 - 0.3 * k, 1 + 0.2 * k), complex(-1 - 0.3 * k, -1 - 0.2 * k)]
+    eigs += [-0.5 - 0.25 * k for k in range(n - 2 * (n // 4))]
+    return pp.Placer(sys, pp.EigStructure(tuple(eigs), ((1,),) * n), tol)
+
+
+class TestInverseFirstPlace:
+    """`Placer.place` decides V's singularity by `nonsingular_inverses` and
+    forms F from that inverse, refined once."""
+
+    @staticmethod
+    def certified_draw(seed):
+        rng = np.random.default_rng(seed)
+        placer = spread_simple_instance(rng, 8, 2)
+        while True:
+            K = pp.ParameterMatrix.random(placer.spec, 2, rng)
+            V = realify(placer.build_chains(K))[0]
+            if pp.linalg.certified_rows(V[None], np.linalg.inv(V)[None]) == [0]:
+                return placer, K
+
+    def test_certified_place_takes_no_svd_or_solve(self, monkeypatch):
+        placer, K = self.certified_draw(27)
+        calls = []
+        for name in ("svd", "solve"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, name=name, fn=fn, **kw: calls.append(name) or fn(*a, **kw),
+            )
+        res = placer.place(K)
+        assert calls == []
+        assert residual_within_bound(placer, res)
+
+    def test_cond_V_computed_on_first_read(self, monkeypatch):
+        placer, K = self.certified_draw(28)
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw)
+        )
+        res = placer.place(K)
+        assert calls == []
+        cond = res.cond_V
+        assert calls == [1]
+        assert res.cond_V is cond and calls == [1]
+        monkeypatch.undo()
+        assert cond == pp.kappa_2(res.V)
+
+    @pytest.mark.parametrize("n, m", [(8, 2), (16, 2), (16, 4), (32, 8)])
+    def test_refined_F_matches_a_linear_solve(self, n, m):
+        # (16, 2) draws have cond(V) ~ 1e6 to 1e7
+        rng = np.random.default_rng([29, n, m])
+        eps = np.finfo(float).eps
+        conds = []
+        for _ in range(2):
+            placer = spread_simple_instance(rng, n, m)
+            for _ in range(4):
+                K = pp.ParameterMatrix.random(placer.spec, m, rng)
+                try:
+                    res = placer.place(K)
+                except pp.SingularMatrixError:
+                    continue
+                conds.append(res.cond_V)
+                F_solve = np.linalg.solve(res.V.T, res.W.T).T
+                bound = res.cond_V * eps * (1.0 + pp.fro_norm(res.F))
+                assert np.abs(res.F - F_solve).max() <= bound
+                assert residual_within_bound(placer, res)
+                # refined, the residual stays at roundoff of its scale, as
+                # the linear solve's does; W V^-1 alone grows with cond(V)
+                # (to ~600 times the solve's residual on the (16, 2) draws)
+                assert res.residual <= 10 * eps * placer.residual_scale(res.F)
+        assert len(conds) >= 6
+        if (n, m) == (16, 2):
+            assert min(conds) > 1e5
+
+    @pytest.mark.parametrize("limit", [1e12, np.inf])
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_decisions_match_nonsingular_inverses(self, limit, i):
+        # a line of parameters through an exactly singular V: eigenvalue i's
+        # first parameter column (a pair's, with its conjugate, for i = 0)
+        # scaled by t, so V's matching columns are zero at t = 0
+        tol = pp.ToleranceConfig(singular_cond_limit=limit)
+        rng = np.random.default_rng(30)
+        placer = spread_simple_instance(rng, 5, 2, tol)
+        base = zero_column_draw(placer, rng, i)
+        column = pp.ParameterMatrix.random(placer.spec, 2, rng).blocks
+        ts = [-1.0, -1e-6, -1e-12, -1e-15, 0.0, 1e-16, 1e-13, 1e-10, 1e-4, 1.0]
+        Ks, Vs = [], []
+        for t in ts:
+            blocks = [b.copy() for b in base.blocks]
+            for j in ({i, i + 1} if i < 2 * placer.spec.sigma else {i}):
+                blocks[j][:, 0] = t * column[j][:, 0]
+            Ks.append(pp.ParameterMatrix(blocks, placer.spec.sigma))
+            Vs.append(realify(placer.build_chains(Ks[-1]))[0])
+        rows, _ = pp.linalg.nonsingular_inverses(np.array(Vs), tol)
+        placed = []
+        for j, K in enumerate(Ks):
+            try:
+                placer.place(K)
+                placed.append(j)
+            except pp.SingularMatrixError:
+                pass
+        assert placed == rows
+        if limit < np.inf:
+            # rejected beyond the zero point: cond(V) passes the limit
+            assert len(rows) < len(ts) - 1
+        else:
+            # only the exact zero columns, whatever the singular values read
+            assert rows == [j for j, t in enumerate(ts) if t != 0.0]
+            with pytest.raises(pp.SingularMatrixError) as exc:
+                placer.place(Ks[ts.index(0.0)])
+            assert exc.value.cond == np.inf
+
+
+def residual_within_bound(placer, res):
+    return placement.residual_ok(placer.sys, res, placer.tol)
+
+
 class TestRecoverParameters:
     def test_round_trip_exact(self):
         rng = np.random.default_rng(25)

@@ -16,7 +16,10 @@ one walk of the conformable layout: one record per representative, holding
 its index, first chain column, first coordinate in x and whether it is a
 pair, which every other step reads.  `Placer.place` and
 `Placer.build_chains` apply the map; the complex chain matrix H is an exact
-gather of the real [V; W] (a pair's columns are V_1 +- i V_2);
+gather of the real [V; W] (a pair's columns are V_1 +- i V_2).  `place`
+decides V's singularity inverse first, by the optimizer's own test
+(`linalg.nonsingular_inverses`), and forms F from that inverse with one
+step of iterative refinement, so it takes no SVD unless V is rejected.
 `Placer.operator` scatters the same blocks into the dense matrix L the
 optimizer multiplies by.  The map is exactly invertible, which
 `recover_parameters` exploits: a chain column is

@@ -745,7 +745,7 @@ class TestInverseFirstPlace:
             )
         res = placer.place(K)
         assert calls == []
-        assert residual_within_bound(placer, res)
+        assert placement.residual_ok(placer.sys, res, placer.tol)
 
     def test_cond_V_computed_on_first_read(self, monkeypatch):
         placer, K = self.certified_draw(28)
@@ -763,7 +763,7 @@ class TestInverseFirstPlace:
 
     @pytest.mark.parametrize("n, m", [(8, 2), (16, 2), (16, 4), (32, 8)])
     def test_refined_F_matches_a_linear_solve(self, n, m):
-        # (16, 2) draws have cond(V) ~ 1e6 to 1e7
+        # the (16, 2) draws have cond(V) ~ 1e6 to 4e7
         rng = np.random.default_rng([29, n, m])
         eps = np.finfo(float).eps
         conds = []
@@ -779,7 +779,7 @@ class TestInverseFirstPlace:
                 F_solve = np.linalg.solve(res.V.T, res.W.T).T
                 bound = res.cond_V * eps * (1.0 + pp.fro_norm(res.F))
                 assert np.abs(res.F - F_solve).max() <= bound
-                assert residual_within_bound(placer, res)
+                assert placement.residual_ok(placer.sys, res, placer.tol)
                 # refined, the residual stays at roundoff of its scale, as
                 # the linear solve's does; W V^-1 alone grows with cond(V)
                 # (to ~600 times the solve's residual on the (16, 2) draws)
@@ -797,7 +797,7 @@ class TestInverseFirstPlace:
         tol = pp.ToleranceConfig(singular_cond_limit=limit)
         rng = np.random.default_rng(30)
         placer = spread_simple_instance(rng, 5, 2, tol)
-        base = zero_column_draw(placer, rng, i)
+        base = pp.ParameterMatrix.random(placer.spec, 2, rng)
         column = pp.ParameterMatrix.random(placer.spec, 2, rng).blocks
         ts = [-1.0, -1e-6, -1e-12, -1e-15, 0.0, 1e-16, 1e-13, 1e-10, 1e-4, 1.0]
         Ks, Vs = [], []
@@ -825,10 +825,6 @@ class TestInverseFirstPlace:
             with pytest.raises(pp.SingularMatrixError) as exc:
                 placer.place(Ks[ts.index(0.0)])
             assert exc.value.cond == np.inf
-
-
-def residual_within_bound(placer, res):
-    return placement.residual_ok(placer.sys, res, placer.tol)
 
 
 class TestRecoverParameters:

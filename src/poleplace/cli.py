@@ -165,7 +165,9 @@ def _admissible_inputs(args, tol):
 
 
 def _metrics_fields(res, metrics):
-    return [("residual", res.residual), ("cond_V", res.cond_V), *metrics.items()]
+    # cond_V is kappa_2, from the SVD of V that `placement_metrics` takes
+    return [("residual", res.residual), ("cond_V", metrics["kappa_2"]),
+            *metrics.items()]
 
 
 def _report(args, fields, matrices, ok):
@@ -281,6 +283,7 @@ def cmd_recover(args):
     res = placer.place(K)
     err = float(np.abs(res.F - F).max())
     ok = err <= 1e-8 * (1.0 + fro_norm(F))
+    metrics = placement_metrics(sys, spec, res, tol)
     fields = [
         ("command", "recover"),
         ("system", sf.name),
@@ -288,8 +291,8 @@ def cmd_recover(args):
         ("reproduction_error", err),
         # the error a backward-stable round trip may show through cond(V)
         ("reproduction_floor",
-         res.cond_V * np.finfo(float).eps * (1.0 + fro_norm(F))),
-    ] + _metrics_fields(res, placement_metrics(sys, spec, res, tol))
+         metrics["kappa_2"] * np.finfo(float).eps * (1.0 + fro_norm(F))),
+    ] + _metrics_fields(res, metrics)
     matrices = [("F", F), ("F_reproduced", res.F)]
     matrices += [(f"K_{i}", blk) for i, blk in enumerate(K.blocks)]
     return _report(args, fields, matrices, ok)

@@ -11,6 +11,7 @@ rejects its singular values.  `nonsingular_inverses` applies it to a
 stack, inverse first: `certified_rows` spares the SVD on the rows the
 inverse shows to be well within the limit, rows the SVD test would
 accept, and a zero pivot makes only its own row singular.
+`nonsingular_inverse` is its raising form for one matrix.
 """
 
 from dataclasses import dataclass
@@ -118,6 +119,20 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
         rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
         Vi = Vi[rows]
     return rows, Vi
+
+
+def nonsingular_inverse(M, tol=DEFAULT_TOL):
+    """The inverse of a square array that `nonsingular_inverses` accepts, as
+    a one-row stack, with the bits of that call; otherwise
+    SingularMatrixError, with the condition number its singular values
+    read (`checked_svals`), or cond=inf when they pass and the inverse met
+    an exact zero pivot.
+    """
+    rows, Mi = nonsingular_inverses(M[None], tol)
+    if not rows:
+        checked_svals(M, tol)
+        raise SingularMatrixError("matrix exactly singular (cond=inf)", cond=np.inf)
+    return Mi[0]
 
 
 def checked_svals(M, tol=DEFAULT_TOL):

@@ -7,8 +7,13 @@ perturbations; the gain norm measures control effort.
 
 import numpy as np
 
-from .errors import SingularMatrixError
-from .linalg import DEFAULT_TOL, checked_svals, fro_norm, schur_triangular, two_norm
+from .linalg import (
+    DEFAULT_TOL,
+    fro_norm,
+    nonsingular_inverse,
+    schur_triangular,
+    two_norm,
+)
 from .structure import jordan_matrix
 
 # Below this share of ||A||_F^2 the Henrici identity's roundoff, about
@@ -18,23 +23,14 @@ _IDENTITY_FLOOR = 1e-6
 
 def _nonsingular_svals(X, tol):
     """Singular values of a square X, largest first, when X is not
-    singular by the rule of `linalg.nonsingular_inverses`; otherwise
-    SingularMatrixError.
-
-    X is singular when `checked_svals` rejects it, or when its inverse
-    meets an exact zero pivot, which the singular values can let through
-    under an infinite singular_cond_limit.  The pivots are those of the
-    LU factorization `np.linalg.inv` takes; `np.linalg.slogdet` takes the
-    same one without the inverse, and reads sign 0 exactly on a zero
-    pivot.
+    singular by the rule of `linalg.nonsingular_inverses`; otherwise the
+    SingularMatrixError of `linalg.nonsingular_inverse`.
     """
     X = np.atleast_2d(np.asarray(X))
     if X.shape[0] != X.shape[1]:
         raise ValueError("condition numbers require a square matrix")
-    s = checked_svals(X, tol)
-    if np.linalg.slogdet(X)[0] == 0:
-        raise SingularMatrixError("matrix exactly singular (cond=inf)", cond=np.inf)
-    return s
+    nonsingular_inverse(X, tol)
+    return np.linalg.svd(X, compute_uv=False)
 
 
 def kappa_fro(X, tol=DEFAULT_TOL):

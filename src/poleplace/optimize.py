@@ -158,22 +158,15 @@ def unique_parameter(spec, m):
     """The parameter K* used on F-unique structures.
 
     In each block, the level-1 column of the j-th Jordan block is e_j and
-    every other column is zero; a pair's first member gets a complex block,
-    its partner the conjugate.  Chains are equivariant, H(K C) = H(K) C,
-    and on an F-unique structure K* C reaches every K, so V(K*) is
-    nonsingular whenever any V(K) is.
+    every other column is zero.  The block is real, so it is its own
+    conjugate and serves both members of a pair.  Chains are equivariant,
+    H(K C) = H(K) C, and on an F-unique structure K* C reaches every K, so
+    V(K*) is nonsingular whenever any V(K) is.
     """
     blocks = []
-    for i, orders in enumerate(spec.block_orders):
-        if i % 2 == 1 and i < 2 * spec.sigma:
-            blocks.append(blocks[-1].conj())
-            continue
-        dtype = complex if i < 2 * spec.sigma else float
-        blk = np.zeros((m, sum(orders)), dtype=dtype)
-        off = 0
-        for j, p in enumerate(orders):
-            blk[j, off] = 1.0
-            off += p
+    for orders in spec.block_orders:
+        blk = np.zeros((m, sum(orders)))
+        blk[range(len(orders)), np.cumsum((0, *orders[:-1]))] = 1.0
         blocks.append(blk)
     return ParameterMatrix(blocks, spec.sigma)
 
@@ -250,16 +243,12 @@ class _Evaluator:
                     Acl = self.sys.A + self.sys.B @ self.placement_star.F
                     robust = departure_from_normality(Acl) ** 2
                 self.fixed = self._blend(robust, self.placement_star.F)
-        if self.fixed is None:
-            # a plain attribute, shadowing the class's lazy L: every
-            # evaluation reads it
-            self.L = placer.operator()
 
     @functools.cached_property
     def L(self):
-        """The placer's dense operator (`Placer.operator`), built on first
-        read by an evaluator with a value fixed at K*, which `minimize`
-        never searches; every other evaluator binds it in `__init__`."""
+        """The placer's dense operator (`Placer.operator`), built on the
+        first evaluation; an evaluator with a value fixed at K*, which
+        `minimize` never searches, builds it only when a point is checked."""
         return self.placer.operator()
 
     def _blend(self, robust, F):

@@ -17,8 +17,8 @@ its index, first chain column, first coordinate in x and whether it is a
 pair, which every other step reads.  `Placer.place` and
 `Placer.build_chains` apply the map; the complex chain matrix H is an exact
 gather of the real [V; W] (a pair's columns are V_1 +- i V_2).  `place`
-decides V's singularity inverse first, by the optimizer's own test
-(`linalg.nonsingular_inverses`), and forms F from that inverse with one
+decides V's singularity inverse first, by the optimizer's own rule
+(`linalg.nonsingular_inverse`), and forms F from that inverse with one
 step of iterative refinement, so it takes no SVD unless V is rejected.
 `Placer.operator` scatters the same blocks into the dense matrix L the
 optimizer multiplies by.  The map is exactly invertible, which
@@ -34,18 +34,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ChainConsistencyError,
-    NotReachableError,
-    SingularMatrixError,
-    StructureError,
-)
+from .errors import ChainConsistencyError, NotReachableError, StructureError
 from .linalg import (
     DEFAULT_TOL,
-    checked_svals,
     fro_norm,
     kernel_and_pseudo_inverse,
-    nonsingular_inverses,
+    nonsingular_inverse,
 )
 from .structure import conformable_column_blocks, jordan_matrix
 
@@ -405,7 +399,7 @@ class Placer:
         stacked product; X is the top of the chain matrix that
         `build_chains` would return, gathered from V.  V's singularity is
         decided as the optimizer's evaluator decides it, inverse first
-        (`linalg.nonsingular_inverses`), and F is formed from that inverse
+        (`linalg.nonsingular_inverse`), and F is formed from that inverse
         with one step of iterative refinement, F = F0 + (W - F0 V) V^{-1}
         for F0 = W V^{-1} (Higham, Accuracy and Stability of Numerical
         Algorithms, sec. 12), which brings F's error down to that of
@@ -419,15 +413,7 @@ class Placer:
         n = self.sys.n
         VW = pmap.vw(K._x)
         V, W = VW[:n], VW[n:]
-        rows, Vi = nonsingular_inverses(V[None], self.tol)
-        if not rows:
-            # the singular values name the condition number; a V they pass
-            # met an exact zero pivot
-            checked_svals(V, self.tol)
-            raise SingularMatrixError(
-                "matrix exactly singular (cond=inf)", cond=np.inf
-            )
-        Vi = Vi[0]
+        Vi = nonsingular_inverse(V, self.tol)
         F = W @ Vi
         F += (W - F @ V) @ Vi
         X = pmap.chains(V)

@@ -21,14 +21,10 @@ def _fmt_float(v):
 
 
 def _fmt_sig4(v):
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
     return f"{float(v):.4g}"
 
 
 def _fmt_full(v):
-    if v is None or (isinstance(v, float) and not np.isfinite(v)):
-        return ""
     return repr(float(v))
 
 
@@ -92,9 +88,11 @@ def _row_values(row):
 
 
 def _cells(row, fmt):
-    """The table cells of one row: floats through fmt, None blank."""
+    """The table cells of one row: finite floats through fmt, None and
+    non-finite floats blank."""
     return [
-        fmt(value) if isinstance(value, (float, np.floating))
+        (fmt(value) if np.isfinite(value) else "")
+        if isinstance(value, (float, np.floating))
         else "" if value is None else str(value)
         for value in _row_values(row)
     ]

@@ -257,10 +257,8 @@ def check_admissible(spec, sys, tol=DEFAULT_TOL):
                 c, d, False, k + 1,
                 f"partial degree sum {run_d} < index sum {run_c} at k={k + 1}",
             )
-    if run_d != n:
-        return AdmissibilityReport(
-            c, d, False, m, f"invariant degrees sum to {run_d}, expected {n}"
-        )
+    # spec.n = sys.n and no eigenvalue has more than m blocks, so the
+    # degrees and the indices both sum to n: equality at k = m holds
     return AdmissibilityReport(c, d, True)
 
 

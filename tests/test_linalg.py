@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poleplace.errors import SingularMatrixError
 from poleplace.linalg import (
     ToleranceConfig,
     certified_rows,
     fro_norm,
     kernel_and_pseudo_inverse,
     kernel_basis,
+    nonsingular_inverse,
     nonsingular_inverses,
     nonsingular_rows,
     pseudo_inverse,
@@ -298,3 +300,37 @@ class TestCertifiedRows:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert certified_rows(V, np.linalg.inv(V)) == [0]
+
+
+class TestNonsingularInverse:
+    """The raising one-matrix form of `nonsingular_inverses`."""
+
+    def test_bits_of_the_one_row_stack(self):
+        rng = np.random.default_rng(82)
+        for V in conditioned_stack(rng, 4, [1.0, 1e8, 1e11]):
+            rows, Vi = nonsingular_inverses(V[None])
+            assert rows == [0]
+            assert nonsingular_inverse(V).tobytes() == Vi[0].tobytes()
+
+    def test_condition_number_named(self):
+        V = conditioned_stack(np.random.default_rng(83), 3, [1e14])[0]
+        s = np.linalg.svd(V, compute_uv=False)
+        with pytest.raises(SingularMatrixError) as err:
+            nonsingular_inverse(V)
+        assert err.value.cond == s[0] / s[-1]
+
+    def test_exact_zero_pivot_is_cond_inf(self):
+        # a zero column is an exact zero pivot, singular also where an
+        # infinite limit lets its singular values (sigma_min ~ 1e-17) pass
+        tol = ToleranceConfig(singular_cond_limit=np.inf)
+        rng = np.random.default_rng(34)
+        svd_passed = 0
+        for _ in range(8):
+            V = rng.standard_normal((4, 4))
+            V[:, int(rng.integers(4))] = 0.0
+            s = np.linalg.svd(V[None], compute_uv=False)
+            svd_passed += bool(nonsingular_rows(s, tol))
+            with pytest.raises(SingularMatrixError) as err:
+                nonsingular_inverse(V, tol)
+            assert err.value.cond == np.inf
+        assert svd_passed > 0

@@ -444,6 +444,25 @@ class TestTerminations:
         assert result.terminations == ("max_iters",) * 2
         assert all(len(trace) == 4 for trace in result.traces)
 
+    def test_zero_slope_stop(self):
+        # g @ p = -1e-340 underflows to -0.0, so the quasi-Newton direction
+        # is not a descent one; the steepest-descent fallback's slope
+        # -g @ g underflows as well, and the restart stops before a probe
+        class Flat:
+            def grad(self, pt):
+                return np.array([1e-170, 0.0])
+
+            def points(self, X):
+                raise AssertionError("no probe is evaluated")
+
+        x0 = np.array([0.5, -0.5])
+        pt0 = optimize._Point(None, None, None, 2.0)
+        x, value, trace, termination, probes = optimize._bfgs_restart(
+            Flat(), x0, pt0, pp.OptOptions(tol_grad=1e-300))
+        assert termination == "zero_slope"
+        assert (value, trace, probes) == (2.0, [2.0], 0)
+        assert np.array_equal(x, x0)
+
     def test_bn02_restarts_end_at_roundoff_floor(self):
         # 98.51495372173828 is the floor value these restarts reach when run
         # on to max_iters=500 (116,541 evaluations in all)
@@ -634,14 +653,19 @@ class TestFUnique:
         assert len(values) == 20
 
     def test_operator_bound_once_unless_fixed(self):
-        # a searching evaluator holds L as a plain attribute from the start;
-        # one with a value fixed at K* builds it only when a draw is checked
+        # an evaluator builds L on its first evaluation, once; one with a
+        # value fixed at K* builds it only when a draw is checked
         sys = random_reachable(np.random.default_rng(53), 4, 2)
         spec = F_UNIQUE_CASES["real_defective"]
         placer = pp.Placer(sys, spec)
+        builds, operator = [], placer.operator
+        placer.operator = lambda: builds.append(1) or operator()
         searching = _Evaluator(pp.ObjectiveSpec("condition", 1.0), placer)
         assert searching.fixed is None
-        assert searching.__dict__["L"] is placer.operator()
+        assert builds == [] and "_operator" not in placer.__dict__
+        x = np.random.default_rng(55).standard_normal(8)
+        assert searching(x)[1] and searching(2.0 * x)[1]
+        assert builds == [1] and searching.__dict__["L"] is operator()
         placer = pp.Placer(sys, spec)
         fixed = _Evaluator(pp.ObjectiveSpec("normality", 1.0), placer)
         assert fixed.fixed is not None

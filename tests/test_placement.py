@@ -121,6 +121,18 @@ class TestBuildChains:
         with pytest.raises(pp.StructureError):
             pp.build_chains(sys, spec, K)
 
+    @pytest.mark.parametrize("n, eigs, orders, match", [
+        # a 3-state structure for a 2-state pair
+        (2, (0.0,), ((3,),), "multiplicities sum to 3, expected 2"),
+        # a real eigenvalue ahead of the conjugate pair
+        (3, (-3.0, -1 + 1j, -1 - 1j), ((1,),) * 3, "conformably ordered"),
+    ])
+    def test_placer_rejects_structure(self, n, eigs, orders, match):
+        # the single-input integrator chain of n states
+        sys = pp.System(np.eye(n, k=1), np.eye(n)[:, -1:])
+        with pytest.raises(pp.StructureError, match=match):
+            pp.Placer(sys, pp.EigStructure(eigs, orders))
+
 
 def operator_structure(n, m, kind):
     """A conformably ordered n-state structure of one kind for m inputs.
@@ -481,6 +493,17 @@ class TestTrustedParameterMatrix:
         with pytest.raises(pp.StructureError,
                            match=f"^{len(blocks)} parameter blocks given"):
             pp.ParameterMatrix(blocks, sigma)
+
+    def test_unequal_block_rows_rejected(self):
+        with pytest.raises(pp.StructureError, match="must have m rows"):
+            pp.ParameterMatrix([np.ones((2, 1)), np.ones((3, 1))], 0)
+
+    @pytest.mark.parametrize("size", [5, 7])
+    def test_vector_size_rejected(self, size):
+        spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,),) * 3)
+        with pytest.raises(pp.StructureError,
+                           match=f"has {size} entries, expected 6"):
+            pp.ParameterMatrix.from_vector(spec, 2, np.zeros(size))
 
     def test_recovered_vector_matches_its_blocks(self):
         placer, rng = grouped_instance(16, 3)

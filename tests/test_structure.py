@@ -135,6 +135,14 @@ class TestControllabilityIndices:
             assert c == _indices_via_rank_increments(sys.A, sys.B)
 
 
+def _indices_3_1_pair():
+    """A pair with controllability indices (3, 1): b_1 = e_2 runs the chain
+    e_2 -> e_1 -> e_0, and A e_3 = 0."""
+    A = np.zeros((4, 4))
+    A[0, 1] = A[1, 2] = 1.0
+    return pp.System(A, np.eye(4)[:, 2:])
+
+
 class TestCheckAdmissible:
     def test_single_input_two_blocks_inadmissible(self):
         sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
@@ -156,6 +164,16 @@ class TestCheckAdmissible:
         assert report.controllability_indices == (2, 1)
         assert report.invariant_degrees == (2, 1)
         assert report.satisfied
+
+    def test_partial_sum_failure(self):
+        report = pp.check_admissible(
+            pp.EigStructure((0.0,), ((2, 2),)), _indices_3_1_pair()
+        )
+        assert report.controllability_indices == (3, 1)
+        assert report.invariant_degrees == (2, 2)
+        assert not report.satisfied
+        assert report.failing_index == 1
+        assert report.message == "partial degree sum 2 < index sum 3 at k=1"
 
     def test_multiplicity_sum_mismatch(self):
         sys = pp.System(np.zeros((2, 2)), np.eye(2))
@@ -180,8 +198,14 @@ class TestCheckAdmissible:
         rng = np.random.default_rng(8)
         partitions4 = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
         partitions2 = [(2,), (1, 1)]
-        for _ in range(4):
-            sys = random_reachable(rng, 4, 2)
+
+        def systems():
+            for _ in range(4):
+                yield random_reachable(rng, 4, 2)
+            # indices (3, 1), where verdicts fail on a partial sum as well
+            yield _indices_3_1_pair()
+
+        for sys in systems():
             candidates = [
                 pp.EigStructure((0.0,), (part,)) for part in partitions4
             ]

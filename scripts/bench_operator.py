@@ -27,8 +27,10 @@ inputs.  Four sections are written:
   per place_ladder cell (each (n, m) of the ladder with each structure
   class), each timed after one untimed call that fills any lazily built
   cache.  Beside the times, each cell's "place" records its quality: both
-  sides' residual over its acceptance bound, and how far the change's F
-  lies from the parent's, in units of cond(V) eps (1 + ||F||_F).
+  sides' residual over its acceptance bound, how far the change's F lies
+  from the parent's, in units of cond(V) eps (1 + ||F||_F), and how far
+  the change's residual lies from the parent's, in units of
+  eps residual_scale(F) ||V||_F.
 - "evaluation": one stacked `_Evaluator.points` call on k in {1, 2, 4, 8}
   probes x + t p, t = 1, 1/2, ..., of one line, from a nonsingular start
   x, the rows the line search hands it.  The instances are the normality
@@ -224,20 +226,29 @@ def round_trips(pps, workloads):
 def place_quality(placed):
     """The accuracy of both sides' `place` on one K, from
     {side: (placer, result)}: each side's residual over its acceptance
-    bound residual_tol * scale, and the largest entry of |F_change -
+    bound residual_tol * scale; the largest entry of |F_change -
     F_parent| over cond(V) eps (1 + ||F_parent||_F), the error a
-    backward-stable F may show."""
-    res, change = placed["parent"][1], placed["change"][1]
-    bound = res.cond_V * np.finfo(float).eps * (1.0 + np.linalg.norm(res.F))
+    backward-stable F may show; and |residual_change - residual_parent|
+    over eps residual_scale(F_parent) ||V_parent||_F, the size of the
+    roundoff either residual carries."""
+    placer, res = placed["parent"]
+    change = placed["change"][1]
+    eps = np.finfo(float).eps
+    bound = res.cond_V * eps * (1.0 + np.linalg.norm(res.F))
+    unit = eps * placer.residual_scale(res.F) * np.linalg.norm(res.V)
     quality = {
         "residual_over_bound": {
             side: r.residual / (p.tol.residual_tol * p.residual_scale(r.F))
             for side, (p, r) in placed.items()},
         "F_change_over_cond_eps": float(np.abs(change.F - res.F).max() / bound),
+        "residual_change_over_eps_scale_V":
+            float(abs(change.residual - res.residual) / unit),
     }
     print("  place quality: residual/bound "
           + " -> ".join(f"{v:.3g}" for v in quality["residual_over_bound"].values())
-          + f", F change {quality['F_change_over_cond_eps']:.3g}", flush=True)
+          + f", F change {quality['F_change_over_cond_eps']:.3g}"
+          + f", residual change {quality['residual_change_over_eps_scale_V']:.3g}",
+          flush=True)
     return quality
 
 

@@ -86,8 +86,8 @@ def certified_rows(V, Vi, tol=DEFAULT_TOL):
     k = len(V)
     a, b = V.reshape(k, -1), Vi.reshape(k, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        c_sq = np.vecdot(a, a) * np.vecdot(b, b)
-    return np.flatnonzero(c_sq <= bound * bound).tolist()
+        ok = (np.vecdot(a, a) * np.vecdot(b, b) <= bound * bound).tolist()
+    return [i for i, certified in enumerate(ok) if certified]
 
 
 def nonsingular_inverses(V, tol=DEFAULT_TOL):

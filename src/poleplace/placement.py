@@ -20,6 +20,9 @@ gather of the real [V; W] (a pair's columns are V_1 +- i V_2).  `place`
 decides V's singularity inverse first, by the optimizer's own rule
 (`linalg.nonsingular_inverse`), and forms F from that inverse with one
 step of iterative refinement, so it takes no SVD unless V is rejected.
+Its products stay real: the closed-loop residual is taken on V
+against the real Jordan form, and the complex chain top X is gathered
+only when it is read.
 `Placer.operator` scatters the same blocks into the dense matrix L the
 optimizer multiplies by.  The map is exactly invertible, which
 `recover_parameters` exploits: a chain column is
@@ -29,7 +32,7 @@ k(l) = N^H h(l), taken for all representative columns at once.
 """
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +49,10 @@ from .structure import conformable_column_blocks, jordan_matrix
 # Unused here since build_pencil takes both from one SVD, but kept bound:
 # perfbench/tracing.py wraps these two names on this module.
 from .linalg import kernel_basis, pseudo_inverse  # noqa: F401
+
+# the weight of a pair's residual columns: each stands for itself and its
+# conjugate (see `Placer.place`)
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -234,16 +241,24 @@ class ChainSet:
 class PlacementResult:
     """Feedback and eigenvector data for one parameter choice.
 
+    `residual` is ||(A+BF)X - X Lambda||_F, taken in real form by
+    `Placer.place`.  Two values are computed on first read and then kept,
+    so a placement that never reads them does not pay for them: X, the
+    top of the chain matrix `Placer.build_chains` returns (complex with
+    conjugate pairs), gathered exactly from V by the placement map; and
     `cond_V`, the spectral condition number sigma_max / sigma_min of V from
-    its singular values, is computed on first read and then kept: a
-    placement that never reads it takes no SVD.
+    its singular values, by one SVD.
     """
 
     V: np.ndarray
     W: np.ndarray
-    X: np.ndarray
     F: np.ndarray
     residual: float
+    _map: "_PlacementMap" = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def X(self):
+        return self._map.chains(self.V)
 
     @functools.cached_property
     def cond_V(self):
@@ -260,8 +275,9 @@ class Placer:
     The rest is built on first use, as cached properties held in the
     instance's `__dict__`: the records of the representative eigenvalues
     (`_reps`), the placement map (`_map`, the one run of the chain
-    recursion per record) that `place` and `build_chains` apply, the dense
-    operator L scattered from it, and the recovery's column data.
+    recursion per record) that `place` and `build_chains` apply, the real
+    Jordan form `place` takes its residual against, the dense operator L
+    scattered from the map, and the recovery's column data.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -359,6 +375,31 @@ class Placer:
         coords = (start[:, None] + np.arange(width)) % (m * n)
         return _PlacementMap(T, coords, gather)
 
+    @functools.cached_property
+    def _real_jordan(self):
+        """(Lambda_R, P): the real Jordan form in V's column layout, and the
+        number P of pair columns, which come first; built on first use.
+
+        A pair lambda = a + ib holds Re h on its first columns and Im h on
+        its second, and (A+BF)(V_1 + i V_2) = (V_1 + i V_2)(lambda I + S)
+        splits into real and imaginary parts as (A+BF) [V_1, V_2] =
+        [V_1, V_2] [[aI+S, bI], [-bI, aI+S]], S the chain superdiagonal.
+        So Lambda_R is Lambda's real part (a, and S's ones, on both
+        members' diagonal blocks) with b and -b copied in, and a structure
+        without pairs has Lambda_R = Re Lambda, P = 0.
+        """
+        LR = self.Lambda.real.copy()
+        # b on a pair's first columns, -b on its second ones
+        b = self.Lambda.diagonal().imag
+        P = np.count_nonzero(b)
+        if P:
+            # a pair column c's complex column reads c and its partner
+            # (`_PlacementMap`), which is re[c] + im[c] - c
+            re, im, _ = self._map.gather
+            cols = np.arange(P)
+            LR[cols, re[:P] + im[:P] - cols] = b[:P]
+        return LR, P
+
     def build_chains(self, K):
         """The complex chain matrix H of K, in conformable order.
 
@@ -396,17 +437,27 @@ class Placer:
         """Place one parameter matrix: F = W V^{-1}.
 
         [V; W] comes from the stored map (`_map`) in one gather and one
-        stacked product; X is the top of the chain matrix that
-        `build_chains` would return, gathered from V.  V's singularity is
-        decided as the optimizer's evaluator decides it, inverse first
-        (`linalg.nonsingular_inverse`), and F is formed from that inverse
-        with one step of iterative refinement, F = F0 + (W - F0 V) V^{-1}
-        for F0 = W V^{-1} (Higham, Accuracy and Stability of Numerical
-        Algorithms, sec. 12), which brings F's error down to that of
+        stacked product, and every product `place` takes is real.  V's
+        singularity is decided as the optimizer's evaluator decides it,
+        inverse first (`linalg.nonsingular_inverse`), and F is formed from
+        that inverse with one step of iterative refinement,
+        F = F0 + (W - F0 V) V^{-1} for F0 = W V^{-1} (Higham, Accuracy and
+        Stability of Numerical Algorithms, sec. 12), which brings F's error down to that of
         Gaussian elimination on F V = W.  A rejected V raises
         SingularMatrixError with the condition number its singular values
         read, or cond=inf when they pass and the inverse met an exact zero
         pivot.
+
+        The residual ||(A+BF)X - X Lambda||_F is taken as
+        ||((A+BF)V - V Lambda_R) w||_F, against the real Jordan form
+        Lambda_R (`_real_jordan`), with w = sqrt(2) on the pair columns and
+        1 on the others.  X = V G for the map's exact gather G (`_map`), and
+        Lambda_R G = G Lambda, so the residual matrix is R G for the real
+        R = (A+BF)V - V Lambda_R; G sends a pair's columns (R_1, R_2) to
+        (R_1 + i R_2, R_1 - i R_2), of squared norm 2 (|R_1|^2 + |R_2|^2).
+        The two forms agree in exact arithmetic and are the same
+        computation without pairs, where G = I.  X itself is gathered from
+        V on first read (`PlacementResult.X`).
         """
         self._check_param(K)
         pmap = self._map
@@ -416,8 +467,13 @@ class Placer:
         Vi = nonsingular_inverse(V, self.tol)
         F = W @ Vi
         F += (W - F @ V) @ Vi
-        X = pmap.chains(V)
-        return PlacementResult(V, W, X, F, _residual(self.sys, F, X, self.Lambda))
+        LR, P = self._real_jordan
+        R = (self.sys.A + self.sys.B @ F) @ V - V @ LR
+        R[:, :P] *= _SQRT2
+        # the norm of R as a complex array sums its squares in the order
+        # the complex definition does, so that without pairs the residual
+        # keeps its bits
+        return PlacementResult(V, W, F, fro_norm(R.astype(complex)), pmap)
 
     def residual_scale(self, F):
         # kept as a method for callers outside the package (the perfbench
@@ -645,11 +701,12 @@ def build_chains(sys, spec, K, tol=DEFAULT_TOL):
 def place(sys, spec, K, tol=DEFAULT_TOL):
     """Compute the feedback for one parameter matrix.
 
-    Returns a PlacementResult with real F, the complex chain-top matrix X,
-    the closed-loop residual ||(A+BF)X - X Lambda||_F and cond(V), the last
-    computed on first read.  Raises SingularMatrixError when cond(V)
-    exceeds the configured limit or V is exactly singular, which callers
-    may treat as a resample signal (see `Placer.place`).
+    Returns a PlacementResult with real F, V and W, the closed-loop
+    residual ||(A+BF)X - X Lambda||_F (taken in real form), and the complex
+    chain-top matrix X and cond(V), both computed on first read.  Raises
+    SingularMatrixError when cond(V) exceeds the configured limit or V is
+    exactly singular, which callers may treat as a resample signal (see
+    `Placer.place`).
     """
     return Placer(sys, spec, tol).place(K)
 
@@ -671,11 +728,7 @@ def residual_ok(sys, res, tol):
 
 def residual(sys, F, X, spec):
     """Closed-loop residual ||(A + B F) X - X Lambda||_F."""
-    return _residual(sys, F, X, jordan_matrix(spec))
-
-
-def _residual(sys, F, X, Lam):
-    return fro_norm((sys.A + sys.B @ F) @ X - X @ Lam)
+    return fro_norm((sys.A + sys.B @ F) @ X - X @ jordan_matrix(spec))
 
 
 def chains_from_feedback(sys, spec, F, tol=DEFAULT_TOL):

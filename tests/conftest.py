@@ -6,11 +6,26 @@ against the admissibility checker, whose own correctness is established by
 the brute-force oracle test in test_structure.py.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import poleplace as pp
 from poleplace.structure import conformable_column_blocks
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The module perfbench/<name>.py, imported as perfbench_<name>."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_reachable(rng, n, m):

@@ -6,29 +6,16 @@ refactor that drops one of those names breaks only benchmark runs, and
 silently; these tests make it fail here instead.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 import poleplace
 import poleplace.bench  # noqa: F401  (submodules resolved by name, as in perfbench/run.py)
 import poleplace.cli  # noqa: F401
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_every_trace_target_exists():
-    tracing = load("tracing")
+    tracing = load_perfbench("tracing")
     missing = []
     for owner_path, attr, _ in tracing.TARGETS:
         owner = poleplace
@@ -39,7 +26,7 @@ def test_every_trace_target_exists():
     assert not missing
 
 
-WORKLOADS = load("workloads").WORKLOADS
+WORKLOADS = load_perfbench("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

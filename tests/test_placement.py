@@ -10,6 +10,7 @@ from poleplace import placement
 from poleplace.optimize import _Evaluator
 from conftest import (
     eigenvalue_match_errors,
+    load_perfbench,
     place_random,
     random_admissible_spec,
     realify,
@@ -730,6 +731,111 @@ class TestSingleOwners:
         res = placer.place(K)
         assert calls == []
         assert res.residual == pp.residual(sys, res.F, res.X, spec)
+
+
+WORKLOADS = load_perfbench("workloads")
+
+# How far `Placer.place`'s real-form residual may lie from the complex
+# definition `pp.residual`, in units of eps * residual_scale(F) * ||V||_F:
+# both carry roundoff of that order, and the largest move seen on
+# thousands of perfbench ladder and normality placements was 0.034.
+RESIDUAL_MOVE_BOUND = 0.1
+
+
+def perfbench_instance(n, m, gen, cls):
+    """A Placer on the perfbench instance of one generator ("ladder" or
+    "normality") and structure class, drawn from seed [1, n, m]."""
+    rng = np.random.default_rng([1, n, m])
+    if gen == "ladder":
+        def make(r):
+            return WORKLOADS.ladder_structure(pp, r, n, m, cls)
+    else:
+        def make(r):
+            return WORKLOADS.normality_structure(pp, r, n, cls)
+    return pp.Placer(*WORKLOADS.admissible_instance(pp, rng, n, m, make)), rng
+
+
+# every place_ladder cell and class, and the random_normality templates
+REAL_FORM_CASES = [
+    (n, m, "ladder", cls)
+    for n, m in WORKLOADS.LADDER_CELLS for cls in WORKLOADS.STRUCTURE_CLASSES
+] + [(n, 2, "normality", cls) for n, cls in WORKLOADS.NORMALITY_TEMPLATES]
+
+
+class TestRealFormResidual:
+    """`Placer.place` takes its residual in real form, against the real
+    Jordan form, and gathers X from V only when X is read."""
+
+    @pytest.mark.parametrize("n, m, gen, cls", REAL_FORM_CASES)
+    def test_real_jordan_form_commutes_with_the_gather(self, n, m, gen, cls):
+        placer, _ = perfbench_instance(n, m, gen, cls)
+        spec = placer.spec
+        # X = V G, for G the chain gather of the identity
+        G = placer._map.chains(np.eye(n))
+        LR, P = placer._real_jordan
+        assert np.isrealobj(LR)
+        assert np.array_equal(LR @ G, G @ placer.Lambda)
+        assert P == sum(spec.multiplicities[: 2 * spec.sigma])
+
+    @pytest.mark.parametrize("n, m, gen, cls", REAL_FORM_CASES)
+    def test_residual_agrees_with_the_complex_definition(self, n, m, gen, cls):
+        placer, rng = perfbench_instance(n, m, gen, cls)
+        eps = np.finfo(float).eps
+        placed = 0
+        for _ in range(5):
+            K = pp.ParameterMatrix.random(placer.spec, m, rng)
+            try:
+                res = placer.place(K)
+            except pp.SingularMatrixError:
+                continue
+            placed += 1
+            chains = placer.build_chains(K)
+            assert res.X.dtype == chains.H.dtype
+            assert np.array_equal(res.X, chains.X)
+            ref = pp.residual(placer.sys, res.F, res.X, placer.spec)
+            if placer.spec.sigma == 0:
+                assert res.residual == ref
+            else:
+                unit = eps * placer.residual_scale(res.F) * pp.fro_norm(res.V)
+                assert abs(res.residual - ref) <= RESIDUAL_MOVE_BOUND * unit
+        assert placed >= 3
+
+    @pytest.mark.parametrize(
+        "n, eigs, orders",
+        [(4, (-1.0, -2.0, -3.0, -4.0), ((1,), (1,), (1,), (1,))),
+         (4, (-1.0, -2.0), ((1, 1), (1, 1))),
+         (4, (-1.0, -2.0), ((2, 1), (1,))),
+         (5, (0.0,), ((3, 2),))],
+    )
+    def test_structures_without_pairs_keep_their_residual_bits(self, n, eigs, orders):
+        rng = np.random.default_rng(27)
+        sys = random_reachable(rng, n, 2)
+        spec = pp.EigStructure(eigs, orders)
+        assert pp.check_admissible(spec, sys).satisfied
+        placer = pp.Placer(sys, spec)
+        assert placer._real_jordan[1] == 0
+        for _ in range(5):
+            res = placer.place(pp.ParameterMatrix.random(spec, 2, rng))
+            assert np.isrealobj(res.X)
+            assert res.residual == pp.residual(sys, res.F, res.X, spec)
+
+    def test_place_gathers_x_on_first_read(self, monkeypatch):
+        placer, rng = perfbench_instance(8, 2, "ladder", "defective")
+        assert placer.spec.sigma > 0
+        K = pp.ParameterMatrix.random(placer.spec, 2, rng)
+        calls = []
+        gather = placement._PlacementMap.chains
+        monkeypatch.setattr(
+            placement._PlacementMap, "chains",
+            lambda pmap, rows: calls.append(rows.shape) or gather(pmap, rows),
+        )
+        res = placer.place(K)
+        assert calls == []
+        assert "X" not in res.__dict__
+        X = res.X
+        assert calls == [(8, 8)]
+        assert res.X is X
+        assert np.iscomplexobj(X)
 
 
 def spread_simple_instance(rng, n, m, tol=pp.linalg.DEFAULT_TOL):

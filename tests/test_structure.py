@@ -5,7 +5,31 @@ import poleplace as pp
 from conftest import random_reachable, weyr_ranks_ok
 
 
+class TestSystem:
+    @pytest.mark.parametrize(
+        "A, B, match",
+        [(np.zeros((2, 3)), np.ones((2, 1)), "A must be square"),
+         (np.zeros((2, 2)), np.ones((3, 1)), "B must have as many rows as A"),
+         ([[0.0, np.nan], [0.0, 0.0]], [[0.0], [1.0]], "must be finite"),
+         ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [np.inf]], "must be finite")],
+    )
+    def test_malformed_pair_rejected(self, A, B, match):
+        with pytest.raises(pp.StructureError, match=match):
+            pp.System(A, B)
+
+
 class TestEigStructure:
+    def test_rejects_empty_structure(self):
+        with pytest.raises(pp.StructureError, match="at least one eigenvalue"):
+            pp.EigStructure((), ())
+
+    @pytest.mark.parametrize(
+        "eigs, orders", [((-1.0, -2.0), ((1,),)), ((-1.0,), ((1,), (1,)))]
+    )
+    def test_rejects_length_mismatch(self, eigs, orders):
+        with pytest.raises(pp.StructureError, match="one block-order list"):
+            pp.EigStructure(eigs, orders)
+
     def test_blocks_stored_nonincreasing(self):
         spec = pp.EigStructure((0.0,), ((1, 3, 2),))
         assert spec.block_orders == ((3, 2, 1),)

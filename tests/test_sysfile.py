@@ -161,3 +161,66 @@ class TestLoadFeedback:
         sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
         with pytest.raises(pp.ParseError, match="non-finite"):
             load_feedback(write(tmp_path, "f.json", {"F": [[bad, -3.0]]}), sys)
+
+
+class TestMalformedFiles:
+    """Every input check of the file readers, one malformed file each."""
+
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(pp.ParseError, match="cannot read"):
+            load_system(tmp_path / "missing.json")
+
+    @pytest.mark.parametrize(
+        "A, match",
+        [([["a", "b"], ["c", "d"]], "'A' is not a numeric matrix"),
+         ([[0.0, 1.0], [0.0]], "'A' is not a numeric matrix"),
+         ([0.0, 1.0], "'A' must be a list of rows")],
+    )
+    def test_matrix_field_rejected(self, tmp_path, A, match):
+        payload = dict(BASE, A=A)
+        with pytest.raises(pp.ParseError, match=match):
+            load_system(write(tmp_path, "a.json", payload))
+
+    @pytest.mark.parametrize(
+        "structure, match",
+        [([], "'structure' must be a non-empty list"),
+         ({"re": -1.0, "blocks": [2]}, "'structure' must be a non-empty list"),
+         ([[-1.0, [2]]], "structure record 0 must be an object"),
+         ([{"re": -1.0}], "structure record 0 malformed"),
+         ([{"re": "x", "blocks": [2]}], "structure record 0 malformed"),
+         ([{"re": -1.0, "blocks": [1]}, {"re": -2.0, "blocks": ["one"]}],
+          "structure record 1 malformed")],
+    )
+    def test_structure_records_rejected(self, tmp_path, structure, match):
+        payload = dict(BASE, structure=structure)
+        with pytest.raises(pp.ParseError, match=match):
+            load_system(write(tmp_path, "s.json", payload))
+
+    def test_top_level_not_an_object(self, tmp_path):
+        with pytest.raises(pp.ParseError, match="top level must be an object"):
+            load_system(write(tmp_path, "list.json", [BASE]))
+
+    def test_baseline_not_an_object(self, tmp_path):
+        payload = dict(BASE, baseline=[16.73])
+        with pytest.raises(pp.ParseError, match="'baseline' must be an object"):
+            load_system(write(tmp_path, "b.json", payload))
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [([{"re": [[1.0]]}], "expected object with a 'blocks' list"),
+         ({"blocks": {"re": [[1.0]]}}, "expected object with a 'blocks' list"),
+         ({"blocks": [{"re": [[1.0]]}, {"re": [[2.0]]}]},
+          "2 blocks given, structure has 1 eigenvalues"),
+         ({"blocks": [[[1.0]]]}, "block 0 must be an object with 're'"),
+         ({"blocks": [{"im": [[1.0]]}]}, "block 0 must be an object with 're'")],
+    )
+    def test_parameter_file_rejected(self, tmp_path, payload, match):
+        spec = pp.EigStructure((-1.0,), ((1,),))
+        with pytest.raises(pp.ParseError, match=match):
+            load_parameter(write(tmp_path, "k.json", payload), spec, 1)
+
+    @pytest.mark.parametrize("payload", [[[-2.0, -3.0]], {"K": [[-2.0, -3.0]]}])
+    def test_feedback_file_rejected(self, tmp_path, payload):
+        sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+        with pytest.raises(pp.ParseError, match="expected object with field 'F'"):
+            load_feedback(write(tmp_path, "f.json", payload), sys)

@@ -26,7 +26,9 @@ inputs.  Four sections are written:
   `Placer.recover_parameters` call on the same K (recover on its chains),
   per place_ladder cell (each (n, m) of the ladder with each structure
   class), each timed after one untimed call that fills any lazily built
-  cache.  Beside the times, each cell's "place" records its quality: both
+  cache.  Beside the times, each cell's "recover" records whether each
+  side accepts the chain set and whether the two recovered coordinate
+  vectors are bit-identical, and its "place" records its quality: both
   sides' residual over its acceptance bound, how far the change's F lies
   from the parent's, in units of cond(V) eps (1 + ||F||_F), and how far
   the change's residual lies from the parent's, in units of
@@ -202,13 +204,16 @@ def round_trips(pps, workloads):
         for cls in workloads.STRUCTURE_CLASSES:
             cell = f"n{n}-m{m}-{cls}"
             calls = {"build_chains": {}, "place": {}, "recover": {}}
-            placed = {}
+            placed, recovered = {}, {}
             for side, pp in pps.items():
                 rng = np.random.default_rng([1, n, m])
                 placer = instance(pp, workloads, n, m, "ladder", cls, rng)
                 K = nonsingular_parameter(pp, placer, rng)
                 chains = placer.build_chains(K)
-                placer.recover_parameters(chains)
+                try:
+                    recovered[side] = placer.recover_parameters(chains).to_vector()
+                except pp.PolePlaceError:
+                    recovered[side] = None
                 placed[side] = (placer, placer.place(K))
                 calls["build_chains"][side] = lambda p=placer, K=K: p.build_chains(K)
                 calls["place"][side] = lambda p=placer, K=K: p.place(K)
@@ -220,7 +225,22 @@ def round_trips(pps, workloads):
                 for call, by_side in calls.items()
             }
             rows[cell]["place"]["quality"] = place_quality(placed)
+            rows[cell]["recover"]["quality"] = recover_quality(recovered)
     return rows
+
+
+def recover_quality(recovered):
+    """Whether each side accepts the chain set, and whether the recovered
+    coordinate vectors are bit-identical, from {side: vector or None}."""
+    parent, change = recovered["parent"], recovered["change"]
+    quality = {
+        "accepted": {side: x is not None for side, x in recovered.items()},
+        "vector_bit_identical": (parent is not None and change is not None
+                                 and parent.tobytes() == change.tobytes()),
+    }
+    print(f"  recover: accepted {quality['accepted']}, "
+          f"bit-identical {quality['vector_bit_identical']}", flush=True)
+    return quality
 
 
 def place_quality(placed):

@@ -28,7 +28,12 @@ optimizer multiplies by.  The map is exactly invertible, which
 `recover_parameters` exploits: a chain column is
 h(l) = Mdag pi_upper(h(l-1)) + N k(l), and since N^H Mdag = 0 (the range
 of Mdag is orthogonal to ker S), every parameter column is one projection
-k(l) = N^H h(l), taken for all representative columns at once.
+k(l) = N^H h(l), taken for all representative columns at once.  The input
+is checked by one per-column rule: each representative column's conjugate
+mismatch, chain-relation residual and imaginary parameter must stay within
+that column's own tolerance, and a non-finite chain set is rejected.
+`chains_from_feedback` writes the chain matrix of an external feedback
+with a simple spectrum directly, one [x; F x] column per eigenvalue.
 """
 
 import functools
@@ -237,10 +242,11 @@ class ChainSet:
         return self.H[: self.spec.n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlacementResult:
     """Feedback and eigenvector data for one parameter choice.
 
+    Results compare and hash by identity: their fields are arrays.
     `residual` is ||(A+BF)X - X Lambda||_F, taken in real form by
     `Placer.place`.  Two values are computed on first read and then kept,
     so a placement that never reads them does not pay for them: X, the
@@ -254,7 +260,7 @@ class PlacementResult:
     W: np.ndarray
     F: np.ndarray
     residual: float
-    _map: "_PlacementMap" = field(repr=False, compare=False)
+    _map: "_PlacementMap" = field(repr=False)
 
     @functools.cached_property
     def X(self):
@@ -496,7 +502,6 @@ class Placer:
         mults = np.array([spec.multiplicities[rep.i] for rep in reps])
         cols = np.concatenate([rep.col + np.arange(k) for rep, k in zip(reps, mults)])
         lam = np.repeat([spec.eigenvalues[rep.i] for rep in reps], mults)
-        n_pair = int(mults[: spec.sigma].sum())
         # (m, columns): entry (i, l) of an eigenvalue's block sits at
         # start + i * mult + l
         real_coords = np.concatenate([
@@ -506,14 +511,13 @@ class Placer:
         # a pair's second block sits mult columns after its first, its
         # imaginary coordinates m * mult after its real ones
         shift = np.repeat(mults[: spec.sigma], mults[: spec.sigma])
-        pair_orders = [p for rep in reps[: spec.sigma]
-                       for p in spec.block_orders[rep.i]]
+        coords = np.hstack([real_coords, real_coords[:, : shift.size] + sys.m * shift])
         NH = np.repeat(
             np.array([self.pencils[rep.i].N.conj().T for rep in reps]), mults, axis=0
         )
         return _Recovery(
             cols=cols,
-            pair_cols=cols[:n_pair] + shift,
+            pair_cols=cols[: shift.size] + shift,
             lam=lam,
             # the tolerance of a column h is scale * max(1, |h|)
             scale=self.tol.residual_tol * (
@@ -524,11 +528,8 @@ class Placer:
             SH=np.hstack([sys.A, sys.B]).astype(NH.dtype),
             Lambda=self.Lambda[np.ix_(cols, cols)],
             NH=NH,
-            n_pair=n_pair,
-            starts=np.cumsum(mults) - mults,
-            real_coords=real_coords,
-            imag_coords=real_coords[:, :n_pair] + sys.m * shift,
-            pair_starts=np.cumsum([0, *pair_orders])[:-1],
+            # coords is a permutation of x's positions, so x is one gather
+            order=np.argsort(coords.ravel()),
         )
 
     def recover_parameters(self, chain_set):
@@ -537,35 +538,44 @@ class Placer:
         A chain column is h(l) = Mdag pi_upper(h(l-1)) + N k(l).  The range
         of Mdag is the orthogonal complement of ker S, so N^H Mdag = 0, and
         one projection by the orthonormal kernel basis N recovers each
-        column of K; the Mdag term would contribute only roundoff.  First
-        the conjugate symmetry of pair blocks and the chain relations
-        (A - lambda I) x(l) + B y(l) = x(l-1), for all representative
-        columns at once as A X + B Y - X Lambda, are verified; violations
-        raise ChainConsistencyError.
+        column of K; the Mdag term would contribute only roundoff.
+
+        Every representative column h is checked by one rule: each of its
+        deviations d must meet |d|_2 <= scale * max(1, |h|_2), scale the
+        column's tolerance (`_Recovery`).  The deviations are the
+        conjugate mismatch of a pair's second-member column, the chain
+        relation residual (A - lambda I) x(l) + B y(l) - x(l-1), taken for
+        all columns at once as A X + B Y - X Lambda, and Im N^H h on a real
+        eigenvalue's column.  A violation, or a non-finite entry anywhere
+        in H, raises ChainConsistencyError.
         """
         rec = self._recovery
-        n, sigma = self.sys.n, self.spec.sigma
+        # the first p representative columns are the pairs' first members'
+        n, p = self.sys.n, rec.pair_cols.size
         H = chain_set.H
-        Hr = H[:, rec.cols]
-        first = Hr[:, : rec.n_pair]
-        rec.check_blocks(first.conj() - H[:, rec.pair_cols], first, rec.pair_starts,
-                         "conjugate pair blocks differ by {dev:.3e}")
-        err = np.linalg.norm(rec.SH @ Hr - Hr[:n] @ rec.Lambda, axis=0)
-        j = _first_beyond(err, rec.scale * np.maximum(1.0, np.linalg.norm(Hr, axis=0)))
-        if j is not None:
+        if not np.isfinite(H).all():
             raise ChainConsistencyError(
-                f"not a valid chain set: relation residual {err[j]:.3e} "
-                f"at lambda={rec.lam[j]}"
-            )
+                "not a valid chain set: the chain set has non-finite entries")
+        Hr = H[:, rec.cols]
+        tol = rec.scale * np.maximum(1.0, _column_norms(Hr))
+        # the chain sets the package builds have exact conjugates and real
+        # parameters, which skips two checks (count_nonzero is quicker than
+        # any here)
+        dev = Hr[:, :p].conj() - H[:, rec.pair_cols]
+        if np.count_nonzero(dev):
+            _check_columns(_column_norms(dev), tol[:p], rec.lam[:p],
+                           "conjugate pair columns differ by {dev:.3e} "
+                           "at lambda={lam}")
+        _check_columns(_column_norms(rec.SH @ Hr - Hr[:n] @ rec.Lambda),
+                       tol, rec.lam, "relation residual {dev:.3e} at lambda={lam}")
         # k_j = N_j^H h_j, one batched product over the columns
         Kc = (rec.NH @ Hr.T[:, :, None])[:, :, 0].T
-        reals = Kc[:, rec.n_pair :]
-        rec.check_blocks(reals.imag, reals, rec.starts[sigma:],
-                         "complex chain for real eigenvalue {lam.real} "
-                         "(residue {dev:.3e})")
-        x = np.empty(self.sys.m * n)
-        x[rec.real_coords] = Kc.real
-        x[rec.imag_coords] = Kc[:, : rec.n_pair].imag
+        dev = Kc[:, p:].imag
+        if np.count_nonzero(dev):
+            _check_columns(_column_norms(dev), tol[p:], rec.lam[p:],
+                           "complex chain for real eigenvalue {lam.real} "
+                           "(residue {dev:.3e})")
+        x = np.concatenate([Kc.real, Kc[:, :p].imag], axis=1).ravel()[rec.order]
         return ParameterMatrix._of_vector(self.spec, self.sys.m, x)
 
 
@@ -574,55 +584,35 @@ class _Recovery:
     """Index and pencil data of `Placer.recover_parameters`.
 
     The representative columns are those of `Placer._reps` in conformable
-    order: the pair first members' n_pair columns, then the real
-    eigenvalues' columns, each eigenvalue's columns adjacent and in chain
-    order.
+    order: the pair first members' columns, then the real eigenvalues'
+    columns, each eigenvalue's columns adjacent and in chain order.
     """
 
     cols: np.ndarray  # representative chain columns of H
-    pair_cols: np.ndarray  # the second-member columns mirroring cols[:n_pair]
+    pair_cols: np.ndarray  # the second-member column mirroring each pair column
     lam: np.ndarray  # eigenvalue per representative column
     scale: np.ndarray  # chain tolerance per column, before max(1, |h|)
     SH: np.ndarray  # [A, B]
     Lambda: np.ndarray  # the Jordan matrix on the representative columns
     NH: np.ndarray  # N^H of each representative column's pencil
-    n_pair: int
-    starts: np.ndarray  # first representative column of each eigenvalue
-    real_coords: np.ndarray  # (m, columns) positions in x of Re K
-    imag_coords: np.ndarray  # (m, n_pair) positions in x of a pair's Im K
-    pair_starts: np.ndarray  # first column of each pair mini-block
-
-    def check_blocks(self, dev, size, starts, message):
-        """Raise ChainConsistencyError when, in a block of representative
-        columns, the largest |dev| exceeds scale * max(1, largest |size|).
-
-        The blocks begin at the columns `starts`; dev and size hold the
-        columns from the first block on.
-        """
-        if not dev.any():  # exact, as build_chains makes chains
-            return
-        rel = starts - starts[0]
-        dev = _block_max(dev, rel)
-        j = _first_beyond(
-            dev, self.scale[starts] * np.maximum(1.0, _block_max(size, rel))
-        )
-        if j is not None:
-            raise ChainConsistencyError(
-                "not a valid chain set: "
-                + message.format(lam=self.lam[starts[j]], dev=dev[j])
-            )
+    # x = [Re K, Im K on the pair columns], flattened row by row, [order]
+    order: np.ndarray
 
 
-def _block_max(a, starts):
-    """Largest modulus in each column block of a, the blocks starting at
-    the given columns."""
-    return np.maximum.reduceat(np.abs(a).max(axis=0), starts)
+def _column_norms(a):
+    """The 2-norm of each column of a: np.linalg.norm(a, axis=0) bit for
+    bit, without its argument handling, which is a visible share of a
+    `recover_parameters` call at n <= 32."""
+    return np.sqrt((a.conj() * a).real.sum(axis=0))
 
 
-def _first_beyond(values, bound):
-    """Index of the first value above its bound, or None."""
-    bad = np.flatnonzero(values > bound)
-    return bad[0] if bad.size else None
+def _check_columns(dev, tol, lam, message):
+    """Raise ChainConsistencyError unless dev[j] <= tol[j] for every
+    representative column j (eigenvalue lam[j]); NaN fails the rule."""
+    j = np.argmin(dev <= tol)  # the first column that fails, if any does
+    if not dev[j] <= tol[j]:
+        raise ChainConsistencyError(
+            "not a valid chain set: " + message.format(lam=lam[j], dev=dev[j]))
 
 
 class _Rep(NamedTuple):
@@ -735,9 +725,12 @@ def chains_from_feedback(sys, spec, F, tol=DEFAULT_TOL):
     """Chain set of an externally supplied feedback with simple spectrum.
 
     Eigenvectors of A + BF are matched greedily to the requested
-    eigenvalues; each chain is [x; Fx].  Only length-1 chains are
+    eigenvalues; each chain is [x; Fx], written straight into column i of
+    the chain matrix H for eigenvalue i.  Only length-1 chains are
     constructed, so every requested multiplicity must be 1 (extracting
     Jordan chains of longer blocks from a computed matrix is ill-posed).
+    H is complex when the structure has conjugate pairs, a pair's second
+    column the conjugate of its first, and real otherwise.
     """
     if any(mult != 1 for mult in spec.multiplicities):
         raise StructureError(
@@ -745,23 +738,21 @@ def chains_from_feedback(sys, spec, F, tol=DEFAULT_TOL):
             "(all multiplicities equal to 1)"
         )
     F = np.atleast_2d(np.asarray(F, dtype=float))
-    Acl = sys.A + sys.B @ F
-    w, vecs = np.linalg.eig(Acl)
+    w, vecs = np.linalg.eig(sys.A + sys.B @ F)
     used = np.zeros(len(w), dtype=bool)
-    groups = [None] * spec.nu
+    H = np.empty((sys.n + sys.m, sys.n), complex if spec.sigma else float)
     for i, lam in enumerate(spec.eigenvalues):
         if i % 2 == 1 and i < 2 * spec.sigma:
-            groups[i] = tuple(blk.conj() for blk in groups[i - 1])
+            H[:, i] = H[:, i - 1].conj()
             continue
-        dist = np.where(used, np.inf, np.abs(w - lam))
-        j = int(np.argmin(dist))
+        j = int(np.argmin(np.where(used, np.inf, np.abs(w - lam))))
         used[j] = True
+        x = vecs[:, j]
         if lam.imag != 0.0:
             # retire the computed conjugate partner as well
             dist_c = np.where(used, np.inf, np.abs(w - w[j].conjugate()))
             used[int(np.argmin(dist_c))] = True
-        x = vecs[:, j]
-        if lam.imag == 0.0:
+        else:
             x = x.real / np.linalg.norm(x.real)
-        groups[i] = (np.concatenate([x, F @ x])[:, None],)
-    return ChainSet(spec, tuple(groups))
+        H[: sys.n, i], H[sys.n :, i] = x, F @ x
+    return ChainSet._of_matrix(spec, H)

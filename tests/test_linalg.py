@@ -45,6 +45,9 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(residual_tol=-1e-8)
     with pytest.raises(ValueError):
         ToleranceConfig(residual_tol=float("nan"))
+    for limit in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="singular_cond_limit"):
+            ToleranceConfig(singular_cond_limit=limit)
 
 
 def test_tolerance_config_rejects_infinite_tolerances():
@@ -183,6 +186,10 @@ class TestSchur:
         A = A + A.T
         _, T = schur_triangular(A)
         assert np.abs(np.triu(T, 1)).max() < 1e-10
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            schur_triangular(np.ones((2, 3)))
 
     def test_reconstruction_suite(self):
         rng = np.random.default_rng(5)

@@ -44,6 +44,10 @@ class TestConditionNumbers:
             except pp.SingularMatrixError:
                 continue
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            pp.kappa_fro(np.ones((3, 2)))
+
     def test_singular_raises(self):
         X = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(pp.SingularMatrixError):

@@ -127,6 +127,8 @@ class TestBuildChains:
         (2, (0.0,), ((3,),), "multiplicities sum to 3, expected 2"),
         # a real eigenvalue ahead of the conjugate pair
         (3, (-3.0, -1 + 1j, -1 - 1j), ((1,),) * 3, "conformably ordered"),
+        # pairs first, but a second member is not its first's conjugate
+        (4, (1 + 1j, 2 - 1j, 2 + 1j, 1 - 1j), ((1,),) * 4, "conformably ordered"),
     ])
     def test_placer_rejects_structure(self, n, eigs, orders, match):
         # the single-input integrator chain of n states
@@ -589,6 +591,15 @@ class TestRealSplit:
 
 
 class TestPlace:
+    def test_results_compare_by_identity(self):
+        sys = double_integrator()
+        spec = pp.EigStructure((-1.0, -2.0), ((1,), (1,)))
+        K = pp.ParameterMatrix.from_vector(spec, 1, np.array([0.9, -1.1]))
+        a, b = pp.place(sys, spec, K), pp.place(sys, spec, K)
+        assert np.array_equal(a.F, b.F)
+        assert a != b and a == a
+        assert len({a, b, a}) == 2
+
     def test_scalar(self):
         sys = pp.System(np.array([[0.0]]), np.array([[1.0]]))
         spec = pp.EigStructure((-1.0,), ((1,),))
@@ -1155,6 +1166,82 @@ class TestLoopFreeRoundTrip:
         blk[:, 1] = placer.pencils[i].N @ np.array([0.3, -0.7])
         with pytest.raises(pp.ChainConsistencyError, match="relation residual"):
             placer.recover_parameters(replace_chain(chains, i, blk))
+
+
+def column_scale(placer, j):
+    """scale_j = residual_tol (1 + |A|_F + |lambda_j| sqrt(n) + |B|_F) of
+    chain column j; its recovery tolerance is scale_j max(1, |h_j|_2)."""
+    sys, spec = placer.sys, placer.spec
+    lam = np.repeat(spec.eigenvalues, spec.multiplicities)[j]
+    return placer.tol.residual_tol * (
+        1.0 + pp.fro_norm(sys.A) + abs(lam) * np.sqrt(sys.n) + pp.fro_norm(sys.B))
+
+
+class TestPerColumnRule:
+    """Every representative column is checked against its own tolerance.
+
+    On the 8 x 2 defective structure the pair's first member holds columns
+    0, 1 (one mini-block of order 2), its second member columns 2, 3, and
+    the real eigenvalue -2 (eigenvalue 3) columns 5, 6 (order 2) and 7
+    (order 1).  The parameters of columns 1, 5 and 6 are drawn 100 times
+    larger, and the chain set is scaled by 1e3 so that every |h| > 1.  A
+    deviation of twice column 0's or column 7's own tolerance then stays
+    below a tolerance taken from the largest entry of the pair mini-block
+    or from the largest parameter entry of eigenvalue 3.
+    """
+
+    @staticmethod
+    def chains():
+        placer, rng = operator_instance(8, 2, "defective")
+        blocks = [blk.copy() for blk in
+                  pp.ParameterMatrix.random(placer.spec, 2, rng).blocks]
+        blocks[0][:, 1] *= 100.0
+        blocks[1] = blocks[0].conj()
+        blocks[3][:, :2] *= 100.0
+        chains = placer.build_chains(pp.ParameterMatrix(blocks, placer.spec.sigma))
+        chains.H *= 1e3
+        return placer, chains
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_conjugate_mismatch_against_own_column(self, factor):
+        placer, chains = self.chains()
+        scale, H = column_scale(placer, 0), chains.H
+        own = scale * np.linalg.norm(H[:, 0])
+        assert 1.0 < np.linalg.norm(H[:, 0])
+        assert 2.0 * own < scale * np.abs(H[:, :2]).max()
+        H[0, 2] += factor * own
+        if factor < 1.0:
+            placer.recover_parameters(chains)
+        else:
+            with pytest.raises(pp.ChainConsistencyError, match="conjugate pair"):
+                placer.recover_parameters(chains)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_imaginary_part_against_own_column(self, factor):
+        # i t N e keeps the chain relations of column 7, the last of its
+        # mini-block, and adds t e to the imaginary part of its parameter
+        placer, chains = self.chains()
+        scale, H = column_scale(placer, 7), chains.H
+        own = scale * np.linalg.norm(H[:, 7])
+        assert 1.0 < np.linalg.norm(H[:, 7])
+        params = placer.recover_parameters(chains).blocks[3]
+        assert 2.0 * own < scale * np.abs(params).max()
+        H[:, 7] += 1j * factor * own * placer.pencils[3].N[:, 0]
+        if factor < 1.0:
+            placer.recover_parameters(chains)
+        else:
+            with pytest.raises(pp.ChainConsistencyError, match="complex chain"):
+                placer.recover_parameters(chains)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("col", [0, 1, 4], ids=["pair-first", "pair-second", "real"])
+    def test_non_finite_entries_rejected(self, value, col):
+        # 5 x 2, two simple pairs then the real eigenvalue -2.5 in column 4
+        placer, rng = operator_instance(5, 2, "pair")
+        chains = placer.build_chains(pp.ParameterMatrix.random(placer.spec, 2, rng))
+        chains.H[1, col] = value
+        with pytest.raises(pp.ChainConsistencyError, match="non-finite"):
+            placer.recover_parameters(chains)
 
 
 class TestAlmostEverywhereInvertibility:

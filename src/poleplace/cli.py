@@ -277,7 +277,7 @@ def cmd_recover(args):
     sf, spec = _load_inputs(args)
     sys = sf.system
     F = load_feedback(args.feedback, sys)
-    chains = chains_from_feedback(sys, spec, F, tol)
+    chains = chains_from_feedback(sys, spec, F)
     placer = Placer(sys, spec, tol)
     K = placer.recover_parameters(chains)
     res = placer.place(K)

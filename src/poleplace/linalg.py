@@ -8,10 +8,12 @@ sigma_max`` throughout, so callers get one consistent notion of numerical
 rank.  Singularity is likewise decided by one rule: a matrix is singular
 when its inverse meets an exact zero pivot, or when `nonsingular_rows`
 rejects its singular values.  `nonsingular_inverses` applies it to a
-stack, inverse first: `certified_rows` spares the SVD on the rows the
-inverse shows to be well within the limit, rows the SVD test would
-accept, and a zero pivot makes only its own row singular.
-`nonsingular_inverse` is its raising form for one matrix.
+stack, inverse first: `certified_rows` spares the SVD on the rows whose
+squared Frobenius norms, of the matrix and of its inverse, show them to
+be well within the limit, rows the SVD test would accept, and a zero
+pivot makes only its own row singular.  It returns those squared norms
+with the inverses, so the condition objective reads its value from the
+certificate.  `nonsingular_inverse` is its raising form for one matrix.
 """
 
 from dataclasses import dataclass
@@ -67,9 +69,10 @@ def nonsingular_rows(s, tol=DEFAULT_TOL):
 _CERTIFY_COND = 1e-3 / np.finfo(float).eps
 
 
-def certified_rows(V, Vi, tol=DEFAULT_TOL):
+def certified_rows(sq_V, sq_Vi, tol=DEFAULT_TOL):
     """The rows of a stack V of square matrices that `nonsingular_rows`
-    would accept, certified from their computed inverses Vi without an SVD.
+    would accept, certified from the squared Frobenius norms sq_V of the
+    matrices and sq_Vi of their computed inverses Vi, without an SVD.
 
     Row i is certified when c = ||V_i||_F ||Vi_i||_F <= b, with
     b = min(tol.singular_cond_limit, _CERTIFY_COND) / 2.  Since kappa_2 <=
@@ -80,27 +83,31 @@ def certified_rows(V, Vi, tol=DEFAULT_TOL):
     c (1 + d1)(1 + d2) < 2 b <= tol.singular_cond_limit with sigma_min > 0:
     every certified row passes `nonsingular_rows`, which still decides the
     rows left over.  A NaN or infinite c, such as an overflowing Vi gives,
-    is never certified, and raises no warning.
+    is never certified; c^2 = sq_V sq_Vi can overflow, or read 0 * inf for
+    a V whose squared norm underflows, so call this under
+    np.errstate(over="ignore", invalid="ignore"), as
+    `nonsingular_inverses` does, for it to raise no warning.
     """
     bound = 0.5 * min(tol.singular_cond_limit, _CERTIFY_COND)
-    k = len(V)
-    a, b = V.reshape(k, -1), Vi.reshape(k, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = (np.vecdot(a, a) * np.vecdot(b, b) <= bound * bound).tolist()
+    ok = (sq_V * sq_Vi <= bound * bound).tolist()
     return [i for i, certified in enumerate(ok) if certified]
 
 
 def nonsingular_inverses(V, tol=DEFAULT_TOL):
-    """The rows of a stack V of square matrices that are not singular, and
-    their inverses: (rows, Vi[rows]).
+    """The rows of a stack V of square matrices that are not singular, their
+    inverses and the squared Frobenius norms of both:
+    (rows, Vi[rows], sq_V[rows], sq_Vi[rows]).
 
-    The stacked inverse comes first, and `certified_rows` accepts the rows
-    it shows to be well conditioned; only the rows left over go through
-    `nonsingular_rows` on their own stacked SVD.  When the stacked inverse
-    raises (an exact zero pivot), each row is decided on its own, as a
-    one-row stack: a row whose own inverse raises is singular, whatever its
-    singular values, and every other row takes the same rule.  Each row's
-    inverse has the bits of a one-row call either way.
+    The stacked inverse comes first, with the squared norms of every row
+    and of its inverse, and `certified_rows` accepts the rows they show to
+    be well conditioned; only the rows left over go through
+    `nonsingular_rows` on their own stacked SVD.  The norms are returned
+    for the accepted rows, so a caller that needs ||V||_F^2 + ||V^-1||_F^2
+    reads it from the certificate.  When the stacked inverse raises (an
+    exact zero pivot), each row is decided on its own, as a one-row stack:
+    a row whose own inverse raises is singular, whatever its singular
+    values, and every other row takes the same rule.  Each row's inverse
+    and norms have the bits of a one-row call either way.
     """
     try:
         Vi = np.linalg.inv(V)
@@ -108,17 +115,22 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
         if len(V) == 1:
             # a C-ordered empty stack, so that concatenating it keeps the
             # layout (and the later bits) of the other rows' inverses
-            return [], V[:0].copy()
+            return [], V[:0].copy(), np.empty(0), np.empty(0)
         parts = [nonsingular_inverses(v[None], tol) for v in V]
-        rows = [i for i, (row, _) in enumerate(parts) if row]
-        return rows, np.concatenate([vi for _, vi in parts])
-    rows = certified_rows(V, Vi, tol)
-    if len(rows) < len(V):
-        rest = [i for i in range(len(V)) if i not in rows]
+        rows = [i for i, part in enumerate(parts) if part[0]]
+        return rows, *(np.concatenate(arrays) for arrays in list(zip(*parts))[1:])
+    k = len(V)
+    a, b = V.reshape(k, -1), Vi.reshape(k, -1)
+    # an overflowing inverse gives sq_Vi = inf, which is never certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq_V, sq_Vi = np.vecdot(a, a), np.vecdot(b, b)
+        rows = certified_rows(sq_V, sq_Vi, tol)
+    if len(rows) < k:
+        rest = [i for i in range(k) if i not in rows]
         s = np.linalg.svd(V[rest], compute_uv=False)
         rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
-        Vi = Vi[rows]
-    return rows, Vi
+        Vi, sq_V, sq_Vi = Vi[rows], sq_V[rows], sq_Vi[rows]
+    return rows, Vi, sq_V, sq_Vi
 
 
 def nonsingular_inverse(M, tol=DEFAULT_TOL):
@@ -128,7 +140,7 @@ def nonsingular_inverse(M, tol=DEFAULT_TOL):
     read (`checked_svals`), or cond=inf when they pass and the inverse met
     an exact zero pivot.
     """
-    rows, Mi = nonsingular_inverses(M[None], tol)
+    rows, Mi, _, _ = nonsingular_inverses(M[None], tol)
     if not rows:
         checked_svals(M, tol)
         raise SingularMatrixError("matrix exactly singular (cond=inf)", cond=np.inf)

@@ -95,22 +95,27 @@ def sensitivity_bound_check(X, H, spec, tol=DEFAULT_TOL):
         |lam - lam'|^l / (1 + |lam - lam'|)^(l-1) <= kappa_2(X) ||H||_2,
 
     where l is the largest mini-block order of that lam (the generalized
-    Bauer-Fike bound; for l = 1 it reduces to the classical one).  Returns
-    whether the bound held for all eigenvalues of the perturbed matrix.
+    Bauer-Fike bound; for l = 1 it reduces to the classical one).  The
+    computed A is X Lambda X^-1 plus a rounding error of about
+    n eps kappa_2(X) ||Lambda||_2, which the eigenvalues see as part of the
+    perturbation, so the bound is taken at ||H||_2 plus that term.
+    Returns whether the bound held for all eigenvalues of the perturbed
+    matrix.
     """
     X = np.atleast_2d(np.asarray(X))
     H = np.atleast_2d(np.asarray(H))
-    bound = kappa_2(X, tol) * two_norm(H)
-    A = X @ jordan_matrix(spec) @ np.linalg.inv(X)
-    # slack absorbs eigensolver roundoff, relevant only when H ~ 0
-    slack = 1e-12 * (1.0 + fro_norm(A))
+    Lambda = jordan_matrix(spec)
+    kappa = kappa_2(X, tol)
+    rounding = len(X) * np.finfo(float).eps * kappa * two_norm(Lambda)
+    bound = kappa * (two_norm(H) + rounding)
+    A = X @ Lambda @ np.linalg.inv(X)
     perturbed = np.linalg.eigvals(A + H)
     for lam_p in perturbed:
         ok = False
         for lam, orders in zip(spec.eigenvalues, spec.block_orders):
             gap = abs(lam - lam_p)
             ell = max(orders)
-            if gap**ell / (1.0 + gap) ** (ell - 1) <= bound + slack:
+            if gap**ell / (1.0 + gap) ** (ell - 1) <= bound:
                 ok = True
                 break
         if not ok:

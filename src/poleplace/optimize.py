@@ -19,16 +19,20 @@ value +inf.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
 per placer (`Placer.operator`, a scatter of the placer's stored placement
-map); values come from L x and F = W V^-1, and gradients are exact, pulled
-back through L.  The evaluator keeps L dense: at n <= 6 one dense product
-is cheaper than the map's gather plus stacked product.  [V; W] is linear in
-x, so k probes are k columns of one stacked product with L, and their
-inverses and values come from one stacked call each.  Every objective
-takes the same singularity path, inverse first
-(`linalg.nonsingular_inverses`): the inverse certifies the
-well-conditioned probes nonsingular, the SVD test runs only on the rest,
-and an exactly singular probe is rejected, never raised.  The condition
-term ||V||_F^2 + ||V^-1||_F^2 reads V and that inverse, with no SVD.
+map); values come from L x, V^-1 and, where the objective reads the
+feedback, F = W V^-1, and gradients are exact, pulled back through L.  The
+condition objective at alpha = 1, ||V||_F^2 + ||V^-1||_F^2, reads V alone:
+its probes apply only the V block of L (its first n^2 rows) and form no W
+or F, and its gradient is pulled back through that block.  The evaluator
+keeps L dense: at n <= 6 one dense product is cheaper than the map's
+gather plus stacked product.  [V; W] is linear in x, so k probes are k
+columns of one stacked product with L, and their inverses and values come
+from one stacked call each.  Every objective takes the same singularity
+path, inverse first (`linalg.nonsingular_inverses`): the squared norms of
+V and of its inverse certify the well-conditioned probes nonsingular, the
+SVD test runs only on the rest, and an exactly singular probe is
+rejected, never raised.  The condition term ||V||_F^2 + ||V^-1||_F^2 is
+the sum of those two squared norms, with no SVD and no second pass.
 Every placement assigns the requested spectrum, so the normality objective
 needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
@@ -172,7 +176,8 @@ def unique_parameter(spec, m):
 
 
 class _Point(NamedTuple):
-    """One nonsingular evaluation: V, its inverse, the feedback and value."""
+    """One nonsingular evaluation: V, its inverse, the feedback (None where
+    the objective reads V alone) and value."""
 
     V: np.ndarray
     Vi: np.ndarray
@@ -184,7 +189,8 @@ class _Points(NamedTuple):
     """The evaluations at the rows of one stacked call (`_Evaluator.points`).
 
     rows lists the rows of X whose V is nonsingular, in order; values (a
-    list of floats), V, Vi and F hold one entry per such row.
+    list of floats), V, Vi and F hold one entry per such row.  F is None
+    where the objective reads V alone (`_Evaluator.v_only`).
     """
 
     rows: list
@@ -195,16 +201,19 @@ class _Points(NamedTuple):
 
     def at(self, j):
         """The `_Point` of the j-th nonsingular row."""
-        return _Point(self.V[j], self.Vi[j], self.F[j], self.values[j])
+        F = None if self.F is None else self.F[j]
+        return _Point(self.V[j], self.Vi[j], F, self.values[j])
 
 
 class _Evaluator:
     """Objective and its exact gradient over the free coordinate vector.
 
     Evaluations form [V; W] = L x through the placer's linear operator (see
-    `Placer.operator`), then F = W V^-1.  `points` evaluates the rows of a
-    matrix X in one stacked call, and `point` is its one-row case, so a
-    line search checks several probes for the numpy call overhead of one;
+    `Placer.operator`), then F = W V^-1; the condition objective at
+    alpha = 1 (`v_only`) forms V = L_V x alone, from the V block of L, and
+    no W or F, so its points carry F = None.  `points` evaluates the rows
+    of a matrix X in one stacked call, and `point` is its one-row case, so
+    a line search checks several probes for the numpy call overhead of one;
     every stacked step (the product with L, `inv`, the matrix products and
     the squared norms) gives each row the bits of a one-row call.  The
     normality value and gradient both use Henrici's identity with the
@@ -224,6 +233,8 @@ class _Evaluator:
         self.spec = placer.spec
         self.m = placer.sys.m
         self.mass = spectrum_mass(self.spec)
+        # the condition objective at alpha = 1 reads V alone
+        self.v_only = obj.method == "condition" and obj.alpha == 1.0
         self.K_star = self.placement_star = self.fixed = None
         f_only = obj.method == "normality" or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
@@ -251,6 +262,11 @@ class _Evaluator:
         `minimize` never searches, builds it only when a point is checked."""
         return self.placer.operator()
 
+    @functools.cached_property
+    def L_V(self):
+        """The V block of L, its first n^2 rows: V.ravel() = L_V x."""
+        return self.L[: self.sys.n ** 2]
+
     def _blend(self, robust, F):
         """alpha robust + (1 - alpha) ||F||_F^2 for one row, in float order."""
         alpha = self.obj.alpha
@@ -265,32 +281,35 @@ class _Evaluator:
         Values are formed only on the rows whose V is not singular, by one
         path for every objective (`linalg.nonsingular_inverses`): the
         stacked `inv` comes first, a row whose Frobenius condition number,
-        read from that inverse, is well within the limit is accepted
-        without an SVD, only the rows left over take one, and a row with an
-        exact zero pivot is dropped.  The condition term at alpha > 0 is
-        ||V||_F^2 + ||V^-1||_F^2, two squared norms per row of the V and
-        V^-1 already formed.  The normality term is Henrici's identity on
-        the stacked A + B F (`assigned_departure_sq`, which falls back to
-        the Schur form row by row on a nearly normal loop), the same
-        identity `grad` differentiates.  The gain term is added row by row,
-        as alpha robust + (1 - alpha) ||F||_F^2 in the float order of one
-        row.
+        read from the squared norms of V and of that inverse, is well
+        within the limit is accepted without an SVD, only the rows left
+        over take one, and a row with an exact zero pivot is dropped.  The
+        condition term at alpha > 0 is ||V||_F^2 + ||V^-1||_F^2, the sum of
+        those two squared norms.  At alpha = 1 it is the whole value: only
+        the V block of L is applied, and no W or F is formed (F is None).
+        The normality term is Henrici's identity on the stacked A + B F
+        (`assigned_departure_sq`, which falls back to the Schur form row
+        by row on a nearly normal loop), the same identity `grad`
+        differentiates.  The gain term is added row by row, as
+        alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
         """
         n, k = self.sys.n, len(X)
-        VW = np.matmul(self.L, X[:, :, None]).reshape(k, n + self.m, n)
+        # at alpha = 1 only the V block is applied, and W is empty
+        L = self.L_V if self.v_only else self.L
+        VW = np.matmul(L, X[:, :, None]).reshape(k, len(L) // n, n)
         V, W = VW[:, :n], VW[:, n:]
-        rows, Vi = nonsingular_inverses(V, self.placer.tol)
+        rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V, self.placer.tol)
         if len(rows) < k:
             V, W = V[rows], W[rows]
+        if self.v_only:
+            return _Points(rows, (sq_V + sq_Vi).tolist(), V, Vi, None)
         F = W @ Vi
         if self.fixed is not None:
             values = [self.fixed] * len(rows)
         elif self.obj.method == "normality":
             values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
         elif self.obj.alpha > 0.0:
-            # n * n, not -1: a chunk may have no nonsingular row
-            a, b = V.reshape(len(rows), n * n), Vi.reshape(len(rows), n * n)
-            values = (np.vecdot(a, a) + np.vecdot(b, b)).tolist()
+            values = (sq_V + sq_Vi).tolist()
         else:
             # condition at alpha = 0 is the gain alone: alpha * robust is
             # +0.0 for every finite robust term, so none is formed
@@ -313,11 +332,15 @@ class _Evaluator:
         V^-T) of ||V||_F^2 + ||V^-1||_F^2 for the condition method.  For the
         normality method it is the identity `points` evaluates:
         delta_fro^2 = ||A + B F||_F^2 - mass, so G = 2 alpha B^T (A + B F)
-        + 2 (1 - alpha) F.  Both partials are pulled back through L.
+        + 2 (1 - alpha) F.  Both partials are pulled back through L.  The
+        condition method at alpha = 1 has G = 0: its gradient is
+        2 (V - V^-T V^-1 V^-T) pulled back through the V block of L alone.
         Not defined for an evaluator with a value fixed at K*: `minimize`
         does not search there.
         """
         alpha, V, Vi, F = self.obj.alpha, pt.V, pt.Vi, pt.F
+        if self.v_only:
+            return (2.0 * (V - Vi.T @ Vi @ Vi.T)).ravel() @ self.L_V
         G = 2.0 * (1.0 - alpha) * F
         if self.obj.method == "normality":
             G += 2.0 * alpha * self.sys.B.T @ (self.sys.A + self.sys.B @ F)

@@ -721,7 +721,7 @@ def residual(sys, F, X, spec):
     return fro_norm((sys.A + sys.B @ F) @ X - X @ jordan_matrix(spec))
 
 
-def chains_from_feedback(sys, spec, F, tol=DEFAULT_TOL):
+def chains_from_feedback(sys, spec, F):
     """Chain set of an externally supplied feedback with simple spectrum.
 
     Eigenvectors of A + BF are matched greedily to the requested

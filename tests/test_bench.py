@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace import bench, structure
 from poleplace.bench import (
     builtin_systems,
     defective_zero_structure,
@@ -13,6 +15,10 @@ from poleplace.bench import (
     run_bench,
 )
 from poleplace.report import render_csv, render_markdown
+
+from conftest import random_reachable
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def small_opts():
@@ -26,6 +32,18 @@ class TestDefectiveZeroStructure:
         assert spec.eigenvalues == (0.0,)
         assert spec.block_orders == ((2, 1),)
         assert pp.check_admissible(spec, sys).satisfied
+
+    def test_admissible_by_construction(self):
+        # its invariant degrees are the controllability indices, which is
+        # why run_bench does not check it again
+        rng = np.random.default_rng(37)
+        systems = [entry.system for entry in load_corpus(CORPUS)]
+        systems += [random_reachable(rng, n, m)
+                    for n, m in ((2, 1), (4, 2), (5, 2), (6, 3), (7, 4)) for _ in range(3)]
+        for sys in systems:
+            report = pp.check_admissible(defective_zero_structure(sys), sys)
+            assert report.satisfied
+            assert report.invariant_degrees == report.controllability_indices
 
 
 class TestLoadCorpus:
@@ -42,6 +60,24 @@ class TestRunBench:
         assert len(rows) == 2
         assert all(row.ok for row in rows)
         assert [row.example for row in rows] == ["chain_3x2", "double_integrator"]
+
+    def test_indices_computed_once_per_entry(self, monkeypatch):
+        calls = []
+        original = structure.controllability_indices
+
+        def counted(sys, tol):
+            calls.append(sys)
+            return original(sys, tol)
+
+        # bench binds the name itself; check_admissible reads structure's
+        monkeypatch.setattr(bench, "controllability_indices", counted)
+        monkeypatch.setattr(structure, "controllability_indices", counted)
+        entries = load_corpus(CORPUS)
+        assert any(entry.structure is None for entry in entries)
+        assert any(entry.structure is not None for entry in entries)
+        rows = run_bench(entries, opts=pp.OptOptions(restarts=1, max_iters=5))
+        assert all(row.ok for row in rows)
+        assert [id(sys) for sys in calls] == [id(entry.system) for entry in entries]
 
     def test_failed_entry_recorded_not_raised(self, tmp_path):
         good = {

@@ -243,10 +243,27 @@ def own_inverse(v):
         return None
 
 
+def squared_norms(V, Vi):
+    """The squared Frobenius norms of each matrix of the stacks V and Vi,
+    each a one-row dot product; an overflow reads inf."""
+    with np.errstate(over="ignore"):
+        return tuple(np.array([float(np.ravel(v) @ np.ravel(v)) for v in M])
+                     for M in (V, Vi))
+
+
+def certify(V, Vi, tol=ToleranceConfig()):
+    """`certified_rows` on the squared norms of V and Vi, under the
+    np.errstate that `nonsingular_inverses` calls it under."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return certified_rows(*squared_norms(V, Vi), tol)
+
+
 class TestCertifiedRows:
     """`nonsingular_inverses` decides as `nonsingular_rows` on the SVD of
     every row, except that a row whose own inverse meets an exact zero
-    pivot is singular; every row keeps the bits of a one-row call."""
+    pivot is singular; every row keeps the bits of a one-row call, and
+    carries the squared norms of its matrix and of its inverse, whichever
+    path decided it."""
 
     @pytest.mark.parametrize("limit", (1e12, 1e6, 1e3, np.inf))
     @pytest.mark.parametrize("singular", ("rank_deficient", "zero_column", "tiny"))
@@ -272,10 +289,10 @@ class TestCertifiedRows:
             expected = nonsingular_rows(np.linalg.svd(V, compute_uv=False), tol)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                rows, Vi = nonsingular_inverses(V, tol)
+                rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V, tol)
                 own = [own_inverse(v) for v in V]
-                cert = [j for j, vi in enumerate(own)
-                        if vi is not None and certified_rows(V[j:j + 1], vi, tol)]
+            cert = [j for j, vi in enumerate(own)
+                    if vi is not None and certify(V[j:j + 1], vi, tol)]
             # the SVD passes a row with an exact zero pivot only under an
             # infinite limit; neither path returns that row
             kept = [j for j in expected if own[j] is not None]
@@ -284,6 +301,8 @@ class TestCertifiedRows:
             assert set(cert) <= set(expected)
             want = np.concatenate([V[:0]] + [own[j] for j in rows])
             assert Vi.shape == want.shape and Vi.tobytes() == want.tobytes()
+            for got, norms in zip((sq_V, sq_Vi), squared_norms(V[rows], want)):
+                assert got.shape == norms.shape and got.tobytes() == norms.tobytes()
             certified += len(cert)
             dropped += len(expected) - len(kept)
         # the zero-column stacks certify their other rows too
@@ -297,7 +316,7 @@ class TestCertifiedRows:
         conds = [1.0, 1e6, 1e10, 4e11, 1e12]
         V = conditioned_stack(rng, 4, conds)
         c = [fro_norm(v) * fro_norm(np.linalg.inv(v)) for v in V]
-        got = certified_rows(V, np.linalg.inv(V), tol)
+        got = certify(V, np.linalg.inv(V), tol)
         # half the default limit, 1e12
         assert got == [i for i, ci in enumerate(c) if ci <= 5e11]
         assert got[:3] == [0, 1, 2] and 4 not in got
@@ -306,7 +325,7 @@ class TestCertifiedRows:
         V = np.array([np.eye(2), np.full((2, 2), np.nan)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert certified_rows(V, np.linalg.inv(V)) == [0]
+            assert certify(V, np.linalg.inv(V)) == [0]
 
 
 class TestNonsingularInverse:
@@ -315,7 +334,7 @@ class TestNonsingularInverse:
     def test_bits_of_the_one_row_stack(self):
         rng = np.random.default_rng(82)
         for V in conditioned_stack(rng, 4, [1.0, 1e8, 1e11]):
-            rows, Vi = nonsingular_inverses(V[None])
+            rows, Vi, _, _ = nonsingular_inverses(V[None])
             assert rows == [0]
             assert nonsingular_inverse(V).tobytes() == Vi[0].tobytes()
 

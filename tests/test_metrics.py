@@ -188,6 +188,17 @@ class TestSensitivityBound:
             observed = np.abs(np.linalg.eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]) + H)).max()
             assert observed == pytest.approx(np.sqrt(eps), rel=1e-6)
 
+    def test_roundoff_of_forming_A_is_not_a_violation(self):
+        # H = 0, so the bound is the rounding of A = X Lambda X^-1 alone;
+        # X = U diag(logspace(0, -7, 4)) W^T has kappa_2(X) = 1e7
+        rng = np.random.default_rng(36)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        for _ in range(100):
+            U, W = (np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(2))
+            X = (U * np.logspace(0, -7, 4)) @ W.T
+            assert pp.kappa_2(X) == pytest.approx(1e7, rel=1e-6)
+            assert pp.sensitivity_bound_check(X, np.zeros((4, 4)), spec)
+
     def test_defective_random_trials(self):
         rng = np.random.default_rng(35)
         spec = pp.EigStructure((0.0, -2.0), ((3,), (1,)))

@@ -791,15 +791,19 @@ class TestStackedPoints:
         assert singles[1] is None and references[1] is None
         assert pts.rows == [i for i, pt in enumerate(singles) if pt is not None]
         assert pts.rows == [0, 2, 3, 4, 5, 6]
+        # the condition value at alpha = 1 reads V alone: no F is formed
+        v_only = (method, alpha) == ("condition", 1.0)
         for j, i in enumerate(pts.rows):
             got, one, ref = pts.at(j), singles[i], references[i]
             assert type(got.value) is float
             assert got.value == one.value == ref[3]
-            for field, want in zip(("V", "Vi", "F"), ref[:3]):
+            for field, want in zip(("V", "Vi", "F")[:2 if v_only else 3], ref[:3]):
                 assert same_bits(getattr(got, field), getattr(one, field))
                 assert same_bits(getattr(got, field), want)
+            if v_only:
+                assert got.F is None and one.F is None
         # the nearly normal row took the Schur-form fallback
-        Acl = sys.A + sys.B @ pts.at(pts.rows.index(2)).F
+        Acl = sys.A + sys.B @ references[2][2]
         total = fro_norm(Acl) ** 2
         assert total - evaluate.mass < _IDENTITY_FLOOR * total
 
@@ -862,6 +866,94 @@ class TestStackedPoints:
         assert pts.rows == [0, 1]
         assert pts.values == [evaluate.fixed] * 2
         assert pts.at(1).value == evaluate.point(X[1]).value == evaluate.fixed
+
+
+def full_formula(evaluate, x):
+    """The condition objective at alpha = 1 at x as it was formed from all
+    of L: W, F = W V^-1, G = 0 F, a zero dW block and -F^T dW, with the
+    gradient pulled back through the whole of L; (value, gradient)."""
+    n, alpha = evaluate.sys.n, 1.0
+    VW = (evaluate.L @ x).reshape(-1, n)
+    V, W = VW[:n], VW[n:]
+    Vi = np.linalg.inv(V)
+    F = W @ Vi
+    v, vi = np.ravel(V), np.ravel(Vi)
+    value = float(v @ v) + float(vi @ vi)
+    G = 2.0 * (1.0 - alpha) * F
+    dW = G @ Vi.T
+    dV = -F.T @ dW
+    dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
+    return value, np.concatenate((dV, dW)).ravel() @ evaluate.L
+
+
+class TestConditionOnV:
+    """At alpha = 1 the condition objective reads V alone: values from the
+    certificate's squared norms and gradients pulled back through the V
+    block of L equal the full-L formula bit for bit, on every path that
+    decides a row nonsingular."""
+
+    @staticmethod
+    def instances():
+        sf = pp.load_system(CORPUS / "bn02_distillation.json")
+        bn02 = (sf.system, defective_zero_structure(sf.system))
+        rng = np.random.default_rng(38)
+        pair = (complex(-1.0, 0.8), complex(-1.0, -0.8))
+        reals = tuple(-float(v) for v in rng.uniform(0.5, 3.0, 4))
+        spec = pp.EigStructure(pair + reals, ((1,),) * 6)
+        return {"bn02": bn02, "random_6x2": (random_reachable(rng, 6, 2), spec)}
+
+    @staticmethod
+    def assert_rows_match(evaluate, X, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = evaluate.points(X)
+        assert pts.rows == rows and pts.F is None
+        for j, i in enumerate(rows):
+            value, g = full_formula(evaluate, X[i])
+            pt = pts.at(j)
+            assert pt.value == value and pt.F is None
+            assert same_bits(evaluate.grad(pt), g)
+
+    @pytest.mark.parametrize("name", ("bn02", "random_6x2"))
+    def test_certified_rows(self, name):
+        sys, spec = self.instances()[name]
+        evaluate = _Evaluator(pp.ObjectiveSpec("condition", 1.0), pp.Placer(sys, spec))
+        X = np.random.default_rng(39).standard_normal((24, sys.m * sys.n))
+        for chunk in (X[:1], X[1:3], X[3:8], X[8:16], X[16:]):
+            self.assert_rows_match(evaluate, chunk, list(range(len(chunk))))
+
+    @pytest.mark.parametrize("name", ("bn02", "random_6x2"))
+    def test_svd_fallback_and_zero_pivot_rows(self, monkeypatch, name):
+        sys, spec = self.instances()[name]
+        X = np.random.default_rng(40).standard_normal((8, sys.m * sys.n))
+        n = sys.n
+        V = (pp.Placer(sys, spec).operator() @ X.T).T[:, :n * n].reshape(-1, n, n)
+        conds = [pp.kappa_2(v) for v in V]
+        worst = int(np.argmax(conds))
+        # every row passes the SVD test; the worst row is not certified
+        # (kappa_F >= kappa_2 > 0.75 kappa_2, half the limit), and the
+        # others, here below a quarter of the worst, are
+        tol = pp.ToleranceConfig(singular_cond_limit=1.5 * conds[worst])
+        assert sorted(conds)[-2] < 0.25 * conds[worst]
+        evaluate = _Evaluator(pp.ObjectiveSpec("condition", 1.0),
+                              pp.Placer(sys, spec, tol))
+        certify, calls = linalg.certified_rows, []
+
+        def logged_certify(sq_V, sq_Vi, tol):
+            rows = certify(sq_V, sq_Vi, tol)
+            calls.append(rows)
+            return rows
+
+        monkeypatch.setattr(linalg, "certified_rows", logged_certify)
+        self.assert_rows_match(evaluate, X, list(range(8)))
+        assert calls == [[i for i in range(8) if i != worst]]
+        # x = 0 makes V = 0, an exact zero pivot: every row is decided on
+        # its own, the uncertified one by its own SVD
+        zero = (worst + 1) % 8
+        X[zero] = 0.0
+        calls.clear()
+        self.assert_rows_match(evaluate, X, [i for i in range(8) if i != zero])
+        assert calls == [[] if i == worst else [0] for i in range(8) if i != zero]
 
 
 def sequential_bfgs_restart(evaluate, x0, pt0, opts):

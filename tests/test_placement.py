@@ -871,7 +871,8 @@ class TestInverseFirstPlace:
         while True:
             K = pp.ParameterMatrix.random(placer.spec, 2, rng)
             V = realify(placer.build_chains(K))[0]
-            if pp.linalg.certified_rows(V[None], np.linalg.inv(V)[None]) == [0]:
+            sq = [np.vdot(M, M) for M in (V, np.linalg.inv(V))]
+            if pp.linalg.certified_rows(*np.array(sq)[:, None]) == [0]:
                 return placer, K
 
     def test_certified_place_takes_no_svd_or_solve(self, monkeypatch):
@@ -947,7 +948,7 @@ class TestInverseFirstPlace:
                 blocks[j][:, 0] = t * column[j][:, 0]
             Ks.append(pp.ParameterMatrix(blocks, placer.spec.sigma))
             Vs.append(realify(placer.build_chains(Ks[-1]))[0])
-        rows, _ = pp.linalg.nonsingular_inverses(np.array(Vs), tol)
+        rows = pp.linalg.nonsingular_inverses(np.array(Vs), tol)[0]
         placed = []
         for j, K in enumerate(Ks):
             try:

@@ -117,8 +117,9 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
             # layout (and the later bits) of the other rows' inverses
             return [], V[:0].copy(), np.empty(0), np.empty(0)
         parts = [nonsingular_inverses(v[None], tol) for v in V]
-        rows = [i for i, part in enumerate(parts) if part[0]]
-        return rows, *(np.concatenate(arrays) for arrays in list(zip(*parts))[1:])
+        row_lists, Vis, sq_Vs, sq_Vis = zip(*parts)
+        rows = [i for i, row in enumerate(row_lists) if row]
+        return rows, np.concatenate(Vis), np.concatenate(sq_Vs), np.concatenate(sq_Vis)
     k = len(V)
     a, b = V.reshape(k, -1), Vi.reshape(k, -1)
     # an overflowing inverse gives sq_Vi = inf, which is never certified

@@ -116,7 +116,10 @@ def build_parser():
 
 def _emit(text, out):
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"{out}: cannot write: {exc}") from None
     else:
         _sys.stdout.write(text)
 

@@ -2,18 +2,22 @@
 
 Everything here is a thin, tolerance-aware layer over LAPACK via numpy.
 Only the complex Schur form needs scipy; `schur_triangular` imports it on
-first call, so importing the package does not load scipy.  Rank decisions
-use the singular-value threshold ``rank_tol_factor * max(dims) * eps *
-sigma_max`` throughout, so callers get one consistent notion of numerical
-rank.  Singularity is likewise decided by one rule: a matrix is singular
-when its inverse meets an exact zero pivot, or when `nonsingular_rows`
-rejects its singular values.  `nonsingular_inverses` applies it to a
-stack, inverse first: `certified_rows` spares the SVD on the rows whose
-squared Frobenius norms, of the matrix and of its inverse, show them to
-be well within the limit, rows the SVD test would accept, and a zero
-pivot makes only its own row singular.  It returns those squared norms
-with the inverses, so the condition objective reads its value from the
-certificate.  `nonsingular_inverse` is its raising form for one matrix.
+first call, so importing the package does not load scipy.  Every rank
+decision of the package uses one singular-value threshold,
+``rank_tol_factor * max(dims) * eps * sigma_max`` of the matrix judged:
+the kernels and pseudoinverses here, and through `numerical_rank` the
+column rank of B and the ranks of the Krylov prefixes that give the
+controllability indices in `structure`, so callers get one consistent
+notion of numerical rank.  Singularity is likewise decided by one rule: a
+matrix is singular when its inverse meets an exact zero pivot, or when
+`nonsingular_rows` rejects its singular values.  `nonsingular_inverses`
+applies it to a stack, inverse first: `certified_rows` spares the SVD on
+the rows whose squared Frobenius norms, of the matrix and of its inverse,
+show them to be well within the limit, rows the SVD test would accept,
+and a zero pivot makes only its own row singular.  It returns those
+squared norms with the inverses, so the condition objective reads its
+value from the certificate.  `nonsingular_inverse` is its raising form
+for one matrix.
 """
 
 from dataclasses import dataclass
@@ -176,6 +180,11 @@ def _numerical_rank(shape, s, tol):
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s >= tol.rank_threshold(shape, s[0])))
+
+
+def numerical_rank(M, tol=DEFAULT_TOL):
+    """Numerical rank of a 2-D array under the package rank threshold."""
+    return _numerical_rank(M.shape, np.linalg.svd(M, compute_uv=False), tol)
 
 
 def kernel_basis(M, tol=DEFAULT_TOL):

@@ -3,17 +3,21 @@
 A target eigenstructure is the triple (eigenvalues, multiplicities, Jordan
 mini-block orders).  This module canonicalizes its ordering (conjugate pairs
 first and adjacent, reals after), builds the corresponding Jordan matrix,
-computes controllability indices, and checks Rosenbrock admissibility.
+computes controllability indices, and checks Rosenbrock admissibility.  Its
+rank decisions, the column rank of B and the ranks of the Krylov prefixes
+that give the indices, take `linalg.numerical_rank`, the package's one
+rank rule.
 """
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NotReachableError, StructureError
-from .linalg import DEFAULT_TOL, two_norm
+from .linalg import DEFAULT_TOL, numerical_rank
 
 
 @dataclass(eq=False)
@@ -32,8 +36,7 @@ class System:
             raise StructureError("B must have as many rows as A")
         if not (np.isfinite(self.A).all() and np.isfinite(self.B).all()):
             raise StructureError("system matrices must be finite")
-        s = np.linalg.svd(self.B, compute_uv=False)
-        if s[-1] <= DEFAULT_TOL.rank_threshold(self.B.shape, s[0] if s[0] > 0 else 1.0):
+        if numerical_rank(self.B) < self.m:
             raise StructureError("B must have full column rank")
 
     @property
@@ -58,7 +61,9 @@ class EigStructure:
 
     eigenvalues : distinct finite complex numbers, self-conjugate as a set
     block_orders : per eigenvalue, the Jordan mini-block orders (stored
-        nonincreasing); the algebraic multiplicity is their sum
+        nonincreasing, as ints); the algebraic multiplicity is their sum.
+        An order must be a number of integer value: a bool, a string or
+        a non-integral number raises StructureError
     sigma : number of conjugate pairs (derived)
 
     Conjugate partners must carry bitwise-identical block orders.  The
@@ -72,6 +77,9 @@ class EigStructure:
 
     def __post_init__(self):
         eigs = tuple(complex(z) for z in self.eigenvalues)
+        for p in itertools.chain.from_iterable(self.block_orders):
+            if isinstance(p, bool) or not isinstance(p, numbers.Real) or p % 1:
+                raise StructureError(f"block order {p!r} is not an integer")
         blocks = tuple(
             tuple(sorted((int(p) for p in orders), reverse=True))
             for orders in self.block_orders
@@ -173,35 +181,27 @@ def jordan_matrix(spec):
 def controllability_indices(sys, tol=DEFAULT_TOL):
     """Controllability indices of (A, B), sorted nonincreasing.
 
-    Uses the standard staircase column selection over the Krylov matrix
-    [B, AB, ..., A^(n-1) B]: the column A^j b_i is kept when it is
-    numerically independent of all previously kept columns, and c_i counts
-    the kept powers for input i.  Raises NotReachableError when the kept
-    columns do not span the state space.
+    With r_j the numerical rank (`linalg.numerical_rank`, under tol) of the
+    Krylov prefix [B, AB, ..., A^(j-1) B], and r_0 = 0, the indices are the
+    conjugate partition of the rank increments:
+    c_i = #{j : r_j - r_(j-1) >= i} for i = 1..m.  Each prefix is judged
+    against its own largest singular value, so a large ||A|| cannot swamp
+    B.  The ranks are taken until r_j = n; raises NotReachableError when
+    the whole Krylov matrix has rank below n.
     """
     n, m = sys.n, sys.m
     R = sys.reachability_matrix()
-    threshold = tol.rank_threshold(R.shape, two_norm(R))
-
-    Q = np.zeros((n, 0))
-    counts = [0] * m
-    for j in range(n):
-        for i in range(m):
-            col = R[:, j * m + i]
-            # skipped powers stay skipped: once dependent, always dependent
-            if counts[i] < j:
-                continue
-            r = col - Q @ (Q.T @ col)
-            r = r - Q @ (Q.T @ r)
-            nrm = np.linalg.norm(r)
-            if nrm > threshold:
-                Q = np.hstack([Q, (r / nrm)[:, None]])
-                counts[i] += 1
-    if sum(counts) < n:
+    ranks = [0]
+    for j in range(1, n + 1):
+        ranks.append(numerical_rank(R[:, : j * m], tol))
+        if ranks[-1] == n:
+            break
+    else:
         raise NotReachableError(
-            f"pair not reachable: reachability matrix has rank {sum(counts)} < {n}"
+            f"pair not reachable: reachability matrix has rank {ranks[-1]} < {n}"
         )
-    return tuple(sorted(counts, reverse=True))
+    steps = np.diff(ranks)
+    return tuple(int(np.sum(steps >= i)) for i in range(1, m + 1))
 
 
 @dataclass(frozen=True)

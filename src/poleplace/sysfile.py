@@ -72,7 +72,8 @@ def structure_from_records(records, n=None, path="<records>"):
             raise ParseError(f"{path}: structure record {idx} must be an object")
         try:
             lam = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
-            orders = tuple(int(p) for p in rec["blocks"])
+            # EigStructure checks the orders themselves
+            orders = tuple(rec["blocks"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{path}: structure record {idx} malformed: {exc}")
         eigs.append(lam)

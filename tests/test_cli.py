@@ -93,6 +93,20 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    def test_large_norm_pair_reachable(self, tmp_path, capsys):
+        # ||A||_2 = 17.9 and ||B||_2 = 5.4: the Krylov matrix has norm 1.3e16,
+        # far above B's, and the indices must still read B's own rank
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((16, 16)) * 10 / 4
+        B = rng.standard_normal((16, 4))
+        structure = [{"re": -float(k), "im": 0.0, "blocks": [1]} for k in range(1, 17)]
+        path = write(tmp_path, "big.json", {"name": "big", "A": A.tolist(),
+                                            "B": B.tolist(), "structure": structure})
+        code, out, _ = run(capsys, ["check", "--system", path])
+        assert code == 0
+        assert "controllability_indices: 4 4 4 4" in out
+        assert "admissible: yes" in out
+
 
 class TestPlace:
     def test_unique_feedback_reported(self, tmp_path, capsys):
@@ -379,6 +393,14 @@ class TestBadInputValues:
         code, _, err = run(capsys, argv)
         assert code == 1
         assert "error" in err
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        path = write(tmp_path, "di.json", DI)
+        out = tmp_path / "missing" / "x.txt"
+        code, stdout, err = run(capsys, ["check", "--system", path, "--out", str(out)])
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ") and "cannot write" in err
 
     def test_non_finite_k_file_exits_one(self, tmp_path, capsys):
         path = write(tmp_path, "di.json", DI)

@@ -39,6 +39,17 @@ class TestEigStructure:
         with pytest.raises(pp.StructureError):
             pp.EigStructure((0.0,), ((2, 0),))
 
+    @pytest.mark.parametrize("bad", [2.7, True, "2", np.float64(np.nan)])
+    def test_rejects_non_integer_block_order(self, bad):
+        # int() would take the first three for the orders 2, 1 and 2
+        with pytest.raises(pp.StructureError, match="is not an integer"):
+            pp.EigStructure((0.0,), ((bad,),))
+
+    def test_integer_valued_orders_stored_as_int(self):
+        spec = pp.EigStructure((0.0,), ((np.int64(2), 1.0),))
+        assert spec.block_orders == ((2, 1),)
+        assert all(type(p) is int for p in spec.block_orders[0])
+
     def test_rejects_duplicate_eigenvalues(self):
         with pytest.raises(pp.StructureError):
             pp.EigStructure((1.0, 1.0), ((1,), (1,)))
@@ -157,6 +168,25 @@ class TestControllabilityIndices:
             c = pp.controllability_indices(sys)
             assert sum(c) == n
             assert c == _indices_via_rank_increments(sys.A, sys.B)
+            # a large ||A|| must not swamp B: each Krylov prefix is judged
+            # against its own largest singular value
+            for s in (10.0, 100.0):
+                scaled = pp.System(s * sys.A, sys.B)
+                assert pp.controllability_indices(scaled) == c
+                assert c == _indices_via_rank_increments(scaled.A, scaled.B)
+
+    @pytest.mark.parametrize("n, m, s", [(16, 4, 10.0), (10, 2, 100.0), (8, 2, 100.0)])
+    def test_scaled_draws_give_generic_indices(self, n, m, s):
+        # B has full column rank, so no index can be 0; a generic pair has
+        # indices as equal as n and m allow
+        generic = tuple(n // m + (i < n % m) for i in range(m))
+        rng = np.random.default_rng(99)
+        for _ in range(40):
+            A = rng.standard_normal((n, n)) * s / np.sqrt(n)
+            sys = pp.System(A, rng.standard_normal((n, m)))
+            c = pp.controllability_indices(sys)
+            assert min(c) >= 1
+            assert c == generic
 
 
 def _indices_3_1_pair():

@@ -189,7 +189,12 @@ class TestMalformedFiles:
          ([{"re": -1.0}], "structure record 0 malformed"),
          ([{"re": "x", "blocks": [2]}], "structure record 0 malformed"),
          ([{"re": -1.0, "blocks": [1]}, {"re": -2.0, "blocks": ["one"]}],
-          "structure record 1 malformed")],
+          "invalid structure: block order 'one' is not an integer"),
+         ([{"re": -1.0, "blocks": "21"}], "block order '2' is not an integer"),
+         ([{"re": -1.0, "blocks": [2.7, 1]}], "block order 2.7 is not an integer"),
+         ([{"re": -1.0, "blocks": [True, True]}],
+          "block order True is not an integer"),
+         ([{"re": -1.0, "blocks": 2}], "structure record 0 malformed")],
     )
     def test_structure_records_rejected(self, tmp_path, structure, match):
         payload = dict(BASE, structure=structure)

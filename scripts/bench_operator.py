@@ -11,7 +11,7 @@ sides meet the same state of the host, down to the µs, which separate
 interpreters per tree cannot give.  BLAS is pinned to one thread.  The
 instances are drawn by the change tree's perfbench generators from seed 1,
 once per tree from equal generator states, so both sides get the same
-inputs.  Four sections are written:
+inputs.  Five sections are written:
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
@@ -39,9 +39,14 @@ inputs.  Four sections are written:
   objective (alpha = 1) on the random_normality structures at n = 4..6,
   m = 2 above, and the condition objective (alpha = 1) on the corpus entry
   bn02_distillation.
+- "certificate": one `linalg.nonsingular_inverses` call, the singularity
+  rule of every probe, `Placer.place` and `kappa_fro`, on stacks of k in
+  {1, 8} matrices of the n = 5 random_normality instance above: the real
+  V and the complex eigenvector matrices X of placements at nonsingular
+  draws of K.
 
-Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation") of
-its repeats.  The record holds each side's minimum and median over all
+Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation" and
+"certificate") of its repeats.  The record holds each side's minimum and median over all
 rounds, its median in each round (so that a difference can be judged
 against the round-to-round spread of either side) and the change/parent
 ratio of the overall medians.  The sections are stored under their keys of
@@ -78,6 +83,7 @@ FIRST_PLACE_INSTANCES = INSTANCES + (
     ("n16-m8-repeated", 16, 8, "ladder", "repeated"),
 )
 PROBES = (1, 2, 4, 8)
+CERTIFICATE_STACKS = (1, 8)
 REPEATS = 20
 ROUND_TRIP_REPEATS = 200
 EVALUATION_REPEATS = 300
@@ -308,6 +314,29 @@ def evaluations(pps, workloads):
     return rows
 
 
+def certificates(pps, workloads):
+    label, n, m, gen, cls = next(i for i in INSTANCES if i[1] == 5)
+    stacks = {}
+    for side, pp in pps.items():
+        rng = np.random.default_rng([1, n, m])
+        placer = instance(pp, workloads, n, m, gen, cls, rng)
+        placed = [placer.place(nonsingular_parameter(pp, placer, rng))
+                  for _ in range(max(CERTIFICATE_STACKS))]
+        stacks[side] = {"V": np.array([r.V for r in placed]),
+                        "X": np.array([r.X for r in placed])}
+    assert np.iscomplexobj(stacks["change"]["X"])
+    rows = {}
+    for kind in ("V", "X"):
+        for k in CERTIFICATE_STACKS:
+            calls = {side: lambda pp=pp, M=stacks[side][kind][:k]:
+                     pp.linalg.nonsingular_inverses(M)
+                     for side, pp in pps.items()}
+            rows[f"{label}-{kind}-k{k}"] = compare(
+                interleaved(calls, EVALUATION_REPEATS, EVALUATION_ROUNDS),
+                f"certificate {label} {kind} k={k}")
+    return rows
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -340,6 +369,11 @@ def main(argv=None):
                  "probes of one line",
         repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
         instances=evaluations(pps, workloads))
+    doc["certificate"] = dict(
+        question="wall time of one linalg.nonsingular_inverses call on a "
+                 "stack of k real V or complex X matrices",
+        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
+        stacks=certificates(pps, workloads))
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

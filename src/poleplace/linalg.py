@@ -9,20 +9,26 @@ the kernels and pseudoinverses here, and through `numerical_rank` the
 column rank of B and the ranks of the Krylov prefixes that give the
 controllability indices in `structure`, so callers get one consistent
 notion of numerical rank.  Singularity is likewise decided by one rule: a
-matrix is singular when its inverse meets an exact zero pivot, or when
-`nonsingular_rows` rejects its singular values.  `nonsingular_inverses`
-applies it to a stack, inverse first: `certified_rows` spares the SVD on
-the rows whose squared Frobenius norms, of the matrix and of its inverse,
-show them to be well within the limit, rows the SVD test would accept,
-and a zero pivot makes only its own row singular.  It returns those
-squared norms with the inverses, so the condition objective reads its
-value from the certificate.  `nonsingular_inverse` is its raising form
-for one matrix.
+matrix is singular when its computed inverse is not finite (an exact zero
+pivot fills it with NaN; it does not raise), or when `nonsingular_rows`
+rejects its singular values.  `nonsingular_inverses` applies it to a
+stack, inverse first, in one call of the LAPACK gufunc under
+`np.linalg.inv`: `certified_rows` spares the SVD on the rows whose squared
+Frobenius norms, of the matrix and of its inverse, show them to be well
+within the limit, rows the SVD test would accept; a non-finite inverse
+makes only its own row singular, and only the finite rows left over take
+the SVD.  It returns those squared norms with the inverses, so the
+condition objective reads its value from the certificate.
+`nonsingular_inverse` is its raising form for one matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+# the gufunc under np.linalg.inv, called directly: on the small stacks of
+# a probe the wrapper's Python costs more than the LAPACK work.
+# tests/test_linalg.py pins its contract
+from numpy.linalg import _umath_linalg
 
 from .errors import SingularMatrixError
 
@@ -102,38 +108,34 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
     inverses and the squared Frobenius norms of both:
     (rows, Vi[rows], sq_V[rows], sq_Vi[rows]).
 
-    The stacked inverse comes first, with the squared norms of every row
-    and of its inverse, and `certified_rows` accepts the rows they show to
-    be well conditioned; only the rows left over go through
-    `nonsingular_rows` on their own stacked SVD.  The norms are returned
-    for the accepted rows, so a caller that needs ||V||_F^2 + ||V^-1||_F^2
-    reads it from the certificate.  When the stacked inverse raises (an
-    exact zero pivot), each row is decided on its own, as a one-row stack:
-    a row whose own inverse raises is singular, whatever its singular
-    values, and every other row takes the same rule.  Each row's inverse
-    and norms have the bits of a one-row call either way.
+    The stacked inverse comes first, from the LAPACK gufunc under
+    `np.linalg.inv`, in double (complex double for complex V) as
+    `np.linalg.inv` computes it, with the squared norms of every row and
+    of its inverse, and `certified_rows` accepts the rows they show to be
+    well conditioned.  Of the rows left over, one whose inverse is not
+    finite is singular, whatever its singular values: an exact zero pivot
+    fills its row with NaN, and an inverse can overflow.  Only the finite
+    rest goes through `nonsingular_rows` on their own stacked SVD.  The
+    norms are returned for the accepted rows, so a caller that needs
+    ||V||_F^2 + ||V^-1||_F^2 reads it from the certificate.  The gufunc
+    inverts each row on its own, so every row's inverse and norms have the
+    bits of a one-row call.
     """
-    try:
-        Vi = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        if len(V) == 1:
-            # a C-ordered empty stack, so that concatenating it keeps the
-            # layout (and the later bits) of the other rows' inverses
-            return [], V[:0].copy(), np.empty(0), np.empty(0)
-        parts = [nonsingular_inverses(v[None], tol) for v in V]
-        row_lists, Vis, sq_Vs, sq_Vis = zip(*parts)
-        rows = [i for i, row in enumerate(row_lists) if row]
-        return rows, np.concatenate(Vis), np.concatenate(sq_Vs), np.concatenate(sq_Vis)
     k = len(V)
-    a, b = V.reshape(k, -1), Vi.reshape(k, -1)
-    # an overflowing inverse gives sq_Vi = inf, which is never certified
-    with np.errstate(over="ignore", invalid="ignore"):
+    signature = "D->D" if V.dtype.kind == "c" else "d->d"
+    # a zero pivot sets the invalid flag, and an overflowing inverse gives
+    # sq_Vi = inf, which is never certified
+    with np.errstate(all="ignore"):
+        Vi = _umath_linalg.inv(V, signature=signature)
+        a, b = V.reshape(k, -1), Vi.reshape(k, -1)
         sq_V, sq_Vi = np.vecdot(a, a), np.vecdot(b, b)
         rows = certified_rows(sq_V, sq_Vi, tol)
     if len(rows) < k:
-        rest = [i for i in range(k) if i not in rows]
-        s = np.linalg.svd(V[rest], compute_uv=False)
-        rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
+        finite = np.isfinite(b).all(axis=1).tolist()
+        rest = [i for i in range(k) if finite[i] and i not in rows]
+        if rest:
+            s = np.linalg.svd(V[rest], compute_uv=False)
+            rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
         Vi, sq_V, sq_Vi = Vi[rows], sq_V[rows], sq_Vi[rows]
     return rows, Vi, sq_V, sq_Vi
 
@@ -142,13 +144,13 @@ def nonsingular_inverse(M, tol=DEFAULT_TOL):
     """The inverse of a square array that `nonsingular_inverses` accepts, as
     a one-row stack, with the bits of that call; otherwise
     SingularMatrixError, with the condition number its singular values
-    read (`checked_svals`), or cond=inf when they pass and the inverse met
-    an exact zero pivot.
+    read (`checked_svals`), or cond=inf when they pass and the inverse is
+    not finite (an exact zero pivot or an overflow).
     """
     rows, Mi, _, _ = nonsingular_inverses(M[None], tol)
     if not rows:
         checked_svals(M, tol)
-        raise SingularMatrixError("matrix exactly singular (cond=inf)", cond=np.inf)
+        raise SingularMatrixError("matrix inverse not finite (cond=inf)", cond=np.inf)
     return Mi[0]
 
 

@@ -29,10 +29,11 @@ gather plus stacked product.  [V; W] is linear in x, so k probes are k
 columns of one stacked product with L, and their inverses and values come
 from one stacked call each.  Every objective takes the same singularity
 path, inverse first (`linalg.nonsingular_inverses`): the squared norms of
-V and of its inverse certify the well-conditioned probes nonsingular, the
-SVD test runs only on the rest, and an exactly singular probe is
-rejected, never raised.  The condition term ||V||_F^2 + ||V^-1||_F^2 is
-the sum of those two squared norms, with no SVD and no second pass.
+V and of its inverse certify the well-conditioned probes nonsingular, a
+probe whose inverse is not finite (an exact zero pivot reads NaN there)
+is rejected, never raised, and the SVD test runs only on the finite
+rest.  The condition term ||V||_F^2 + ||V^-1||_F^2 is the sum of those
+two squared norms, with no SVD and no second pass.
 Every placement assigns the requested spectrum, so the normality objective
 needs no Schur form:
 delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
@@ -282,11 +283,12 @@ class _Evaluator:
         path for every objective (`linalg.nonsingular_inverses`): the
         stacked `inv` comes first, a row whose Frobenius condition number,
         read from the squared norms of V and of that inverse, is well
-        within the limit is accepted without an SVD, only the rows left
-        over take one, and a row with an exact zero pivot is dropped.  The
-        condition term at alpha > 0 is ||V||_F^2 + ||V^-1||_F^2, the sum of
-        those two squared norms.  At alpha = 1 it is the whole value: only
-        the V block of L is applied, and no W or F is formed (F is None).
+        within the limit is accepted without an SVD, a row whose inverse
+        is not finite (an exact zero pivot) is dropped, and only the
+        finite rows left over take one.  The condition term at alpha > 0
+        is ||V||_F^2 + ||V^-1||_F^2, the sum of those two squared norms.
+        At alpha = 1 it is the whole value: only the V block of L is
+        applied, and no W or F is formed (F is None).
         The normality term is Henrici's identity on the stacked A + B F
         (`assigned_departure_sq`, which falls back to the Schur form row
         by row on a nearly normal loop), the same identity `grad`

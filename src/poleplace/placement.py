@@ -451,8 +451,8 @@ class Placer:
         Stability of Numerical Algorithms, sec. 12), which brings F's error down to that of
         Gaussian elimination on F V = W.  A rejected V raises
         SingularMatrixError with the condition number its singular values
-        read, or cond=inf when they pass and the inverse met an exact zero
-        pivot.
+        read, or cond=inf when they pass and the inverse is not finite (an
+        exact zero pivot, or an overflow).
 
         The residual ||(A+BF)X - X Lambda||_F is taken as
         ||((A+BF)V - V Lambda_R) w||_F, against the real Jordan form

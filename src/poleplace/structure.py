@@ -63,7 +63,8 @@ class EigStructure:
     block_orders : per eigenvalue, the Jordan mini-block orders (stored
         nonincreasing, as ints); the algebraic multiplicity is their sum.
         An order must be a number of integer value: a bool, a string or
-        a non-integral number raises StructureError
+        a non-integral number raises StructureError, as do orders of one
+        eigenvalue that are not a sequence, such as a bare int
     sigma : number of conjugate pairs (derived)
 
     Conjugate partners must carry bitwise-identical block orders.  The
@@ -77,12 +78,18 @@ class EigStructure:
 
     def __post_init__(self):
         eigs = tuple(complex(z) for z in self.eigenvalues)
-        for p in itertools.chain.from_iterable(self.block_orders):
+        try:
+            given = [tuple(orders) for orders in self.block_orders]
+        except TypeError:
+            raise StructureError(
+                "block orders must be one sequence of orders per eigenvalue"
+            ) from None
+        for p in itertools.chain.from_iterable(given):
             if isinstance(p, bool) or not isinstance(p, numbers.Real) or p % 1:
                 raise StructureError(f"block order {p!r} is not an integer")
         blocks = tuple(
             tuple(sorted((int(p) for p in orders), reverse=True))
-            for orders in self.block_orders
+            for orders in given
         )
         if len(eigs) == 0:
             raise StructureError("eigenstructure must contain at least one eigenvalue")

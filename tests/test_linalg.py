@@ -236,11 +236,13 @@ def conditioned_stack(rng, n, conds):
 
 def own_inverse(v):
     """The inverse of one matrix as a one-row stack, or None where that
-    inverse meets an exact zero pivot."""
+    inverse is not finite (`np.linalg.inv` raises at an exact zero
+    pivot)."""
     try:
-        return np.linalg.inv(v[None])
+        vi = np.linalg.inv(v[None])
     except np.linalg.LinAlgError:
         return None
+    return vi if np.isfinite(vi).all() else None
 
 
 def squared_norms(V, Vi):
@@ -260,8 +262,8 @@ def certify(V, Vi, tol=ToleranceConfig()):
 
 class TestCertifiedRows:
     """`nonsingular_inverses` decides as `nonsingular_rows` on the SVD of
-    every row, except that a row whose own inverse meets an exact zero
-    pivot is singular; every row keeps the bits of a one-row call, and
+    every row, except that a row whose own inverse is not finite is
+    singular; every row keeps the bits of a one-row call, and
     carries the squared norms of its matrix and of its inverse, whichever
     path decided it."""
 
@@ -281,7 +283,7 @@ class TestCertifiedRows:
                 w /= np.linalg.norm(w)
                 V[i] -= np.outer(V[i] @ w, w)
             elif singular == "zero_column":
-                # an exact zero pivot: the stacked inverse raises
+                # an exact zero pivot: the row's inverse is NaN
                 V[i][:, int(rng.integers(n))] = 0.0
             else:
                 # well conditioned, but ||V^-1||_F^2 overflows
@@ -360,3 +362,98 @@ class TestNonsingularInverse:
                 nonsingular_inverse(V, tol)
             assert err.value.cond == np.inf
         assert svd_passed > 0
+
+
+def random_stack(rng, k, n, complex_=False):
+    """k random n x n matrices, complex ones when complex_, near the
+    identity so that every row is well conditioned."""
+    V = rng.standard_normal((k, n, n))
+    if complex_:
+        V = V + 1j * rng.standard_normal((k, n, n))
+    return V / (4 * n) + np.eye(n)
+
+
+class TestInverseGufunc:
+    """`nonsingular_inverses` calls numpy's private inverse gufunc
+    (`numpy.linalg._umath_linalg.inv`) instead of `np.linalg.inv`; these
+    pin the contract it relies on, so that a numpy that moves or changes
+    the gufunc fails here."""
+
+    @pytest.mark.parametrize("complex_", (False, True), ids=("real", "complex"))
+    def test_bits_of_np_linalg_inv(self, complex_):
+        rng = np.random.default_rng(84)
+        for n in range(1, 9):
+            for k in range(1, 9):
+                V = random_stack(rng, k, n, complex_)
+                rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
+                want = np.linalg.inv(V)
+                assert rows == list(range(k))
+                assert Vi.dtype == want.dtype and Vi.shape == want.shape
+                assert Vi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("complex_", (False, True), ids=("real", "complex"))
+    def test_zero_pivot_row_dropped(self, complex_):
+        rng = np.random.default_rng(85)
+        V = random_stack(rng, 6, 5, complex_)
+        V[2][:, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(V[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, Vi, _, _ = nonsingular_inverses(V)
+        assert rows == [0, 1, 3, 4, 5]
+        assert Vi.tobytes() == np.linalg.inv(V[rows]).tobytes()
+
+    @pytest.mark.parametrize("dtype", (np.float32, np.int64))
+    def test_inverted_in_double(self, dtype):
+        rng = np.random.default_rng(86)
+        V = rng.integers(-4, 5, (8, 4, 4)) + 20 * np.eye(4, dtype=int)
+        V = V.astype(dtype)
+        rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
+        want = np.linalg.inv(V.astype(np.float64))
+        assert rows == list(range(8))
+        assert Vi.dtype == np.float64 and Vi.tobytes() == want.tobytes()
+
+
+class TestNonFiniteInverse:
+    """An inverse that is not finite makes its row singular, even where
+    its singular values pass: V ~ 1e-310 is well conditioned, but its
+    inverse overflows."""
+
+    @staticmethod
+    def overflowing(rng, n):
+        V = 1e-310 * conditioned_stack(rng, n, [10.0])[0]
+        s = np.linalg.svd(V[None], compute_uv=False)
+        assert nonsingular_rows(s) == [0]
+        return V
+
+    def test_row_dropped_and_inverse_raises(self):
+        rng = np.random.default_rng(87)
+        V = np.array([conditioned_stack(rng, 4, [10.0])[0],
+                      self.overflowing(rng, 4),
+                      conditioned_stack(rng, 4, [10.0])[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, Vi, _, _ = nonsingular_inverses(V)
+            assert rows == [0, 2]
+            assert Vi.tobytes() == np.linalg.inv(V[rows]).tobytes()
+            with pytest.raises(SingularMatrixError) as err:
+                nonsingular_inverse(V[1])
+        assert err.value.cond == np.inf
+
+    def test_no_svd_when_every_uncertified_row_is_non_finite(self, monkeypatch):
+        rng = np.random.default_rng(88)
+        zero_pivot = rng.standard_normal((4, 4))
+        zero_pivot[:, 1] = 0.0
+        V = np.array([conditioned_stack(rng, 4, [10.0])[0], zero_pivot,
+                      self.overflowing(rng, 4)])
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
+        assert rows == [0] and Vi.shape == (1, 4, 4)
+        assert sq_V.shape == sq_Vi.shape == (1,)

@@ -390,6 +390,28 @@ class TestAnalyticGradient:
             assert exc.value.cond == np.inf
         assert passed > 0
 
+    @pytest.mark.parametrize("method,alpha", (("condition", 1.0),
+                                              ("normality", 1.0),
+                                              ("condition", 0.5)))
+    def test_non_finite_inverse_rejected(self, method, alpha):
+        # V ~ 1e-310 is well conditioned, so its singular values pass, but
+        # its inverse overflows to a non-finite matrix: singular, not a NaN
+        # F, residual or value
+        sys = random_reachable(np.random.default_rng(63), 4, 2)
+        spec = gradient_structures(2)["simple"]
+        placer = pp.Placer(sys, spec)
+        evaluate = _Evaluator(pp.ObjectiveSpec(method, alpha), placer)
+        x = 1e-310 * well_conditioned_probes(placer, np.random.default_rng(67), 1)[0]
+        V = (placer.operator() @ x).reshape(6, 4)[:4]
+        s = np.linalg.svd(V, compute_uv=False)
+        assert s[0] / s[-1] <= 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(x) == (float("inf"), False)
+            with pytest.raises(pp.SingularMatrixError) as exc:
+                placer.place(pp.ParameterMatrix.from_vector(spec, 2, x))
+        assert exc.value.cond == np.inf
+
 
 class TestTerminations:
     @staticmethod
@@ -947,13 +969,14 @@ class TestConditionOnV:
         monkeypatch.setattr(linalg, "certified_rows", logged_certify)
         self.assert_rows_match(evaluate, X, list(range(8)))
         assert calls == [[i for i in range(8) if i != worst]]
-        # x = 0 makes V = 0, an exact zero pivot: every row is decided on
-        # its own, the uncertified one by its own SVD
+        # x = 0 makes V = 0, an exact zero pivot: its inverse is NaN, so
+        # one certificate over the whole stack leaves it and the worst row
+        # uncertified, and the zero row is dropped
         zero = (worst + 1) % 8
         X[zero] = 0.0
         calls.clear()
         self.assert_rows_match(evaluate, X, [i for i in range(8) if i != zero])
-        assert calls == [[] if i == worst else [0] for i in range(8) if i != zero]
+        assert calls == [[i for i in range(8) if i not in (worst, zero)]]
 
 
 def sequential_bfgs_restart(evaluate, x0, pt0, opts):

@@ -45,6 +45,14 @@ class TestEigStructure:
         with pytest.raises(pp.StructureError, match="is not an integer"):
             pp.EigStructure((0.0,), ((bad,),))
 
+    @pytest.mark.parametrize(
+        "eigs, orders", [((0.0,), (2,)), ((0.0, 1.0), ((1,), 2)), ((0.0,), 2)]
+    )
+    def test_rejects_orders_not_a_sequence(self, eigs, orders):
+        # a bare int where a sequence of orders belongs
+        with pytest.raises(pp.StructureError, match="one sequence of orders"):
+            pp.EigStructure(eigs, orders)
+
     def test_integer_valued_orders_stored_as_int(self):
         spec = pp.EigStructure((0.0,), ((np.int64(2), 1.0),))
         assert spec.block_orders == ((2, 1),)

@@ -385,7 +385,7 @@ class TestInverseGufunc:
         for n in range(1, 9):
             for k in range(1, 9):
                 V = random_stack(rng, k, n, complex_)
-                rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
+                rows, Vi, _, _ = nonsingular_inverses(V)
                 want = np.linalg.inv(V)
                 assert rows == list(range(k))
                 assert Vi.dtype == want.dtype and Vi.shape == want.shape
@@ -409,7 +409,7 @@ class TestInverseGufunc:
         rng = np.random.default_rng(86)
         V = rng.integers(-4, 5, (8, 4, 4)) + 20 * np.eye(4, dtype=int)
         V = V.astype(dtype)
-        rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
+        rows, Vi, _, _ = nonsingular_inverses(V)
         want = np.linalg.inv(V.astype(np.float64))
         assert rows == list(range(8))
         assert Vi.dtype == np.float64 and Vi.tobytes() == want.tobytes()

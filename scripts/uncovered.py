@@ -39,11 +39,10 @@ def statement_spans(source):
     return sorted(spans, key=lambda span: span[2])
 
 
-def run_traced():
-    """Run the test suite; returns (pytest's exit status, executed lines
-    per file of the package)."""
-    import pytest
-
+def trace_package(fn):
+    """Call fn() with `sys.settrace` recording the lines executed in the
+    package; returns (fn's result, executed lines per file of the
+    package)."""
     executed = {}
     prefix = str(SRC) + "/"
 
@@ -59,19 +58,19 @@ def run_traced():
         executed.setdefault(filename, set())
         return local
 
-    sys.path.insert(0, str(SRC.parent))
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        result = fn()
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), executed
+    return result, executed
 
 
-def main():
-    status, executed = run_traced()
+def print_missed(executed):
+    """Print each statement of the package whose lines never ran, as
+    ``module.py:line  source``, then their count."""
     missed = 0
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
@@ -82,7 +81,16 @@ def main():
                 missed += 1
                 print(f"{path.name}:{lineno}  {lines[lineno - 1].strip()}")
     print(f"{missed} statements never executed")
-    return status
+
+
+def main():
+    import pytest
+
+    sys.path.insert(0, str(SRC.parent))
+    status, executed = trace_package(
+        lambda: pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")]))
+    print_missed(executed)
+    return int(status)
 
 
 if __name__ == "__main__":

@@ -71,19 +71,16 @@ def build_parser():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
 
-    def outputs(what):
-        return (
-            ("--tol", dict(type=float, default=1e-8,
-                           help="residual tolerance (default 1e-8)")),
-            ("--out", dict(help=f"write the {what} here instead of stdout")),
-        )
+    def out(what):
+        return ("--out", dict(help=f"write the {what} here instead of stdout"))
 
     inputs = (
         ("--system", dict(required=True, help="system file (JSON)")),
         ("--spec", dict(
             help="structure file; defaults to the system file's structure")),
     )
-    report = outputs("report")
+    tol = ("--tol", dict(type=float, default=1e-8,
+                         help="residual tolerance (default 1e-8)"))
     seed = (("--seed", dict(type=int, default=0)),)
     search = (
         ("--method", dict(choices=("condition", "normality"),
@@ -94,21 +91,21 @@ def build_parser():
     )
 
     command("check", cmd_check, "Rosenbrock admissibility check",
-            *inputs, *report)
+            *inputs, out("report"))
     command("place", cmd_place, "place once with a random or given K",
-            *inputs, *report, *seed,
+            *inputs, tol, out("report"), *seed,
             ("--k-file", dict(help="parameter matrix file (JSON)")))
     command("optimize", cmd_optimize, "multi-start optimization over K",
-            *inputs, *report, *search, *seed)
+            *inputs, tol, out("report"), *search, *seed)
     command("bench", cmd_bench, "run the benchmark corpus",
             ("--corpus", dict(help="directory of system files; "
                               "defaults to the built-in synthetic systems")),
-            *search, *seed, *outputs("table"),
+            *search, *seed, tol, out("table"),
             ("--format", dict(choices=("md", "csv"), default="md")))
     command("recover", cmd_recover,
             "recover the parameter matrix reproducing a given feedback "
             "(simple spectra only)",
-            *inputs, *report,
+            *inputs, tol, out("report"),
             ("--feedback", dict(required=True,
                                 help='feedback file: {"F": [[...]]}')))
     return parser
@@ -180,9 +177,8 @@ def _report(args, fields, matrices, ok):
 
 
 def cmd_check(args):
-    tol, _, _ = _options(args)
     sf, spec = _load_inputs(args)
-    report = check_admissible(spec, sf.system, tol)
+    report = check_admissible(spec, sf.system)
     text = render_report(
         [
             ("command", "check"),
@@ -285,7 +281,7 @@ def cmd_recover(args):
     K = placer.recover_parameters(chains)
     res = placer.place(K)
     err = float(np.abs(res.F - F).max())
-    ok = err <= 1e-8 * (1.0 + fro_norm(F))
+    ok = err <= tol.residual_tol * (1.0 + fro_norm(F))
     metrics = placement_metrics(sys, spec, res, tol)
     fields = [
         ("command", "recover"),

@@ -9,15 +9,15 @@ the kernels and pseudoinverses here, and through `numerical_rank` the
 column rank of B and the ranks of the Krylov prefixes that give the
 controllability indices in `structure`, so callers get one consistent
 notion of numerical rank.  Singularity is likewise decided by one rule: a
-matrix is singular when its computed inverse is not finite (an exact zero
-pivot fills it with NaN; it does not raise), or when `nonsingular_rows`
-rejects its singular values.  `nonsingular_inverses` applies it to a
-stack, inverse first, in one call of the LAPACK gufunc under
-`np.linalg.inv`: `certified_rows` spares the SVD on the rows whose squared
-Frobenius norms, of the matrix and of its inverse, show them to be well
-within the limit, rows the SVD test would accept; a non-finite inverse
-makes only its own row singular, and only the finite rows left over take
-the SVD.  It returns those squared norms with the inverses, so the
+matrix is singular when it or its computed inverse is not finite (an exact
+zero pivot fills the inverse with NaN; it does not raise), or when
+`nonsingular_rows` rejects its singular values.  `nonsingular_inverses`
+applies it to a stack, inverse first, in one call of the LAPACK gufunc
+under `np.linalg.inv`: `certified_rows` spares the SVD on the rows whose
+squared Frobenius norms, of the matrix and of its inverse, show them to be
+well within the limit, rows the SVD test would accept; a non-finite matrix
+or inverse makes only its own row singular, and only the finite rows left
+over take the SVD.  It returns those squared norms with the inverses, so the
 condition objective reads its value from the certificate.
 `nonsingular_inverse` is its raising form for one matrix.
 """
@@ -112,14 +112,14 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
     `np.linalg.inv`, in double (complex double for complex V) as
     `np.linalg.inv` computes it, with the squared norms of every row and
     of its inverse, and `certified_rows` accepts the rows they show to be
-    well conditioned.  Of the rows left over, one whose inverse is not
-    finite is singular, whatever its singular values: an exact zero pivot
-    fills its row with NaN, and an inverse can overflow.  Only the finite
-    rest goes through `nonsingular_rows` on their own stacked SVD.  The
-    norms are returned for the accepted rows, so a caller that needs
-    ||V||_F^2 + ||V^-1||_F^2 reads it from the certificate.  The gufunc
-    inverts each row on its own, so every row's inverse and norms have the
-    bits of a one-row call.
+    well conditioned.  Of the rows left over, one that is not finite, or
+    whose inverse is not, is singular, whatever its singular values: an
+    exact zero pivot fills its row with NaN, an inverse can overflow, and
+    the SVD does not converge on a NaN.  Only the finite rest goes through
+    `nonsingular_rows` on their own stacked SVD.  The norms are returned
+    for the accepted rows, so a caller that needs ||V||_F^2 + ||V^-1||_F^2
+    reads it from the certificate.  The gufunc inverts each row on its
+    own, so every row's inverse and norms have the bits of a one-row call.
     """
     k = len(V)
     signature = "D->D" if V.dtype.kind == "c" else "d->d"
@@ -131,7 +131,7 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
         sq_V, sq_Vi = np.vecdot(a, a), np.vecdot(b, b)
         rows = certified_rows(sq_V, sq_Vi, tol)
     if len(rows) < k:
-        finite = np.isfinite(b).all(axis=1).tolist()
+        finite = (np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)).tolist()
         rest = [i for i in range(k) if finite[i] and i not in rows]
         if rest:
             s = np.linalg.svd(V[rest], compute_uv=False)
@@ -145,12 +145,15 @@ def nonsingular_inverse(M, tol=DEFAULT_TOL):
     a one-row stack, with the bits of that call; otherwise
     SingularMatrixError, with the condition number its singular values
     read (`checked_svals`), or cond=inf when they pass and the inverse is
-    not finite (an exact zero pivot or an overflow).
+    not finite (an exact zero pivot or an overflow), and cond=inf, with no
+    SVD taken, when the matrix itself has a NaN or infinite entry.
     """
     rows, Mi, _, _ = nonsingular_inverses(M[None], tol)
     if not rows:
-        checked_svals(M, tol)
-        raise SingularMatrixError("matrix inverse not finite (cond=inf)", cond=np.inf)
+        if np.isfinite(M).all():
+            checked_svals(M, tol)
+        raise SingularMatrixError(
+            "matrix or its inverse not finite (cond=inf)", cond=np.inf)
     return Mi[0]
 
 

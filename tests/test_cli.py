@@ -93,6 +93,13 @@ class TestCheck:
         assert code == 1
         assert "error" in err
 
+    def test_tol_flag_rejected(self, tmp_path, capsys):
+        # admissibility reads only the rank threshold, so check takes no --tol
+        path = write(tmp_path, "di.json", DI)
+        code, out, err = run(capsys, ["check", "--system", path, "--tol", "1e-3"])
+        assert code == 1
+        assert out == "" and "unrecognized arguments: --tol" in err
+
     def test_large_norm_pair_reachable(self, tmp_path, capsys):
         # ||A||_2 = 17.9 and ||B||_2 = 5.4: the Krylov matrix has norm 1.3e16,
         # far above B's, and the indices must still read B's own rank
@@ -358,6 +365,21 @@ class TestRecover:
         floor = float(fields["reproduction_floor"])
         cond_V = float(fields["cond_V"])
         assert floor == pytest.approx(cond_V * np.finfo(float).eps * (1 + np.sqrt(13)))
+
+    def test_tol_bounds_reproduction(self, tmp_path, capsys):
+        # F = [-2 + 1e-6, -3] misses the spectrum {-1, -2} by ~1e-6: the
+        # default tolerance rejects its chains, and --tol 1e-3 accepts them
+        # and judges the reproduced [-2, -3] against 1e-3 (1 + ||F||_F)
+        path = write(tmp_path, "di.json", DI)
+        f_path = write(tmp_path, "f.json", {"F": [[-1.999999, -3.0]]})
+        argv = ["recover", "--system", path, "--feedback", f_path]
+        code, _, err = run(capsys, argv)
+        assert code == 4 and "relation residual" in err
+        code, out, _ = run(capsys, argv + ["--tol", "1e-3"])
+        assert code == 0
+        fields = dict(l.split(": ", 1) for l in out.splitlines() if ": " in l)
+        assert fields["status"] == "ok"
+        assert float(fields["reproduction_error"]) == pytest.approx(1e-6, rel=1e-6)
 
     def test_defective_spec_rejected(self, tmp_path, capsys):
         payload = dict(DI)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import poleplace as pp
 from poleplace.errors import SingularMatrixError
 from poleplace.linalg import (
     ToleranceConfig,
@@ -457,3 +458,38 @@ class TestNonFiniteInverse:
             rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V)
         assert rows == [0] and Vi.shape == (1, 4, 4)
         assert sq_V.shape == sq_Vi.shape == (1,)
+
+
+
+# an all-NaN matrix, a single NaN entry, and an infinite entry whose
+# inverse is finite
+NON_FINITE = (
+    np.full((2, 2), np.nan),
+    np.array([[1.0, np.nan], [0.0, 1.0]]),
+    np.array([[np.inf, 0.0], [0.0, 1.0]]),
+)
+
+
+class TestNonFiniteMatrix:
+    """A matrix with a NaN or infinite entry is singular with cond=inf, and
+    no SVD is taken: LAPACK's SVD does not converge on a NaN."""
+
+    @pytest.mark.parametrize("M", NON_FINITE)
+    def test_singular_without_svd(self, M, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(SingularMatrixError) as err:
+            nonsingular_inverse(M)
+        assert err.value.cond == np.inf
+        # in a stack, only the matrix's own row is dropped
+        rows, Vi, _, _ = nonsingular_inverses(np.array([M, np.eye(2)]))
+        assert rows == [1] and np.array_equal(Vi[0], np.eye(2))
+
+    @pytest.mark.parametrize("M", NON_FINITE)
+    def test_condition_numbers_raise_singular(self, M):
+        for kappa in (pp.kappa_fro, pp.kappa_2):
+            with pytest.raises(SingularMatrixError) as err:
+                kappa(M)
+            assert err.value.cond == np.inf

@@ -1068,6 +1068,127 @@ class TestRecoverParameters:
             assert np.abs(res.F - F_ext).max() <= 1e-8 * (1.0 + np.abs(F_ext).max())
 
 
+
+def clustered_feedback(seed, n, m, pairs):
+    """(sys, spec, F): scipy's pole placer on a pair A = G / sqrt(n), B = G',
+    with `pairs` conjugate pairs -U(0.2, 2) +- i U(0.2, 2) and the other
+    eigenvalues real, 1e-3 apart below -U(0.2, 2).  The clustered reals
+    make the eigenvector matrix ill-conditioned (cond 1e7 to 1e9)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) / np.sqrt(n)
+    B = rng.standard_normal((n, m))
+    eigs = []
+    for _ in range(pairs):
+        re, im = -rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+        eigs += [complex(re, im), complex(re, -im)]
+    top = -rng.uniform(0.2, 2.0)
+    eigs += [complex(top - 1e-3 * k, 0.0) for k in range(n - 2 * pairs)]
+    spec = pp.EigStructure(tuple(eigs), tuple((1,) for _ in eigs))
+    F = -scipy.signal.place_poles(A, B, np.array(eigs)).gain_matrix
+    return pp.System(A, B), pp.normalize_ordering(spec)[0], F
+
+
+def round_trip_error(sys, spec, F):
+    """The CLI `recover` reading: max |F_reproduced - F| over its bound
+    1e-8 (1 + ||F||_F)."""
+    chains = pp.chains_from_feedback(sys, spec, F)
+    res = pp.place(sys, spec, pp.recover_parameters(sys, spec, chains))
+    return np.abs(res.F - F).max() / (1e-8 * (1.0 + pp.fro_norm(F)))
+
+
+class TestChainsFromFeedback:
+    """Each chain [x; F x] takes x from the kernel of A + BF - lambda I at the
+    target lambda, not from an eigensolver."""
+
+    @pytest.mark.parametrize("seed, n, m, pairs", [(9, 5, 1, 1), (131, 4, 1, 0)])
+    def test_ill_conditioned_loop_recovered(self, seed, n, m, pairs):
+        # the computed eigenvalues of A + BF miss these targets by 1e-7 to
+        # 1e-6, and their eigenvectors break the relation check 3-14 times
+        # over its tolerance; the kernel vectors at the targets reproduce F
+        sys, spec, F = clustered_feedback(seed, n, m, pairs)
+        eigs = np.linalg.eigvals(sys.A + sys.B @ F)
+        miss = max(np.abs(eigs - lam).min() for lam in spec.eigenvalues)
+        assert miss > 5e-8
+        assert round_trip_error(sys, spec, F) <= 1.0
+
+    @pytest.mark.parametrize("pairs", [0, 1, 2])
+    def test_non_placing_feedback_rejected(self, pairs):
+        rng = np.random.default_rng(140 + pairs)
+        for _ in range(10):
+            n = int(rng.integers(2 * pairs + 1, 8))
+            m = int(rng.integers(1, min(n, 3) + 1))
+            sys = random_reachable(rng, n, m)
+            eigs = []
+            for _ in range(pairs):
+                re, im = -rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0)
+                eigs += [complex(re, im), complex(re, -im)]
+            eigs += [complex(-rng.uniform(0.2, 4.0), 0.0)
+                     for _ in range(n - 2 * pairs)]
+            spec = pp.normalize_ordering(
+                pp.EigStructure(tuple(eigs), tuple((1,) for _ in eigs)))[0]
+            chains = pp.chains_from_feedback(sys, spec, rng.standard_normal((m, n)))
+            with pytest.raises(pp.ChainConsistencyError):
+                pp.recover_parameters(sys, spec, chains)
+
+    def test_column_layout(self):
+        rng = np.random.default_rng(143)
+        for pairs in (0, 1, 2):
+            sys = random_reachable(rng, 6, 2)
+            eigs = [-1.0 - 0.5 * k for k in range(6 - 2 * pairs)]
+            for k in range(pairs):
+                eigs = [complex(-1.5, 1.0 + k), complex(-1.5, -1.0 - k)] + eigs
+            spec = pp.normalize_ordering(
+                pp.EigStructure(tuple(eigs), tuple((1,) for _ in eigs)))[0]
+            F = -scipy.signal.place_poles(sys.A, sys.B, np.array(eigs)).gain_matrix
+            H = pp.chains_from_feedback(sys, spec, F).H
+            assert H.shape == (8, 6)
+            assert H.dtype == (complex if pairs else float)
+            P = 2 * pairs
+            # a pair's second column is the exact conjugate of its first
+            assert np.array_equal(H[:, 1:P:2], H[:, 0:P:2].conj())
+            # a real eigenvalue's column is exactly real, a unit x on top
+            assert not np.imag(H[:, P:]).any()
+            x = H[:6]
+            assert np.allclose(np.linalg.norm(x, axis=0), 1.0, atol=1e-14)
+            # the bottom is F x, a real product on the real columns
+            for j in [*range(0, P, 2), *range(P, 6)]:
+                xj = x[:, j].real if j >= P else x[:, j].copy()
+                assert np.array_equal(H[6:, j], F @ xj)
+
+
+class TestRecoverInputChecks:
+    """`recover_parameters` checks its chain set as `place` checks K."""
+
+    @staticmethod
+    def placer_and_chains():
+        rng = np.random.default_rng(144)
+        sys = random_reachable(rng, 4, 2)
+        spec = pp.EigStructure((-1 + 1j, -1 - 1j, -2.0, -3.0), ((1,),) * 4)
+        placer = pp.Placer(sys, spec)
+        return placer, placer.build_chains(pp.ParameterMatrix.random(spec, 2, rng))
+
+    @pytest.mark.parametrize("shape", [(5, 4), (6, 3)])
+    def test_wrong_shape_rejected(self, shape):
+        # numpy's matmul ValueError and an IndexError before the check
+        placer, _ = self.placer_and_chains()
+        H = np.zeros(shape, complex)
+        with pytest.raises(pp.StructureError, match="shape"):
+            placer.recover_parameters(pp.ChainSet(placer.spec, ((H,),)))
+
+    def test_other_structure_rejected(self):
+        placer, chains = self.placer_and_chains()
+        other = pp.EigStructure((-1 + 1j, -1 - 1j, -2.0, -4.0), ((1,),) * 4)
+        with pytest.raises(pp.StructureError, match="structure"):
+            placer.recover_parameters(pp.ChainSet(other, ((chains.H,),)))
+
+    def test_equal_structure_accepted(self):
+        placer, chains = self.placer_and_chains()
+        spec = pp.EigStructure(placer.spec.eigenvalues, placer.spec.block_orders)
+        assert spec is not placer.spec
+        back = placer.recover_parameters(pp.ChainSet(spec, ((chains.H,),)))
+        expect = placer.recover_parameters(chains)
+        assert np.array_equal(back.to_vector(), expect.to_vector())
+
 def reference_recover(placer, chain_set):
     """Parameter recovery one chain column at a time, with the Mdag term:
     k(l) = N^H (h(l) - Mdag pi_upper(h(l-1)))."""

@@ -4,8 +4,17 @@ Given a reachable pair (A, B) and an admissible target eigenstructure, every
 feedback F assigning that structure is reached from an m x n-parameter block
 matrix K: chains are built from the kernels and pseudoinverses of the pencils
 [A - lambda_i I, B], assembled into a complex chain matrix, realified, and
-closed with F = W V^{-1}.  The whole construction is one linear map from K's
-coordinate vector x to the real [V; W], and a `Placer` holds it once, in
+closed with F = W V^{-1}.
+
+K's m*n real coordinates x have one layout, which every step reads: the
+eigenvalue whose chain columns are a:e (`conformable_column_blocks`) owns
+x[m*a : m*e], its real m x (e - a) block row-major, except that a
+conjugate pair's second member holds its first member's imaginary parts.
+So x is K realified in V's column layout, and every eigenvalue's first
+coordinate is m times its first chain column.
+
+The whole construction is one linear map from x to the real [V; W], and a
+`Placer` holds it once, in
 `_PlacementMap`: column c of [V; W] reads only its own eigenvalue's
 coordinates, so [V; W][:, c] = T[c]^T x[coords[c]], one gather and one
 stacked product for all columns.  The map's blocks come from one run of the
@@ -13,8 +22,8 @@ chain recursion, `_chain_columns`, per representative eigenvalue (each
 pair's first member, then the reals), on the unit blocks of that
 eigenvalue's own parameters and with its own pencil.  `Placer._reps` is the
 one walk of the conformable layout: one record per representative, holding
-its index, first chain column, first coordinate in x and whether it is a
-pair, which every other step reads.  `Placer.place` and
+its index, first chain column and whether it is a pair, which every other
+step reads.  `Placer.place` and
 `Placer.build_chains` apply the map; the complex chain matrix H is an exact
 gather of the real [V; W] (a pair's columns are V_1 +- i V_2).  `place`
 decides V's singularity inverse first, by the optimizer's own rule
@@ -100,9 +109,10 @@ class ParameterMatrix:
 
     Blocks of a conjugate pair are exact conjugates and blocks of real
     eigenvalues are real, so the free real content is exactly m*n numbers,
-    the vector x, in a fixed layout: for each pair representative the real
-    then imaginary parts (row-major), for each real eigenvalue the entries
-    themselves.  x is the one state of K: `to_vector` returns a copy of it,
+    the vector x, in the module's one layout: the eigenvalue whose chain
+    columns are a:e owns x[m*a : m*e], its block's real parts row-major,
+    except that a pair's second member holds the first member's imaginary
+    parts.  x is the one state of K: `to_vector` returns a copy of it,
     and `blocks` derives the blocks from it on every access, read-only (the
     second member of a pair as the conjugate of the first).
 
@@ -127,20 +137,22 @@ class ParameterMatrix:
             raise StructureError("all parameter blocks must have m rows")
         if not all(np.isfinite(b).all() for b in blocks):
             raise StructureError("parameter blocks have non-finite entries")
-        parts = []
-        for i in range(0, 2 * sigma, 2):
-            if not np.array_equal(blocks[i + 1], blocks[i].conj()):
+        for i, blk in enumerate(blocks):
+            if (i < 2 * sigma and i % 2
+                    and not np.array_equal(blk, blocks[i - 1].conj())):
                 raise StructureError(
-                    f"parameter blocks {i} and {i + 1} are not conjugates"
+                    f"parameter blocks {i - 1} and {i} are not conjugates"
                 )
-            parts += [blocks[i].real.ravel(), blocks[i].imag.ravel()]
-        for i in range(2 * sigma, len(blocks)):
-            if np.iscomplexobj(blocks[i]) and blocks[i].imag.any():
+            if i >= 2 * sigma and np.iscomplexobj(blk) and blk.imag.any():
                 raise StructureError(f"parameter block {i} must be real")
-            parts.append(blocks[i].real.ravel())
         self.sigma = sigma
         self._shapes = tuple(b.shape for b in blocks)
-        self._x = np.concatenate(parts, dtype=float)
+        # each eigenvalue's real block, a pair's second member's replaced
+        # by its first member's imaginary parts
+        self._x = np.concatenate([
+            (blocks[i - 1].imag if i < 2 * sigma and i % 2 else blk.real).ravel()
+            for i, blk in enumerate(blocks)
+        ], dtype=float)
 
     @classmethod
     def _of_vector(cls, spec, m, x):
@@ -168,6 +180,10 @@ class ParameterMatrix:
     @classmethod
     def from_vector(cls, spec, m, vec):
         vec = np.array(vec, dtype=float)
+        if vec.ndim != 1:
+            raise StructureError(
+                f"parameter vector must be one-dimensional, got shape {vec.shape}"
+            )
         expected = m * spec.n
         if vec.size != expected:
             raise StructureError(
@@ -184,20 +200,16 @@ class ParameterMatrix:
 
 
 def _blocks_of_vector(vec, sigma, m, mults):
-    """The read-only blocks of a coordinate vector (layout: ParameterMatrix)."""
-    blocks = [None] * len(mults)
-    pos = 0
+    """The read-only blocks of a coordinate vector (layout: ParameterMatrix).
+
+    The blocks are cut from a private copy of vec, so no block shares
+    memory with the caller's vector.
+    """
+    parts = np.split(vec.copy(), m * np.cumsum(mults)[:-1])
+    blocks = [part.reshape(m, -1) for part in parts]
     for i in range(0, 2 * sigma, 2):
-        size = m * mults[i]
-        re = vec[pos : pos + size].reshape(m, mults[i])
-        im = vec[pos + size : pos + 2 * size].reshape(m, mults[i])
-        blocks[i] = re + 1j * im
+        blocks[i] = blocks[i] + 1j * blocks[i + 1]
         blocks[i + 1] = blocks[i].conj()
-        pos += 2 * size
-    for i in range(2 * sigma, len(mults)):
-        size = m * mults[i]
-        blocks[i] = vec[pos : pos + size].reshape(m, mults[i]).copy()
-        pos += size
     for blk in blocks:
         blk.flags.writeable = False
     return tuple(blocks)
@@ -328,14 +340,12 @@ class Placer:
         The representatives are each pair's first member, then the reals,
         in conformable order; every other step reads their records.
         """
-        spec, m = self.spec, self.sys.m
-        reps, pos = [], 0
-        for i, (col, end) in enumerate(conformable_column_blocks(spec)):
-            if not (i % 2 == 1 and i < 2 * spec.sigma):
-                pair = i < 2 * spec.sigma
-                reps.append(_Rep(i, col, pos, pair))
-                pos += (1 + pair) * m * (end - col)
-        return tuple(reps)
+        spec = self.spec
+        return tuple(
+            _Rep(i, col, i < 2 * spec.sigma)
+            for i, (col, _) in enumerate(conformable_column_blocks(spec))
+            if not (i % 2 == 1 and i < 2 * spec.sigma)
+        )
 
     @functools.cached_property
     def _map(self):
@@ -380,7 +390,7 @@ class Placer:
                 H = np.concatenate([H.real, H.imag])
             # each column gets its (coordinates, n+m) block
             T[rep.col : end, : H.shape[2]] = H.transpose(0, 2, 1)
-            start[rep.col : end] = rep.start
+            start[rep.col : end] = m * rep.col
         coords = (start[:, None] + np.arange(width)) % (m * n)
         return _PlacementMap(T, coords, gather)
 
@@ -495,32 +505,35 @@ class Placer:
         """The column data of `recover_parameters`, built on first use.
 
         Only the representative eigenvalues carry parameters.  Their chain
-        columns, eigenvalues and coordinates are read from their records
-        (`_reps`), laid end to end in conformable order (pairs first), so
-        that one pass over the columns serves every eigenvalue; the pencil
-        data is stacked to match.
+        columns are read from their records (`_reps`), laid end to end in
+        conformable order (pairs first), so that one pass over the columns
+        serves every eigenvalue; the eigenvalues and pencil data are stacked
+        to match.  Each representative column c, and the partner column of
+        a pair's first member, takes its coordinates from the layout of x
+        (`ParameterMatrix`) by one formula: in the eigenvalue with columns
+        a:e, entry (i, c - a) of the block is x[m*a + i*(e - a) + (c - a)].
         """
-        sys, spec, reps = self.sys, self.spec, self._reps
-        # per representative eigenvalue
-        mults = np.array([spec.multiplicities[rep.i] for rep in reps])
-        cols = np.concatenate([rep.col + np.arange(k) for rep, k in zip(reps, mults)])
-        lam = np.repeat([spec.eigenvalues[rep.i] for rep in reps], mults)
-        # (m, columns): entry (i, l) of an eigenvalue's block sits at
-        # start + i * mult + l
-        real_coords = np.concatenate([
-            rep.start + np.arange(k) + k * np.arange(sys.m)[:, None]
-            for rep, k in zip(reps, mults)
-        ], axis=1)
-        # a pair's second block sits mult columns after its first, its
-        # imaginary coordinates m * mult after its real ones
-        shift = np.repeat(mults[: spec.sigma], mults[: spec.sigma])
-        coords = np.hstack([real_coords, real_coords[:, : shift.size] + sys.m * shift])
+        sys, spec, m = self.sys, self.spec, self.sys.m
+        mults = spec.multiplicities
+        cols = np.concatenate([rep.col + np.arange(mults[rep.i]) for rep in self._reps])
+        # per column of H: the first column a and the width e - a of its
+        # eigenvalue's columns a:e
+        a = np.repeat([col for col, _ in conformable_column_blocks(spec)], mults)
+        width = np.repeat(mults, mults)
+        # the pair first members' columns come first; a second member's
+        # columns follow its first's
+        p = sum(mults[: 2 * spec.sigma : 2])
+        pair_cols = cols[:p] + width[cols[:p]]
+        # row i of column c reads x[m a + i (e - a) + (c - a)]
+        c = np.concatenate([cols, pair_cols])
+        coords = m * a[c] + np.arange(m)[:, None] * width[c] + (c - a[c])
+        lam = np.repeat(spec.eigenvalues, mults)[cols]
         NH = np.repeat(
-            np.array([self.pencils[rep.i].N.conj().T for rep in reps]), mults, axis=0
-        )
+            np.array([pencil.N.conj().T for pencil in self.pencils]), mults, axis=0
+        )[cols]
         return _Recovery(
             cols=cols,
-            pair_cols=cols[: shift.size] + shift,
+            pair_cols=pair_cols,
             lam=lam,
             # the tolerance of a column h is scale * max(1, |h|)
             scale=self.tol.residual_tol * (
@@ -630,14 +643,14 @@ def _check_columns(dev, tol, lam, message):
 class _Rep(NamedTuple):
     """The record of one representative eigenvalue (see `Placer._reps`).
 
-    Its chain columns of H begin at `col`, and its parameter block's
-    coordinates in x = K.to_vector() at `start`: m * mult entries
-    row-major (for a pair, its real parts, then as many imaginary parts).
+    Its chain columns of H are col:e, and by the layout of x (see
+    `ParameterMatrix`) its parameter block's coordinates are
+    x[m * col : m * e], m * (e - col) entries row-major; a pair's
+    imaginary parts follow them, at its second member's columns.
     """
 
     i: int  # index in the structure's eigenvalues
     col: int  # first chain column
-    start: int  # position of the first coordinate in x
     pair: bool  # the first member of a conjugate pair
 
 
@@ -747,7 +760,8 @@ def chains_from_feedback(sys, spec, F):
     constructed, so every requested multiplicity must be 1 (extracting
     Jordan chains of longer blocks from a computed matrix is ill-posed).
     H is complex when the structure has conjugate pairs, and real
-    otherwise.
+    otherwise.  An F that is not a finite m x n matrix raises
+    StructureError before any SVD is taken.
     """
     if any(mult != 1 for mult in spec.multiplicities):
         raise StructureError(
@@ -755,6 +769,12 @@ def chains_from_feedback(sys, spec, F):
             "(all multiplicities equal to 1)"
         )
     F = np.atleast_2d(np.asarray(F, dtype=float))
+    if F.shape != (sys.m, sys.n):
+        raise StructureError(
+            f"feedback has shape {F.shape}, expected ({sys.m}, {sys.n})"
+        )
+    if not np.isfinite(F).all():
+        raise StructureError("feedback has non-finite entries")
     closed = sys.A + sys.B @ F
     H = np.empty((sys.n + sys.m, sys.n), complex if spec.sigma else float)
     for i, lam in enumerate(spec.eigenvalues):

@@ -17,7 +17,9 @@ A system file is JSON with the shape
     }
 
 Eigenvalue records with im != 0 may omit the conjugate partner; it is added
-automatically with the same block orders.  A structure-only file is either
+automatically with the same block orders.  Every number read, a matrix entry or an
+eigenvalue's re or im, must be a JSON number: true, false and quoted
+numbers are rejected.  A structure-only file is either
 the record list itself or {"structure": [...]}.
 """
 
@@ -50,17 +52,26 @@ def _read_json(path):
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
+# the types json reads a number as; true and false read as bool, "1" as str
+_JSON_NUMBERS = {int, float}
+
+
 def _as_matrix(raw, field, path):
     try:
+        # an integer too large for a float raises OverflowError
         M = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: field '{field}' is not a numeric matrix: {exc}")
     if M.ndim != 2:
         raise ParseError(f"{path}: field '{field}' must be a list of rows")
+    # numpy would read true as 1.0 and "2" as 2.0
+    if not {type(v) for row in raw for v in row} <= _JSON_NUMBERS:
+        raise ParseError(f"{path}: field '{field}' has entries that are not numbers")
     # json reads NaN and Infinity; no matrix of the package may hold them
     if not np.isfinite(M).all():
         raise ParseError(f"{path}: field '{field}' has non-finite entries")
     return M
+
 
 def structure_from_records(records, n=None, path="<records>"):
     """Build a normalized eigenstructure from {re, im, blocks} records."""
@@ -70,11 +81,15 @@ def structure_from_records(records, n=None, path="<records>"):
     for idx, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ParseError(f"{path}: structure record {idx} must be an object")
+        re, im = rec.get("re", 0.0), rec.get("im", 0.0)
+        if not {type(re), type(im)} <= _JSON_NUMBERS:
+            raise ParseError(f"{path}: structure record {idx} malformed: "
+                             "'re' and 'im' must be numbers")
         try:
-            lam = complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))
+            lam = complex(re, im)
             # EigStructure checks the orders themselves
             orders = tuple(rec["blocks"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: structure record {idx} malformed: {exc}")
         eigs.append(lam)
         blocks.append(orders)

@@ -434,6 +434,22 @@ class TestBadInputValues:
         assert "non-finite" in err
 
     @pytest.mark.parametrize("command", ["check", "place"])
+    @pytest.mark.parametrize("where", ["A", "re"])
+    def test_entry_that_is_not_a_number_exits_one(self, tmp_path, capsys, command,
+                                                  where):
+        # true would read as 1.0, and "-1" as -1
+        payload = dict(DI)
+        if where == "A":
+            payload["A"] = [[0, True], [0, 0]]
+        else:
+            payload["structure"] = [{"re": "-1", "im": 0.0, "blocks": [1]},
+                                    {"re": -2.0, "im": 0.0, "blocks": [1]}]
+        path = write(tmp_path, "bool.json", payload)
+        code, _, err = run(capsys, [command, "--system", path])
+        assert code == 1
+        assert "numbers" in err
+
+    @pytest.mark.parametrize("command", ["check", "place"])
     def test_non_finite_eigenvalue_exits_one(self, tmp_path, capsys, command):
         payload = dict(DI)
         payload["structure"] = [

@@ -501,6 +501,41 @@ class TestTrustedParameterMatrix:
         with pytest.raises(pp.StructureError, match="must have m rows"):
             pp.ParameterMatrix([np.ones((2, 1)), np.ones((3, 1))], 0)
 
+    @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 8), ()])
+    def test_vector_not_one_dimensional_rejected(self, shape):
+        # a (2, 4) x once passed the size check, and `place` then raised
+        # a bare IndexError
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        x = np.arange(1.0, 9.0).reshape(shape) if shape else np.float64(1.0)
+        with pytest.raises(pp.StructureError, match="must be one-dimensional"):
+            pp.ParameterMatrix.from_vector(spec, 2, x)
+
+    @pytest.mark.parametrize("spec", [
+        # a defective pair, a simple pair, a defective and a semisimple real
+        pp.normalize_ordering(pp.EigStructure(
+            (-1 + 1j, -1 - 1j, -0.5 + 2j, -0.5 - 2j, -2.0, -3.0, -4.0),
+            ((2, 1), (2, 1), (1,), (1,), (3,), (1, 1), (1,))))[0],
+        grouped_structure(16, 3),
+    ])
+    def test_each_eigenvalue_owns_its_columns_of_x(self, spec):
+        # the eigenvalue with chain columns a:e owns x[m a : m e], its
+        # block's real parts row-major, a pair's second member the first
+        # member's imaginary parts
+        m = 3
+        K = pp.ParameterMatrix.random(spec, m, np.random.default_rng(7))
+        x = K.to_vector()
+        blocks = K.blocks
+        for i, (a, e) in enumerate(placement.conformable_column_blocks(spec)):
+            own = x[m * a : m * e].reshape(m, e - a)
+            second = i < 2 * spec.sigma and i % 2
+            assert np.array_equal(own, blocks[i - 1].imag if second else blocks[i].real)
+        assert np.array_equal(pp.ParameterMatrix(blocks, spec.sigma).to_vector(), x)
+        # every block is cut from a private copy: writing into one leaves x
+        for blk in K.blocks:
+            blk.flags.writeable = True
+            blk[...] = 7.0
+        assert np.array_equal(K.to_vector(), x)
+
     @pytest.mark.parametrize("size", [5, 7])
     def test_vector_size_rejected(self, size):
         spec = pp.EigStructure((-1.0, -2.0, -3.0), ((1,),) * 3)
@@ -1154,6 +1189,29 @@ class TestChainsFromFeedback:
             for j in [*range(0, P, 2), *range(P, 6)]:
                 xj = x[:, j].real if j >= P else x[:, j].copy()
                 assert np.array_equal(H[6:, j], F @ xj)
+
+
+class TestChainsFromFeedbackInput:
+    """`chains_from_feedback` checks F before it takes any SVD."""
+
+    @pytest.mark.parametrize("shape", [(4, 2), (2, 5), (1, 4), (4,)])
+    def test_wrong_shape_rejected(self, shape, monkeypatch):
+        sys = random_reachable(np.random.default_rng(5), 4, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("SVD taken"))
+        with pytest.raises(pp.StructureError,
+                           match=r"feedback has shape .*, expected \(2, 4\)"):
+            pp.chains_from_feedback(sys, spec, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, monkeypatch):
+        sys = random_reachable(np.random.default_rng(5), 4, 2)
+        spec = pp.EigStructure((-1.0, -2.0, -3.0, -4.0), ((1,),) * 4)
+        F = np.ones((2, 4))
+        F[1, 2] = bad
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: pytest.fail("SVD taken"))
+        with pytest.raises(pp.StructureError, match="non-finite"):
+            pp.chains_from_feedback(sys, spec, F)
 
 
 class TestRecoverInputChecks:

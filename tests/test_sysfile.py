@@ -174,7 +174,13 @@ class TestMalformedFiles:
         "A, match",
         [([["a", "b"], ["c", "d"]], "'A' is not a numeric matrix"),
          ([[0.0, 1.0], [0.0]], "'A' is not a numeric matrix"),
-         ([0.0, 1.0], "'A' must be a list of rows")],
+         ([0.0, 1.0], "'A' must be a list of rows"),
+         # numpy would read true as 1.0 and "1" as 1.0
+         ([[0.0, True], [0.0, 0.0]], "'A' has entries that are not numbers"),
+         ([[False, 1.0], [0.0, 0.0]], "'A' has entries that are not numbers"),
+         ([[0.0, "1"], [0.0, "-0.5"]], "'A' has entries that are not numbers"),
+         # a JSON number, but no float holds it
+         ([[0, 10**400], [0, 0]], "'A' is not a numeric matrix")],
     )
     def test_matrix_field_rejected(self, tmp_path, A, match):
         payload = dict(BASE, A=A)
@@ -194,12 +200,30 @@ class TestMalformedFiles:
          ([{"re": -1.0, "blocks": [2.7, 1]}], "block order 2.7 is not an integer"),
          ([{"re": -1.0, "blocks": [True, True]}],
           "block order True is not an integer"),
-         ([{"re": -1.0, "blocks": 2}], "structure record 0 malformed")],
+         ([{"re": -1.0, "blocks": 2}], "structure record 0 malformed"),
+         ([{"re": True, "blocks": [2]}], "'re' and 'im' must be numbers"),
+         ([{"re": "-1", "blocks": [2]}], "'re' and 'im' must be numbers"),
+         ([{"re": -1.0, "im": False, "blocks": [2]}], "'re' and 'im' must be numbers"),
+         ([{"re": -1.0, "im": "0", "blocks": [2]}], "'re' and 'im' must be numbers"),
+         ([{"re": 10**400, "blocks": [2]}], "structure record 0 malformed")],
     )
     def test_structure_records_rejected(self, tmp_path, structure, match):
         payload = dict(BASE, structure=structure)
         with pytest.raises(pp.ParseError, match=match):
             load_system(write(tmp_path, "s.json", payload))
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_feedback_entry_not_a_number_rejected(self, tmp_path, bad):
+        sys = pp.System(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0], [1.0]]))
+        with pytest.raises(pp.ParseError, match="'F' has entries that are not numbers"):
+            load_feedback(write(tmp_path, "f.json", {"F": [[bad, -3.0]]}), sys)
+
+    def test_integer_entries_accepted(self, tmp_path):
+        payload = dict(BASE, A=[[0, 1], [0, 0]], B=[[0], [1]],
+                       structure=[{"re": -1, "im": 0, "blocks": [2]}])
+        sf = load_system(write(tmp_path, "ints.json", payload))
+        assert np.array_equal(sf.system.A, [[0.0, 1.0], [0.0, 0.0]])
+        assert sf.structure.eigenvalues == (-1.0,)
 
     def test_top_level_not_an_object(self, tmp_path):
         with pytest.raises(pp.ParseError, match="top level must be an object"):
@@ -217,7 +241,11 @@ class TestMalformedFiles:
          ({"blocks": [{"re": [[1.0]]}, {"re": [[2.0]]}]},
           "2 blocks given, structure has 1 eigenvalues"),
          ({"blocks": [[[1.0]]]}, "block 0 must be an object with 're'"),
-         ({"blocks": [{"im": [[1.0]]}]}, "block 0 must be an object with 're'")],
+         ({"blocks": [{"im": [[1.0]]}]}, "block 0 must be an object with 're'"),
+         ({"blocks": [{"re": [[True]]}]},
+          r"'blocks\[0\]\.re' has entries that are not numbers"),
+         ({"blocks": [{"re": [[1.0]], "im": [["0"]]}]},
+          r"'blocks\[0\]\.im' has entries that are not numbers")],
     )
     def test_parameter_file_rejected(self, tmp_path, payload, match):
         spec = pp.EigStructure((-1.0,), ((1,),))

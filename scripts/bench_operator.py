@@ -11,7 +11,7 @@ sides meet the same state of the host, down to the µs, which separate
 interpreters per tree cannot give.  BLAS is pinned to one thread.  The
 instances are drawn by the change tree's perfbench generators from seed 1,
 once per tree from equal generator states, so both sides get the same
-inputs.  Five sections are written:
+inputs.  Six sections are written:
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
@@ -39,14 +39,17 @@ inputs.  Five sections are written:
   objective (alpha = 1) on the random_normality structures at n = 4..6,
   m = 2 above, and the condition objective (alpha = 1) on the corpus entry
   bn02_distillation.
+- "gradient": one `_Evaluator.grad` at an accepted point, the start x
+  of each "evaluation" instance, with the relative distance of the
+  change's gradient from the parent's.
 - "certificate": one `linalg.nonsingular_inverses` call, the singularity
   rule of every probe, `Placer.place` and `kappa_fro`, on stacks of k in
   {1, 8} matrices of the n = 5 random_normality instance above: the real
   V and the complex eigenvector matrices X of placements at nonsingular
   draws of K.
 
-Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation" and
-"certificate") of its repeats.  The record holds each side's minimum and median over all
+Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation",
+"gradient" and "certificate") of its repeats.  The record holds each side's minimum and median over all
 rounds, its median in each round (so that a difference can be judged
 against the round-to-round spread of either side) and the change/parent
 ratio of the overall medians.  The sections are stored under their keys of
@@ -278,11 +281,14 @@ def place_quality(placed):
     return quality
 
 
-def evaluations(pps, workloads):
+def evaluation_cases(pps, workloads):
+    """(label, {side: evaluator}, x, rng) for each instance of the
+    "evaluation" and "gradient" sections: both sides' evaluators, one
+    nonsingular start x drawn by the change's evaluator, and the generator
+    that drew it."""
     cases = [(f"normality-{label}", "normality", n, m, cls)
              for label, n, m, gen, cls in INSTANCES if gen == "normality"]
     cases.append(("condition-bn02", "condition", None, None, None))
-    rows = {}
     for label, method, n, m, cls in cases:
         evaluators = {}
         for side, pp in pps.items():
@@ -297,11 +303,18 @@ def evaluations(pps, workloads):
                 spec = pp.defective_zero_structure(sys_)
             evaluators[side] = pp.optimize._Evaluator(
                 pp.ObjectiveSpec(method, 1.0), pp.Placer(sys_, spec))
-        # one start and one line for both sides, from the change's generator
+        # one start for both sides, from the change's generator
         while True:
             x = rng.standard_normal(evaluators["change"].L.shape[1])
             if evaluators["change"].point(x) is not None:
                 break
+        yield label, evaluators, x, rng
+
+
+def evaluations(pps, workloads):
+    rows = {}
+    for label, evaluators, x, rng in evaluation_cases(pps, workloads):
+        # one line for both sides
         X = x + 0.5 ** np.arange(max(PROBES))[:, None] * rng.standard_normal(x.size)
         rows[label] = {
             k: {"points": compare(
@@ -311,6 +324,23 @@ def evaluations(pps, workloads):
                 f"{label} k={k} points")}
             for k in PROBES
         }
+    return rows
+
+
+def gradients(pps, workloads):
+    rows = {}
+    for label, evaluators, x, _ in evaluation_cases(pps, workloads):
+        points = {side: e.point(x) for side, e in evaluators.items()}
+        grads = {side: e.grad(points[side]) for side, e in evaluators.items()}
+        rows[label] = compare(
+            interleaved({side: lambda e=e, pt=points[side]: e.grad(pt)
+                         for side, e in evaluators.items()},
+                        EVALUATION_REPEATS, EVALUATION_ROUNDS),
+            f"{label} grad")
+        # how far the change's gradient lies from the parent's
+        rows[label]["grad_change_rel"] = float(
+            np.linalg.norm(grads["change"] - grads["parent"])
+            / np.linalg.norm(grads["parent"]))
     return rows
 
 
@@ -369,6 +399,10 @@ def main(argv=None):
                  "probes of one line",
         repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
         instances=evaluations(pps, workloads))
+    doc["gradient"] = dict(
+        question="wall time of one _Evaluator.grad at an accepted point",
+        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
+        instances=gradients(pps, workloads))
     doc["certificate"] = dict(
         question="wall time of one linalg.nonsingular_inverses call on a "
                  "stack of k real V or complex X matrices",

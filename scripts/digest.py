@@ -7,10 +7,11 @@ this script sits in); the package is imported from SRC_DIR/src and the
 workloads from SRC_DIR/perfbench, so one copy of the script digests any
 tree, a parent commit's included.  It runs every op of every workload
 that BENCHMARK.json declares once at seeds 1 and 2, as scripts/traffic.py
-does, then ``poleplace bench --corpus corpus --format csv`` at 1 and at
-10 restarts, and prints one SHA-256 per workload, one for the bench runs
-and one over all of them.  Two trees that print the same lines computed
-the same bits.
+does, then the random_normality ops again with the objective at
+alpha = 0.5, once for each method, then ``poleplace bench --corpus corpus
+--format csv`` at 1 and at 10 restarts, and prints one SHA-256 per
+workload, one per blended objective, one for the bench runs and one over
+all of them.  Two trees that print the same lines computed the same bits.
 
 The hash covers arrays by dtype, shape and bytes, floats by ``repr``, and
 every field of a result: an optimizer result's traces, terminations,
@@ -33,6 +34,9 @@ import numpy as np
 
 SEEDS = (1, 2)
 BENCH_RESTARTS = (1, 10)
+# the objectives the random_normality ops are run with again, as
+# (method, alpha): the workload's own is normality at alpha = 1
+BLENDED = (("condition", 0.5), ("normality", 0.5))
 
 
 def _without_runtime(text):
@@ -94,8 +98,24 @@ def _digest_ops(ops, pp):
     return h.hexdigest()
 
 
+def _with_objective(ops, pp, obj):
+    """ops whose runs make every `optimize.minimize` call with the
+    objective obj in place of the workload's."""
+    minimize = pp.optimize.minimize
+
+    def run_with(run):
+        pp.optimize.minimize = lambda _, *args: minimize(obj, *args)
+        try:
+            return run()
+        finally:
+            pp.optimize.minimize = minimize
+
+    return [(name, lambda run=run: run_with(run), check) for name, run, check in ops]
+
+
 def digest(root):
-    """(label, SHA-256) per workload and for the bench runs."""
+    """(label, SHA-256) per workload, per blended objective and for the
+    bench runs."""
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(0, str(root / "perfbench"))
     import poleplace as pp
@@ -111,6 +131,11 @@ def digest(root):
     for name in names:
         ops = [op for seed in SEEDS for op in workloads.WORKLOADS[name](pp, seed)]
         lines.append((name, _digest_ops(ops, pp)))
+    normality = [op for seed in SEEDS
+                 for op in workloads.WORKLOADS["random_normality"](pp, seed)]
+    for method, alpha in BLENDED:
+        ops = _with_objective(normality, pp, pp.ObjectiveSpec(method, alpha))
+        lines.append((f"alpha{alpha}_{method}", _digest_ops(ops, pp)))
 
     def bench(restarts):
         out = io.StringIO()

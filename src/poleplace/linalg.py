@@ -13,24 +13,52 @@ matrix is singular when it or its computed inverse is not finite (an exact
 zero pivot fills the inverse with NaN; it does not raise), or when
 `nonsingular_rows` rejects its singular values.  `nonsingular_inverses`
 applies it to a stack, inverse first, in one call of the LAPACK gufunc
-under `np.linalg.inv`: `certified_rows` spares the SVD on the rows whose
-squared Frobenius norms, of the matrix and of its inverse, show them to be
-well within the limit, rows the SVD test would accept; a non-finite matrix
-or inverse makes only its own row singular, and only the finite rows left
-over take the SVD.  It returns those squared norms with the inverses, so the
-condition objective reads its value from the certificate.
-`nonsingular_inverse` is its raising form for one matrix.
+under `np.linalg.inv` (or of `np.linalg.inv` itself, where numpy lacks
+that private gufunc or it rejects the signature): `certified_rows` spares
+the SVD on the rows whose squared Frobenius norms, of the matrix and of
+its inverse, show them to be well within the limit, rows the SVD test
+would accept; a non-finite matrix or inverse makes only its own row
+singular, and only the finite rows left over take the SVD.  It returns
+those squared norms with the inverses, so the condition objective reads
+its value from the certificate.  `nonsingular_inverse` is its raising
+form for one matrix.
+
+The error-state contract: `nonsingular_inverses` raises no floating-point
+warning, since a zero pivot, an overflowing inverse and the certificate's
+products of their norms would raise them; it runs its work under
+np.errstate(all="ignore").  That work without the error state is
+`_nonsingular_inverses`, the one copy of the rule, which a caller already
+in that state (the optimizer, once per restart) calls directly.
+`kernel_and_pseudo_inverse` takes a stack of matrices through one SVD, as
+`Placer` builds its pencils.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-# the gufunc under np.linalg.inv, called directly: on the small stacks of
-# a probe the wrapper's Python costs more than the LAPACK work.
-# tests/test_linalg.py pins its contract
-from numpy.linalg import _umath_linalg
 
 from .errors import SingularMatrixError
+
+
+def _inverse_gufunc(module):
+    """module.inv when it inverts a real and a complex stack under the
+    signatures "d->d" and "D->D", as numpy's private inverse gufunc does;
+    otherwise None, and `_stack_inverses` falls back to `np.linalg.inv`."""
+    inv = getattr(module, "inv", None)
+    try:
+        ok = all(inv(np.full((1, 1, 1), 2.0, dtype), signature=sig)[0, 0, 0] == 0.5
+                 for dtype, sig in ((float, "d->d"), (complex, "D->D")))
+    except Exception:
+        return None
+    return inv if ok else None
+
+
+# the gufunc under np.linalg.inv, called directly: on the small stacks of a
+# probe the wrapper's Python costs more than the LAPACK work.
+# tests/test_linalg.py pins its contract
+_umath_linalg = getattr(np.linalg, "_umath_linalg", None)
+_INV = _inverse_gufunc(_umath_linalg)
 
 
 @dataclass(frozen=True)
@@ -103,33 +131,34 @@ def certified_rows(sq_V, sq_Vi, tol=DEFAULT_TOL):
     return [i for i, certified in enumerate(ok) if certified]
 
 
-def nonsingular_inverses(V, tol=DEFAULT_TOL):
-    """The rows of a stack V of square matrices that are not singular, their
-    inverses and the squared Frobenius norms of both:
-    (rows, Vi[rows], sq_V[rows], sq_Vi[rows]).
+def _stack_inverses(V):
+    """The inverse of every matrix of a stack V, in double (complex double
+    for complex V), each row with the bits of its own `np.linalg.inv` call;
+    a row with an exact zero pivot reads NaN.
 
-    The stacked inverse comes first, from the LAPACK gufunc under
-    `np.linalg.inv`, in double (complex double for complex V) as
-    `np.linalg.inv` computes it, with the squared norms of every row and
-    of its inverse, and `certified_rows` accepts the rows they show to be
-    well conditioned.  Of the rows left over, one that is not finite, or
-    whose inverse is not, is singular, whatever its singular values: an
-    exact zero pivot fills its row with NaN, an inverse can overflow, and
-    the SVD does not converge on a NaN.  Only the finite rest goes through
-    `nonsingular_rows` on their own stacked SVD.  The norms are returned
-    for the accepted rows, so a caller that needs ||V||_F^2 + ||V^-1||_F^2
-    reads it from the certificate.  The gufunc inverts each row on its
-    own, so every row's inverse and norms have the bits of a one-row call.
+    Called under np.errstate(all="ignore").  The private inverse gufunc
+    (`_INV`) inverts the stack in one call and fills a zero pivot's row
+    with NaN; without it, `np.linalg.inv` inverts row by row, and a row on
+    which it raises stays NaN.
     """
+    dtype = complex if V.dtype.kind == "c" else float
+    if _INV is not None:
+        return _INV(V, signature="D->D" if dtype is complex else "d->d")
+    Vi = np.full(V.shape, np.nan, dtype)
+    for i, v in enumerate(V.astype(dtype, copy=False)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            Vi[i] = np.linalg.inv(v)
+    return Vi
+
+
+def _nonsingular_inverses(V, tol):
+    """`nonsingular_inverses` without its error state: call it under
+    np.errstate(all="ignore"), as the optimizer's restarts do once each."""
     k = len(V)
-    signature = "D->D" if V.dtype.kind == "c" else "d->d"
-    # a zero pivot sets the invalid flag, and an overflowing inverse gives
-    # sq_Vi = inf, which is never certified
-    with np.errstate(all="ignore"):
-        Vi = _umath_linalg.inv(V, signature=signature)
-        a, b = V.reshape(k, -1), Vi.reshape(k, -1)
-        sq_V, sq_Vi = np.vecdot(a, a), np.vecdot(b, b)
-        rows = certified_rows(sq_V, sq_Vi, tol)
+    Vi = _stack_inverses(V)
+    a, b = V.reshape(k, -1), Vi.reshape(k, -1)
+    sq_V, sq_Vi = np.vecdot(a, a), np.vecdot(b, b)
+    rows = certified_rows(sq_V, sq_Vi, tol)
     if len(rows) < k:
         finite = (np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)).tolist()
         rest = [i for i in range(k) if finite[i] and i not in rows]
@@ -138,6 +167,35 @@ def nonsingular_inverses(V, tol=DEFAULT_TOL):
             rows = sorted(rows + [rest[j] for j in nonsingular_rows(s, tol)])
         Vi, sq_V, sq_Vi = Vi[rows], sq_V[rows], sq_Vi[rows]
     return rows, Vi, sq_V, sq_Vi
+
+
+def nonsingular_inverses(V, tol=DEFAULT_TOL):
+    """The rows of a stack V of square matrices that are not singular, their
+    inverses and the squared Frobenius norms of both:
+    (rows, Vi[rows], sq_V[rows], sq_Vi[rows]).
+
+    The stacked inverse comes first (`_stack_inverses`: the LAPACK gufunc
+    under `np.linalg.inv`, or `np.linalg.inv` itself where numpy lacks
+    it), in double (complex double for complex V) as `np.linalg.inv`
+    computes it, with the squared norms of every row and of its inverse,
+    and `certified_rows` accepts the rows they show to be well
+    conditioned.  Of the rows left over, one that is not finite, or whose
+    inverse is not, is singular, whatever its singular values: an exact
+    zero pivot fills its row with NaN, an inverse can overflow, and the
+    SVD does not converge on a NaN.  Only the finite rest goes through
+    `nonsingular_rows` on their own stacked SVD.  The norms are returned
+    for the accepted rows, so a caller that needs ||V||_F^2 + ||V^-1||_F^2
+    reads it from the certificate.  Every row is inverted on its own, so
+    every row's inverse and norms have the bits of a one-row call.
+
+    A zero pivot sets the invalid flag, an overflowing inverse gives
+    sq_Vi = inf and its square can overflow in the certificate, so the
+    work runs under np.errstate(all="ignore") and raises no warning.  The
+    optimizer enters that state once per restart and calls the same work
+    without it, `_nonsingular_inverses`.
+    """
+    with np.errstate(all="ignore"):
+        return _nonsingular_inverses(V, tol)
 
 
 def nonsingular_inverse(M, tol=DEFAULT_TOL):
@@ -223,11 +281,22 @@ def kernel_and_pseudo_inverse(M, tol=DEFAULT_TOL):
 
     The kernel basis is the trailing right singular vectors; the
     pseudoinverse uses the leading ones and the singular values at or above
-    the rank threshold.
+    the rank threshold.  M may also be a stack (k, r, c) of matrices: then
+    one stacked SVD serves them all, and the result is a list of k
+    (kernel, pseudoinverse) pairs, each with the bits of its own call.
     """
-    M = np.atleast_2d(np.asarray(M))
-    u, s, vh = np.linalg.svd(M)
-    rank = _numerical_rank(M.shape, s, tol)
+    M = np.asarray(M)
+    if M.ndim == 3:
+        return [_kernel_and_pseudo_inverse(M.shape[1:], *usv, tol)
+                for usv in zip(*np.linalg.svd(M))]
+    M = np.atleast_2d(M)
+    return _kernel_and_pseudo_inverse(M.shape, *np.linalg.svd(M), tol)
+
+
+def _kernel_and_pseudo_inverse(shape, u, s, vh, tol):
+    """The kernel basis and pseudoinverse of one matrix of the given shape
+    from its full SVD u, s, vh."""
+    rank = _numerical_rank(shape, s, tol)
     inv_s = np.zeros_like(s)
     inv_s[:rank] = 1.0 / s[:rank]
     # u and vh are full: only their leading s.size vectors enter

@@ -19,25 +19,29 @@ value +inf.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
 per placer (`Placer.operator`, a scatter of the placer's stored placement
-map); values come from L x, V^-1 and, where the objective reads the
-feedback, F = W V^-1, and gradients are exact, pulled back through L.  The
-condition objective at alpha = 1, ||V||_F^2 + ||V^-1||_F^2, reads V alone:
-its probes apply only the V block of L (its first n^2 rows) and form no W
-or F, and its gradient is pulled back through that block.  The evaluator
-keeps L dense: at n <= 6 one dense product is cheaper than the map's
-gather plus stacked product.  [V; W] is linear in x, so k probes are k
-columns of one stacked product with L, and their inverses and values come
-from one stacked call each.  Every objective takes the same singularity
-path, inverse first (`linalg.nonsingular_inverses`): the squared norms of
-V and of its inverse certify the well-conditioned probes nonsingular, a
-probe whose inverse is not finite (an exact zero pivot reads NaN there)
-is rejected, never raised, and the SVD test runs only on the finite
-rest.  The condition term ||V||_F^2 + ||V^-1||_F^2 is the sum of those
-two squared norms, with no SVD and no second pass.
-Every placement assigns the requested spectrum, so the normality objective
-needs no Schur form:
-delta_fro^2 = ||A + B F||_F^2 - sum mult |lambda|^2 (Henrici's identity)
-gives its value and its gradient alike.
+map), and gradients are exact, pulled back through L.  The chains satisfy
+A V + B W = V Lambda_R, Lambda_R the real Jordan form in V's column layout
+(`Placer._real_jordan`), so every placed loop is A + B F = V Lambda_R V^-1
+and both robustness measures are functions of V alone.  At alpha = 1 the
+probes of either objective apply only the V block of L (its first n^2
+rows) and form no W or F, and the gradient is pulled back through that
+block; below it F = W V^-1 is formed for the gain term only.  The
+evaluator keeps L dense: at n <= 6 one dense product is cheaper than the
+map's gather plus stacked product.  [V; W] is linear in x, so k probes are
+k columns of one stacked product with L, and their inverses and values
+come from one stacked call each.  Every objective takes the same
+singularity path, inverse first (`linalg.nonsingular_inverses`): the
+squared norms of V and of its inverse certify the well-conditioned probes
+nonsingular, a probe whose inverse is not finite (an exact zero pivot
+reads NaN there) is rejected, never raised, and the SVD test runs only on
+the finite rest.  The condition term ||V||_F^2 + ||V^-1||_F^2 is the sum
+of those two squared norms, with no SVD and no second pass.  Every
+placement assigns the requested spectrum, so the normality term needs no
+Schur form: delta_fro^2 = ||M||_F^2 - sum mult |lambda|^2 (Henrici's
+identity) for the loop M = V Lambda_R V^-1 gives its value and its
+gradient alike.  M differs from A + B F formed from F by rounding only,
+at most n eps cond(V) ||A + B F||_F.  The floating-point error state is
+entered once per restart, not once per probe (`_Evaluator`).
 Central finite differences remain as the oracle behind `gradient`.
 Parameter draws that make V singular are a measure-zero set and are treated
 as resample or step-rejection signals, never as fatal errors.
@@ -63,9 +67,9 @@ import numpy as np
 from .errors import SingularMatrixError
 from .linalg import (
     DEFAULT_TOL,
+    _nonsingular_inverses,
     checked_svals,
     fro_norm,
-    nonsingular_inverses,
 )
 # kappa_2 is unused here but stays a module attribute: perfbench's tracer
 # wraps optimize.kappa_fro and optimize.kappa_2 by name
@@ -178,20 +182,23 @@ def unique_parameter(spec, m):
 
 class _Point(NamedTuple):
     """One nonsingular evaluation: V, its inverse, the feedback (None where
-    the objective reads V alone) and value."""
+    the objective reads V alone), value and, for the normality objective,
+    the loop M = V Lambda_R V^-1 its value was read from (else None)."""
 
     V: np.ndarray
     Vi: np.ndarray
     F: np.ndarray
     value: float
+    M: np.ndarray = None
 
 
 class _Points(NamedTuple):
     """The evaluations at the rows of one stacked call (`_Evaluator.points`).
 
     rows lists the rows of X whose V is nonsingular, in order; values (a
-    list of floats), V, Vi and F hold one entry per such row.  F is None
-    where the objective reads V alone (`_Evaluator.v_only`).
+    list of floats), V, Vi, F and M hold one entry per such row.  F is None
+    where the objective reads V alone (`_Evaluator.v_only`), and M unless
+    the value is the normality objective's own (see `_Point`).
     """
 
     rows: list
@@ -199,32 +206,44 @@ class _Points(NamedTuple):
     V: np.ndarray
     Vi: np.ndarray
     F: np.ndarray
+    M: np.ndarray = None
 
     def at(self, j):
         """The `_Point` of the j-th nonsingular row."""
         F = None if self.F is None else self.F[j]
-        return _Point(self.V[j], self.Vi[j], F, self.values[j])
+        M = None if self.M is None else self.M[j]
+        return _Point(self.V[j], self.Vi[j], F, self.values[j], M)
 
 
 class _Evaluator:
     """Objective and its exact gradient over the free coordinate vector.
 
     Evaluations form [V; W] = L x through the placer's linear operator (see
-    `Placer.operator`), then F = W V^-1; the condition objective at
-    alpha = 1 (`v_only`) forms V = L_V x alone, from the V block of L, and
-    no W or F, so its points carry F = None.  `points` evaluates the rows
-    of a matrix X in one stacked call, and `point` is its one-row case, so
-    a line search checks several probes for the numpy call overhead of one;
-    every stacked step (the product with L, `inv`, the matrix products and
-    the squared norms) gives each row the bits of a one-row call.  The
-    normality value and gradient both use Henrici's identity with the
-    assigned spectrum, whose mass sum mult |lambda|^2 is computed once
-    here.  Calling the evaluator returns (value, ok); singular
-    placements yield (+inf, False) so line searches reject the step and
-    move on.  For an F-only objective on an F-unique structure the value is
-    computed once at K* (see `unique_parameter`), from the Schur form, and
-    returned for every nonsingular x; x is still checked first, so a
-    singular draw remains a resample signal.
+    `Placer.operator`).  Every placed loop is A + B F = V Lambda_R V^-1,
+    Lambda_R the real Jordan form in V's column layout
+    (`Placer._real_jordan`), so both robustness terms read V alone: the
+    condition term from V and V^-1, the normality term from
+    M = V Lambda_R V^-1.  At alpha = 1 (`v_only`) an evaluation forms
+    V = L_V x alone, from the V block of L, and no W or F, so its points
+    carry F = None; at alpha < 1 F = W V^-1 is formed for the gain term
+    only.  `points` evaluates the rows of a matrix X in one stacked call,
+    and `point` is its one-row case, so a line search checks several
+    probes for the numpy call overhead of one; every stacked step (the
+    product with L, `inv`, the matrix products and the squared norms)
+    gives each row the bits of a one-row call.  The normality value and
+    gradient both use Henrici's identity with the assigned spectrum, whose
+    mass sum mult |lambda|^2 is computed once here.  Calling the evaluator
+    returns (value, ok); singular placements yield (+inf, False) so line
+    searches reject the step and move on.  For an F-only objective on an
+    F-unique structure the value is computed once at K* (see
+    `unique_parameter`), from the Schur form of A + B F*, and returned for
+    every nonsingular x; x is still checked first, so a singular draw
+    remains a resample signal.
+
+    `points`, `point` and calling the evaluator each run under
+    np.errstate(all="ignore"), so they raise no floating-point warning;
+    `minimize` enters that state once per restart and calls their cores,
+    `_points` and `_point`, inside it.
     """
 
     def __init__(self, obj, placer):
@@ -234,8 +253,8 @@ class _Evaluator:
         self.spec = placer.spec
         self.m = placer.sys.m
         self.mass = spectrum_mass(self.spec)
-        # the condition objective at alpha = 1 reads V alone
-        self.v_only = obj.method == "condition" and obj.alpha == 1.0
+        # at alpha = 1 both robustness terms read V alone
+        self.v_only = obj.alpha == 1.0
         self.K_star = self.placement_star = self.fixed = None
         f_only = obj.method == "normality" or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
@@ -285,71 +304,84 @@ class _Evaluator:
         read from the squared norms of V and of that inverse, is well
         within the limit is accepted without an SVD, a row whose inverse
         is not finite (an exact zero pivot) is dropped, and only the
-        finite rows left over take one.  The condition term at alpha > 0
-        is ||V||_F^2 + ||V^-1||_F^2, the sum of those two squared norms.
-        At alpha = 1 it is the whole value: only the V block of L is
-        applied, and no W or F is formed (F is None).
-        The normality term is Henrici's identity on the stacked A + B F
-        (`assigned_departure_sq`, which falls back to the Schur form row
-        by row on a nearly normal loop), the same identity `grad`
-        differentiates.  The gain term is added row by row, as
-        alpha robust + (1 - alpha) ||F||_F^2 in the float order of one row.
+        finite rows left over take one.  The condition term is
+        ||V||_F^2 + ||V^-1||_F^2, the sum of those two squared norms.  The
+        normality term is Henrici's identity on the stacked loop
+        M = V Lambda_R V^-1 (`assigned_departure_sq`, which falls back to
+        the Schur form of M row by row on a nearly normal loop), the same
+        identity `grad` differentiates.  At alpha = 1 the robustness term
+        is the whole value: only the V block of L is applied, and no W or F
+        is formed (F is None).  Below it, F = W V^-1 gives the gain term,
+        added row by row as alpha robust + (1 - alpha) ||F||_F^2 in the
+        float order of one row.
         """
+        with np.errstate(all="ignore"):
+            return self._points(X)
+
+    def _points(self, X):
+        """`points` without its error state."""
         n, k = self.sys.n, len(X)
         # at alpha = 1 only the V block is applied, and W is empty
         L = self.L_V if self.v_only else self.L
         VW = np.matmul(L, X[:, :, None]).reshape(k, len(L) // n, n)
         V, W = VW[:, :n], VW[:, n:]
-        rows, Vi, sq_V, sq_Vi = nonsingular_inverses(V, self.placer.tol)
+        rows, Vi, sq_V, sq_Vi = _nonsingular_inverses(V, self.placer.tol)
         if len(rows) < k:
             V, W = V[rows], W[rows]
-        if self.v_only:
-            return _Points(rows, (sq_V + sq_Vi).tolist(), V, Vi, None)
-        F = W @ Vi
+        F = None if self.v_only else W @ Vi
         if self.fixed is not None:
-            values = [self.fixed] * len(rows)
-        elif self.obj.method == "normality":
-            values = assigned_departure_sq(self.sys.A + self.sys.B @ F, self.mass)
+            return _Points(rows, [self.fixed] * len(rows), V, Vi, F)
+        M = None
+        if self.obj.method == "normality":
+            M = V @ self.placer._real_jordan[0] @ Vi
+            values = assigned_departure_sq(M, self.mass)
         elif self.obj.alpha > 0.0:
             values = (sq_V + sq_Vi).tolist()
         else:
             # condition at alpha = 0 is the gain alone: alpha * robust is
             # +0.0 for every finite robust term, so none is formed
             values = [0.0] * len(rows)
-        if self.fixed is None and self.obj.alpha != 1.0:
+        if F is not None:
             values = [self._blend(r, f) for r, f in zip(values, F)]
-        return _Points(rows, values, V, Vi, F)
+        return _Points(rows, values, V, Vi, F, M)
 
     def point(self, x):
         """The evaluation at x, or None when V is singular: `points` on
         the one row x."""
-        pts = self.points(x[None])
+        with np.errstate(all="ignore"):
+            return self._point(x)
+
+    def _point(self, x):
+        """`point` without its error state."""
+        pts = self._points(x[None])
         return pts.at(0) if pts.rows else None
 
     def grad(self, pt):
         """Exact gradient at an evaluated point.
 
-        With F = W V^-1 and G = df/dF, the chain rule gives df/dW = G V^-T
-        and df/dV = -F^T G V^-T, plus the explicit 2 alpha (V - V^-T V^-1
-        V^-T) of ||V||_F^2 + ||V^-1||_F^2 for the condition method.  For the
-        normality method it is the identity `points` evaluates:
-        delta_fro^2 = ||A + B F||_F^2 - mass, so G = 2 alpha B^T (A + B F)
-        + 2 (1 - alpha) F.  Both partials are pulled back through L.  The
-        condition method at alpha = 1 has G = 0: its gradient is
-        2 (V - V^-T V^-1 V^-T) pulled back through the V block of L alone.
+        The robustness term's partial in V: for the condition method
+        2 (V - V^-T V^-1 V^-T), the derivative of ||V||_F^2 + ||V^-1||_F^2;
+        for the normality method, the identity `points` evaluates,
+        delta_fro^2 = ||M||_F^2 - mass with M = V Lambda_R V^-1, whose
+        differential 2 <M, (dV Lambda_R - M dV) V^-1> gives
+        2 (P Lambda_R^T - M^T P) with P = M V^-T, M the point's own loop.
+        At alpha = 1 that is the whole gradient, pulled back through the V
+        block of L alone.  Below it, the gain term (1 - alpha) ||F||_F^2
+        with F = W V^-1 and G = 2 (1 - alpha) F adds df/dW = G V^-T and
+        df/dV = -F^T G V^-T, and both partials are pulled back through L.
         Not defined for an evaluator with a value fixed at K*: `minimize`
         does not search there.
         """
-        alpha, V, Vi, F = self.obj.alpha, pt.V, pt.Vi, pt.F
-        if self.v_only:
-            return (2.0 * (V - Vi.T @ Vi @ Vi.T)).ravel() @ self.L_V
-        G = 2.0 * (1.0 - alpha) * F
-        if self.obj.method == "normality":
-            G += 2.0 * alpha * self.sys.B.T @ (self.sys.A + self.sys.B @ F)
-        dW = G @ Vi.T
-        dV = -F.T @ dW
+        alpha, V, Vi, F, M = self.obj.alpha, pt.V, pt.Vi, pt.F, pt.M
         if self.obj.method == "condition":
-            dV += 2.0 * alpha * (V - Vi.T @ Vi @ Vi.T)
+            dV = 2.0 * (V - Vi.T @ Vi @ Vi.T)
+        else:
+            P = M @ Vi.T
+            dV = 2.0 * (P @ self.placer._real_jordan[0].T - M.T @ P)
+        if self.v_only:
+            return dV.ravel() @ self.L_V
+        dW = 2.0 * (1.0 - alpha) * F @ Vi.T
+        dV = alpha * dV - F.T @ dW
         return np.concatenate((dV, dW)).ravel() @ self.L
 
     def __call__(self, x):
@@ -378,7 +410,10 @@ def objective_f2(K, sys, spec, alpha, tol=DEFAULT_TOL):
     """alpha delta_fro^2(A + B F) + (1 - alpha) ||F||_F^2.
 
     A function of F alone; on an F-unique structure it is evaluated at K*
-    (see `unique_parameter`), as `minimize` evaluates it.
+    (see `unique_parameter`), from the Schur form of A + B F*, as
+    `minimize` evaluates it.  Elsewhere delta_fro^2 is evaluated as
+    `minimize` evaluates it, by Henrici's identity on the loop
+    V Lambda_R V^-1, which equals A + B F up to rounding.
     """
     return _objective("normality", K, sys, spec, alpha, tol)
 
@@ -434,10 +469,11 @@ def gradient(obj, K, sys, spec, tol=DEFAULT_TOL):
 def _backtrack(evaluate, x, p, fx, slope, size):
     """Armijo backtracking along p from x, probes t = 1, 1/2, 1/4, ...
 
-    The probes are checked in stacked chunks (`_Evaluator.points`), the
-    first one size probes long and each later one _MAX_STACK.  A chunk
-    stops at _MAX_BACKTRACKS probes in all, and at the first probe after
-    which the search would stop for roundoff: the Armijo threshold of the
+    The probes are checked in stacked chunks (`_Evaluator._points`, in
+    the restart's error state), the first one size probes long and each
+    later one _MAX_STACK.  A chunk stops at _MAX_BACKTRACKS probes in all,
+    and at the first probe after which the search would stop for
+    roundoff: the Armijo threshold of the
     next, halved step rounds to fx, so no shorter step can certify a
     decrease in floating point.  The first row in order that passes Armijo,
     with the thresholds fx + c1 t slope of one probe at a time, is
@@ -459,7 +495,7 @@ def _backtrack(evaluate, x, p, fx, slope, size):
                 stop = "roundoff"
             elif done + len(steps) == _MAX_BACKTRACKS:
                 stop = "line_search"
-        pts = evaluate.points(x + np.multiply.outer(steps, p))
+        pts = evaluate._points(x + np.multiply.outer(steps, p))
         for j, (i, value) in enumerate(zip(pts.rows, pts.values)):
             if value <= bounds[i]:
                 return steps[i], pts.at(j), done + i + 1, None
@@ -549,17 +585,20 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
         best_x, best_val = None, float("inf")
         for stream in np.random.SeedSequence(opts.seed).spawn(opts.restarts):
             rng = np.random.default_rng(stream)
-            for draws in range(1, _RESAMPLE_LIMIT + 1):
-                x0 = rng.standard_normal(sys.m * sys.n)
-                pt0 = evaluate.point(x0)
-                if pt0 is not None:
-                    break
-            else:
-                runs.append(((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
-                continue
-            x, val, trace, termination, probes = _bfgs_restart(
-                evaluate, x0, pt0, opts
-            )
+            # one error state per restart; the evaluator's cores run in it
+            with np.errstate(all="ignore"):
+                for draws in range(1, _RESAMPLE_LIMIT + 1):
+                    x0 = rng.standard_normal(sys.m * sys.n)
+                    pt0 = evaluate._point(x0)
+                    if pt0 is not None:
+                        break
+                else:
+                    runs.append(
+                        ((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
+                    continue
+                x, val, trace, termination, probes = _bfgs_restart(
+                    evaluate, x0, pt0, opts
+                )
             runs.append((tuple(trace), val, termination, draws + probes))
             if val < best_val:
                 best_x, best_val = x, val

@@ -91,16 +91,31 @@ def build_pencil(sys, lam, tol=DEFAULT_TOL):
     shift when (A, B) is reachable, including shifts equal to open-loop
     eigenvalues; any other dimension raises NotReachableError.
     """
-    lam = complex(lam)
-    shift = lam.real if lam.imag == 0.0 else lam
-    S = np.hstack([sys.A - shift * np.eye(sys.n), sys.B])
-    N, Mdag = kernel_and_pseudo_inverse(S, tol)
-    if N.shape[1] != sys.m:
-        raise NotReachableError(
-            f"pair not reachable at lambda={lam}: kernel dimension "
-            f"{N.shape[1]} != {sys.m}"
-        )
-    return PencilData(lam, N, Mdag)
+    return _build_pencils(sys, [complex(lam)], tol)[0]
+
+
+def _build_pencils(sys, lams, tol):
+    """`build_pencil` at each of lams, from one stacked SVD.
+
+    The shifts must be of one kind, all real or all nonreal, so that the
+    pencils share a dtype and each takes the bits of its own call.  A shift
+    whose kernel has the wrong dimension raises NotReachableError, the
+    first such shift in the order given.
+    """
+    shifts = np.array([lam.real if lam.imag == 0.0 else lam for lam in lams])
+    S = np.concatenate([
+        sys.A - shifts[:, None, None] * np.eye(sys.n),
+        np.broadcast_to(sys.B, (len(lams), *sys.B.shape)),
+    ], axis=2)
+    pencils = []
+    for lam, (N, Mdag) in zip(lams, kernel_and_pseudo_inverse(S, tol)):
+        if N.shape[1] != sys.m:
+            raise NotReachableError(
+                f"pair not reachable at lambda={lam}: kernel dimension "
+                f"{N.shape[1]} != {sys.m}"
+            )
+        pencils.append(PencilData(lam, N, Mdag))
+    return pencils
 
 
 class ParameterMatrix:
@@ -293,6 +308,9 @@ class Placer:
     The cache is what makes repeated evaluation (optimization, finite
     differences) cheap: pencils depend only on (A, B, spec), and the pencil
     of the second member of a conjugate pair is the conjugate of the first.
+    They are built here, from one stacked SVD for the pairs' first members
+    and one for the real eigenvalues, each pencil with the bits of its own
+    `build_pencil` call.
     The rest is built on first use, as cached properties held in the
     instance's `__dict__`: the records of the representative eigenvalues
     (`_reps`), the placement map (`_map`, the one run of the chain
@@ -318,12 +336,14 @@ class Placer:
         self._param_layout = (
             spec.sigma, tuple((sys.m, mult) for mult in spec.multiplicities)
         )
+        # one stacked SVD for the pairs' first members, one for the reals;
+        # a pair's second member takes the conjugate of its first's pencil
+        eigs, pairs = spec.eigenvalues, 2 * spec.sigma
         self.pencils = []
-        for i, lam in enumerate(spec.eigenvalues):
-            if i % 2 == 1 and i < 2 * spec.sigma:
-                self.pencils.append(self.pencils[i - 1].conjugate())
-            else:
-                self.pencils.append(build_pencil(sys, lam, tol))
+        for first in _build_pencils(sys, eigs[:pairs:2], tol) if pairs else ():
+            self.pencils += [first, first.conjugate()]
+        if pairs < len(eigs):
+            self.pencils += _build_pencils(sys, eigs[pairs:], tol)
 
     def _check_param(self, K):
         if (K.sigma, K._shapes) != self._param_layout:

@@ -16,7 +16,9 @@ A system file is JSON with the shape
       }
     }
 
-Eigenvalue records with im != 0 may omit the conjugate partner; it is added
+Every eigenvalue record must hold "re" and "blocks"; "im" is optional and
+defaults to 0, and a record with any other key is rejected.  Eigenvalue
+records with im != 0 may omit the conjugate partner; it is added
 automatically with the same block orders.  Every number read, a matrix entry or an
 eigenvalue's re or im, must be a JSON number: true, false and quoted
 numbers are rejected.  A structure-only file is either
@@ -73,15 +75,28 @@ def _as_matrix(raw, field, path):
     return M
 
 
+# the keys of an eigenvalue record; "im" may be left out
+_RECORD_KEYS = ("re", "im", "blocks")
+
+
 def structure_from_records(records, n=None, path="<records>"):
-    """Build a normalized eigenstructure from {re, im, blocks} records."""
+    """Build a normalized eigenstructure from {re, im, blocks} records.
+
+    Each record must hold "re" and "blocks" and may hold "im" (0 when
+    left out); any other key, such as a misspelled "Re", is a ParseError.
+    """
     if not isinstance(records, list) or not records:
         raise ParseError(f"{path}: 'structure' must be a non-empty list of records")
     eigs, blocks = [], []
     for idx, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ParseError(f"{path}: structure record {idx} must be an object")
-        re, im = rec.get("re", 0.0), rec.get("im", 0.0)
+        faults = [f"missing '{key}'" for key in ("re", "blocks") if key not in rec]
+        faults += [f"unknown key '{key}'" for key in rec if key not in _RECORD_KEYS]
+        if faults:
+            raise ParseError(f"{path}: structure record {idx} malformed: "
+                             + ", ".join(faults))
+        re, im = rec["re"], rec.get("im", 0.0)
         if not {type(re), type(im)} <= _JSON_NUMBERS:
             raise ParseError(f"{path}: structure record {idx} malformed: "
                              "'re' and 'im' must be numbers")
@@ -89,7 +104,7 @@ def structure_from_records(records, n=None, path="<records>"):
             lam = complex(re, im)
             # EigStructure checks the orders themselves
             orders = tuple(rec["blocks"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: structure record {idx} malformed: {exc}")
         eigs.append(lam)
         blocks.append(orders)

@@ -460,3 +460,18 @@ class TestBadInputValues:
         code, _, err = run(capsys, [command, "--system", path])
         assert code == 1
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("command", ["check", "place"])
+    @pytest.mark.parametrize("record, fault", [
+        ({"Re": -1.0, "blocks": [2]}, "missing 're', unknown key 'Re'"),
+        ({"re": -1.0, "block": [2]}, "missing 'blocks', unknown key 'block'"),
+        ({"re": -1.0, "im": 0.0, "blocks": [2], "note": "x"}, "unknown key 'note'"),
+    ])
+    def test_misspelled_record_key_exits_one(self, tmp_path, capsys, command,
+                                             record, fault):
+        # {"Re": -1.0, "blocks": [2]} once read as a double pole at 0
+        path = write(tmp_path, "key.json", dict(DI, structure=[record]))
+        code, stdout, err = run(capsys, [command, "--system", path])
+        assert code == 1
+        assert stdout == ""
+        assert "structure record 0 malformed: " + fault in err

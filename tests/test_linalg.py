@@ -3,11 +3,13 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import poleplace as pp
+from poleplace import linalg
 from poleplace.errors import SingularMatrixError
 from poleplace.linalg import (
     ToleranceConfig,
@@ -167,6 +169,29 @@ class TestKernelAndPseudoInverse:
         N, Mdag = kernel_and_pseudo_inverse(np.zeros((3, 2)))
         assert np.array_equal(N, kernel_basis(np.zeros((3, 2))))
         assert Mdag.shape == (2, 3) and not Mdag.any()
+
+
+    @pytest.mark.parametrize("complex_", (False, True), ids=("real", "complex"))
+    def test_stack_has_the_bits_of_each_call(self, complex_):
+        # pencils of several sizes, one of them rank deficient, and a zero
+        # matrix: one stacked SVD, each matrix's kernel and pseudoinverse
+        # with the bits of its own call
+        rng = np.random.default_rng(6)
+        for n, m in ((1, 1), (4, 2), (6, 2), (16, 4)):
+            S = rng.standard_normal((5, n, n + m))
+            if complex_:
+                S = S + 1j * rng.standard_normal((5, n, n + m))
+            S[1] = S[1][:, :1] @ S[1][:1]  # rank one
+            S[2] = 0.0
+            pairs = kernel_and_pseudo_inverse(S)
+            assert len(pairs) == len(S)
+            for M, (N, Mdag) in zip(S, pairs):
+                want_N, want_Mdag = kernel_and_pseudo_inverse(M)
+                for got, want in ((N, want_N), (Mdag, want_Mdag)):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert pairs[1][0].shape == (n + m, n + m - 1)
 
 
 class TestSchur:
@@ -414,6 +439,72 @@ class TestInverseGufunc:
         want = np.linalg.inv(V.astype(np.float64))
         assert rows == list(range(8))
         assert Vi.dtype == np.float64 and Vi.tobytes() == want.tobytes()
+
+
+def inverse_stacks():
+    """The stacks `TestInverseGufunc` and `TestNonFiniteInverse` invert:
+    well-conditioned real and complex stacks of every size up to 8, a
+    stack with an exact zero pivot in one row, integer and float32 stacks,
+    a stack with an overflowing inverse and the non-finite matrices."""
+    rng = np.random.default_rng(89)
+    stacks = [random_stack(rng, k, n, complex_)
+              for complex_ in (False, True) for n in range(1, 9) for k in (1, 3, 8)]
+    for complex_ in (False, True):
+        V = random_stack(rng, 6, 5, complex_)
+        V[2][:, 3] = 0.0
+        stacks.append(V)
+    ints = rng.integers(-4, 5, (8, 4, 4)) + 20 * np.eye(4, dtype=int)
+    stacks += [ints, ints.astype(np.float32)]
+    stacks.append(np.array([conditioned_stack(rng, 4, [10.0])[0],
+                            1e-310 * conditioned_stack(rng, 4, [10.0])[0],
+                            np.eye(4)]))
+    stacks += [np.array([M, np.eye(2)]) for M in NON_FINITE]
+    return stacks
+
+
+class TestInverseFallback:
+    """Where numpy lacks the private inverse gufunc, or it rejects the
+    signature `nonsingular_inverses` passes, the stack is inverted by
+    `np.linalg.inv`: the same rule decides the same rows, with the same
+    bits."""
+
+    def test_probe_binds_the_gufunc(self):
+        assert linalg._INV is not None
+        assert linalg._inverse_gufunc(linalg._umath_linalg) is linalg._INV
+
+    @pytest.mark.parametrize("module", (
+        None,
+        SimpleNamespace(),
+        SimpleNamespace(inv=np.linalg.inv),  # takes no signature
+        SimpleNamespace(inv=lambda a, signature: a),  # not an inverse
+    ), ids=("no-module", "no-inv", "no-signature", "wrong-result"))
+    def test_probe_rejects(self, module):
+        assert linalg._inverse_gufunc(module) is None
+
+    def test_same_rows_and_bits(self, monkeypatch):
+        stacks = inverse_stacks()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = [nonsingular_inverses(V) for V in stacks]
+            monkeypatch.setattr(linalg, "_INV", None)
+            got = [nonsingular_inverses(V) for V in stacks]
+        # every kind of row occurs: all accepted, some dropped
+        assert any(len(w[0]) == len(V) for w, V in zip(want, stacks))
+        assert any(len(w[0]) < len(V) for w, V in zip(want, stacks))
+        for (rows, *arrays), (want_rows, *want_arrays) in zip(got, want):
+            assert rows == want_rows
+            for a, b in zip(arrays, want_arrays):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    def test_zero_pivot_stack_inverted_row_by_row(self, monkeypatch):
+        rng = np.random.default_rng(90)
+        V = random_stack(rng, 4, 3)
+        V[1][:, 0] = 0.0
+        monkeypatch.setattr(linalg, "_INV", None)
+        Vi = linalg._stack_inverses(V)
+        assert np.isnan(Vi[1]).all()
+        assert Vi[[0, 2, 3]].tobytes() == np.linalg.inv(V[[0, 2, 3]]).tobytes()
 
 
 class TestNonFiniteInverse:

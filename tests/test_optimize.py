@@ -206,7 +206,9 @@ class TestAlphaOne:
             # the same term from V's singular values
             s = np.linalg.svd(V, compute_uv=False)
             assert cond == pytest.approx(np.sum(s**2) + np.sum(s**-2), rel=1e-12)
-            normal = assigned_departure_sq(sys.A + sys.B @ F, spectrum_mass(spec))
+            # the loop A + B F as V Lambda_R V^-1
+            M = V @ placer._real_jordan[0] @ Vi
+            normal = assigned_departure_sq(M, spectrum_mass(spec))
             assert pp.objective_f2(K, sys, spec, alpha) == alpha * normal + gain
 
 
@@ -411,6 +413,88 @@ class TestAnalyticGradient:
             with pytest.raises(pp.SingularMatrixError) as exc:
                 placer.place(pp.ParameterMatrix.from_vector(spec, 2, x))
         assert exc.value.cond == np.inf
+
+
+def loop_structure(rng, n, cls):
+    """A conformably ordered n-state structure with about n/4 conjugate
+    pairs: simple, repeated (two order-one blocks per eigenvalue) or
+    defective (one order-two block per eigenvalue)."""
+    count = n if cls == "simple" else n // 2
+    pairs = [complex(-rng.uniform(0.2, 2.0), rng.uniform(0.2, 2.0))
+             for _ in range(max(1, count // 4))]
+    eigs = [z for lam in pairs for z in (lam, lam.conjugate())]
+    eigs += [-float(v) for v in rng.uniform(0.2, 2.0, count - len(eigs))]
+    orders = {"simple": (1,), "repeated": (1, 1), "defective": (2,)}[cls]
+    spec = pp.EigStructure(tuple(eigs), (orders,) * count)
+    return pp.normalize_ordering(spec)[0]
+
+
+class TestNormalityFromV:
+    """Every placed loop is A + B F = V Lambda_R V^-1, so the normality
+    objective reads V alone: the loop from V agrees with the one from F to
+    the rounding of forming either, and the gradient differentiates it."""
+
+    @pytest.mark.parametrize("cls", ("simple", "repeated", "defective"))
+    def test_loop_from_v_within_its_rounding(self, cls):
+        # ||V Lambda_R V^-1 - (A + B F)||_F <= n eps cond(V) ||A + B F||_F
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(110)
+        checked = 0
+        for n, m in ((4, 2), (6, 2), (8, 2), (8, 4), (12, 3), (16, 4), (16, 8)):
+            for _ in range(50):
+                sys, spec = random_reachable(rng, n, m), loop_structure(rng, n, cls)
+                if pp.check_admissible(spec, sys).satisfied:
+                    break
+            assert spec.sigma > 0
+            placer = pp.Placer(sys, spec)
+            LR = placer._real_jordan[0]
+            for _ in range(4):
+                try:
+                    res = placer.place(pp.ParameterMatrix.random(spec, m, rng))
+                except pp.SingularMatrixError:
+                    continue
+                Acl = sys.A + sys.B @ res.F
+                M = res.V @ LR @ np.linalg.inv(res.V)
+                bound = n * eps * res.cond_V * fro_norm(Acl)
+                assert fro_norm(M - Acl) <= bound, (n, m, res.cond_V)
+                checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    @pytest.mark.parametrize("case", range(4))
+    def test_gradient_matches_finite_differences(self, case, alpha):
+        # n = 4..6 with a pair and simple, repeated or defective reals
+        sys, spec = normality_instances()[case]
+        obj = pp.ObjectiveSpec("normality", alpha)
+        placer = pp.Placer(sys, spec)
+        evaluate = _Evaluator(obj, placer)
+        assert evaluate.v_only == (alpha == 1.0)
+        for x in well_conditioned_probes(placer, np.random.default_rng(111), 3):
+            K = pp.ParameterMatrix.from_vector(spec, sys.m, x)
+            fd = pp.gradient(obj, K, sys, spec)
+            g = evaluate.grad(evaluate.point(x))
+            assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("name", ["simple", "complex_pair"])
+    def test_blended_gradient_matches_schur_differences(self, name):
+        # at alpha = 0.5, an oracle independent of the loop from V: central
+        # differences of the Schur-form delta_fro^2 of A + B F and the gain
+        # of each probe's placement
+        spec = gradient_structures(2)[name]
+        sys = random_reachable(np.random.default_rng(102), 4, 2)
+        placer = pp.Placer(sys, spec)
+        evaluate = _Evaluator(pp.ObjectiveSpec("normality", 0.5), placer)
+
+        def schur_value(x):
+            res = placer.place(pp.ParameterMatrix.from_vector(spec, 2, x))
+            robust = pp.departure_from_normality(sys.A + sys.B @ res.F) ** 2
+            return 0.5 * robust + 0.5 * fro_norm(res.F) ** 2, True
+
+        for x in well_conditioned_probes(placer, np.random.default_rng(65), 3):
+            fd, flags = _fd_gradient(schur_value, x, optimize._FD_STEP)
+            assert not flags.any()
+            g = evaluate.grad(evaluate.point(x))
+            assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
 class TestTerminations:
@@ -746,7 +830,8 @@ def reference_point(evaluate, x):
     `checked_svals` test, inv, W V^-1, then the scalar value formula; the
     condition term ||V||_F^2 + ||V^-1||_F^2 is also checked against its
     singular-value form sum s^2 + sum s^-2, the same value in exact
-    arithmetic."""
+    arithmetic, and the normality term is Henrici's identity on the loop
+    M = V Lambda_R V^-1, with the Schur form of M below its floor."""
     sys, n, alpha = evaluate.sys, evaluate.sys.n, evaluate.obj.alpha
     VW = (evaluate.placer.operator() @ x).reshape(n + sys.m, n)
     V, W = VW[:n], VW[n:]
@@ -764,11 +849,12 @@ def reference_point(evaluate, x):
         rel = max(1e-12, n * np.finfo(float).eps * s[0] / s[-1])
         assert robust == pytest.approx(np.sum(s**2) + np.sum(s**-2), rel=rel)
     else:
-        a = np.ravel(sys.A + sys.B @ F)
+        M = V @ evaluate.placer._real_jordan[0] @ Vi
+        a = np.ravel(M)
         total = float(a @ a)
         robust = total - evaluate.mass
         if robust < _IDENTITY_FLOOR * total:
-            robust = departure_from_normality(sys.A + sys.B @ F) ** 2
+            robust = departure_from_normality(M) ** 2
     if alpha != 1.0:
         robust = alpha * robust + (1.0 - alpha) * fro_norm(F) ** 2
     return V, Vi, F, robust
@@ -813,8 +899,8 @@ class TestStackedPoints:
         assert singles[1] is None and references[1] is None
         assert pts.rows == [i for i, pt in enumerate(singles) if pt is not None]
         assert pts.rows == [0, 2, 3, 4, 5, 6]
-        # the condition value at alpha = 1 reads V alone: no F is formed
-        v_only = (method, alpha) == ("condition", 1.0)
+        # both values at alpha = 1 read V alone: no F is formed
+        v_only = alpha == 1.0
         for j, i in enumerate(pts.rows):
             got, one, ref = pts.at(j), singles[i], references[i]
             assert type(got.value) is float
@@ -824,9 +910,15 @@ class TestStackedPoints:
                 assert same_bits(getattr(got, field), want)
             if v_only:
                 assert got.F is None and one.F is None
+            # the normality value's loop, which grad reads
+            if method == "normality":
+                M = ref[0] @ evaluate.placer._real_jordan[0] @ ref[1]
+                assert same_bits(got.M, one.M) and same_bits(got.M, M)
+            else:
+                assert got.M is None and one.M is None
         # the nearly normal row took the Schur-form fallback
-        Acl = sys.A + sys.B @ references[2][2]
-        total = fro_norm(Acl) ** 2
+        V, Vi = references[2][:2]
+        total = fro_norm(V @ evaluate.placer._real_jordan[0] @ Vi) ** 2
         assert total - evaluate.mass < _IDENTITY_FLOOR * total
 
     @pytest.mark.parametrize("method,alpha",
@@ -868,7 +960,12 @@ class TestStackedPoints:
         got = [p.at(j) for p in pts for j in range(len(p.rows))]
         for pt, i in zip(got, rows):
             assert pt.value == references[i][3]
-            assert same_bits(pt.F, references[i][2])
+            assert same_bits(pt.Vi, references[i][1])
+            # the normality value at alpha = 1 reads V alone: no F is formed
+            if alpha == 1.0:
+                assert pt.F is None
+            else:
+                assert same_bits(pt.F, references[i][2])
 
     def test_all_rows_singular(self):
         rng, sys, spec, _ = self.normal_loop_case()
@@ -1068,7 +1165,7 @@ class TestStackedLineSearch:
         certified nonsingular from their inverses.  The reference decides
         every row by the SVD test: nothing is certified there."""
         searches, certified = [], []
-        backtrack, points = optimize._backtrack, _Evaluator.points
+        backtrack, points = optimize._backtrack, _Evaluator._points
         certify = linalg.certified_rows
 
         def logged_backtrack(evaluate, x, p, fx, slope, size):
@@ -1088,7 +1185,7 @@ class TestStackedLineSearch:
             return rows
 
         monkeypatch.setattr(optimize, "_backtrack", logged_backtrack)
-        monkeypatch.setattr(_Evaluator, "points", logged_points)
+        monkeypatch.setattr(_Evaluator, "_points", logged_points)
         monkeypatch.setattr(linalg, "certified_rows", logged_certify)
         stacked = pp.minimize(obj, sys, spec, opts)
         monkeypatch.undo()
@@ -1170,7 +1267,7 @@ class TestStackedLineSearch:
         class Rejecting:
             calls = []
 
-            def points(self, X):
+            def _points(self, X):
                 self.calls.append(len(X))
                 rows = list(range(len(X)))
                 return optimize._Points(rows, [math.inf] * len(X), None, None, None)

@@ -60,6 +60,48 @@ class TestBuildPencil:
         assert not np.iscomplexobj(pencil.Mdag)
 
 
+class TestStackedPencils:
+    """`Placer` builds its pencils from one stacked SVD per dtype, the
+    pairs' first members in one and the reals in the other; each pencil
+    has the bits `build_pencil` gives its eigenvalue."""
+
+    @pytest.mark.parametrize("n,m", ((4, 2), (6, 2), (8, 3), (16, 4)))
+    def test_bits_of_build_pencil(self, n, m):
+        rng = np.random.default_rng(11)
+        sys = random_reachable(rng, n, m)
+        pairs = [complex(-1.0, 0.5 + k) for k in range(n // 4)]
+        reals = [-1.0 - k for k in range(n - 2 * len(pairs))]
+        eigs = [z for lam in pairs for z in (lam, lam.conjugate())] + reals
+        spec, _ = pp.normalize_ordering(pp.EigStructure(tuple(eigs), ((1,),) * n))
+        placer = pp.Placer(sys, spec)
+        for i, (lam, pencil) in enumerate(zip(spec.eigenvalues, placer.pencils)):
+            want = pp.build_pencil(sys, lam)
+            if i < 2 * spec.sigma and i % 2:
+                want = pp.build_pencil(sys, lam.conjugate()).conjugate()
+            assert pencil.lam == want.lam
+            for field in ("N", "Mdag"):
+                got, ref = getattr(pencil, field), getattr(want, field)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+
+    def test_first_unreachable_eigenvalue_raises(self):
+        # (A, B) loses reachability at the shifts 2 and 3; the error names
+        # the first of them in the structure's order
+        sys = pp.System(np.diag([1.0, 2.0, 3.0]), np.array([[1.0], [0.0], [0.0]]))
+        spec = pp.EigStructure((1.0, 2.0, 3.0), ((1,),) * 3)
+        with pytest.raises(pp.NotReachableError, match=r"lambda=\(2\+0j\)"):
+            pp.Placer(sys, spec)
+        # a rotation block without input is unreachable at +-2i, and the
+        # last state at 3: the pair comes first
+        A = np.zeros((4, 4))
+        A[:2, :2] = [[0.0, 2.0], [-2.0, 0.0]]
+        A[2, 2] = A[3, 3] = 3.0
+        sys = pp.System(A, np.array([[0.0], [0.0], [1.0], [0.0]]))
+        spec = pp.EigStructure((2j, -2j, 3.0, -1.0), ((1,),) * 4)
+        with pytest.raises(pp.NotReachableError, match=r"lambda=2j"):
+            pp.Placer(sys, pp.normalize_ordering(spec)[0])
+
+
 class TestBuildChains:
     def test_double_integrator_worked_example(self):
         sys = double_integrator()

@@ -205,7 +205,18 @@ class TestMalformedFiles:
          ([{"re": "-1", "blocks": [2]}], "'re' and 'im' must be numbers"),
          ([{"re": -1.0, "im": False, "blocks": [2]}], "'re' and 'im' must be numbers"),
          ([{"re": -1.0, "im": "0", "blocks": [2]}], "'re' and 'im' must be numbers"),
-         ([{"re": 10**400, "blocks": [2]}], "structure record 0 malformed")],
+         ([{"re": 10**400, "blocks": [2]}], "structure record 0 malformed"),
+         # "re" and "blocks" are required, and no other key than "im" is read
+         ([{"re": -1.0}], "structure record 0 malformed: missing 'blocks'"),
+         ([{"blocks": [2]}], "structure record 0 malformed: missing 're'"),
+         ([{"im": 1.0, "blocks": [2]}], "structure record 0 malformed: missing 're'"),
+         ([{"Re": -1.0, "blocks": [2]}],
+          "structure record 0 malformed: missing 're', unknown key 'Re'"),
+         ([{"re": -1.0, "blocks": [1]}, {"re": -2.0, "im": 0.0, "blocks": [1],
+                                         "kind": "real"}],
+          "structure record 1 malformed: unknown key 'kind'"),
+         ([{"re": -1.0, "IM": 1.0, "blocks": [1]}],
+          "structure record 0 malformed: unknown key 'IM'")],
     )
     def test_structure_records_rejected(self, tmp_path, structure, match):
         payload = dict(BASE, structure=structure)

@@ -11,7 +11,7 @@ sides meet the same state of the host, down to the µs, which separate
 interpreters per tree cannot give.  BLAS is pinned to one thread.  The
 instances are drawn by the change tree's perfbench generators from seed 1,
 once per tree from equal generator states, so both sides get the same
-inputs.  Six sections are written:
+inputs.  Eight sections are written (--sections picks some of them):
 
 - "operator_build": one `Placer.operator()` build from empty caches (each
   build starts from a copy of the attributes the placer had right after
@@ -47,6 +47,15 @@ inputs.  Six sections are written:
   {1, 8} matrices of the n = 5 random_normality instance above: the real
   V and the complex eigenvector matrices X of placements at nonsingular
   draws of K.
+- "restart": one BFGS restart, `optimize._bfgs_restart` from an evaluated
+  start to its own stop under the default `OptOptions`, in the
+  restart's error state, per BFGS iteration (the call's time over its
+  accepted steps), on the n = 5 normality and the bn02 condition
+  instances of "evaluation".  Each row records the steps and whether both
+  sides' restarts are bit-identical (end point, value, trace,
+  termination and probe count).
+- "placer": one `Placer()` build on each of INSTANCES: the pencils, from
+  one stacked SVD per dtype.
 
 Each section runs ROUNDS rounds (EVALUATION_ROUNDS for "evaluation",
 "gradient" and "certificate") of its repeats.  The record holds each side's minimum and median over all
@@ -367,11 +376,87 @@ def certificates(pps, workloads):
     return rows
 
 
+def restarts(pps, workloads):
+    rows = {}
+    for label, evaluators, x, _ in evaluation_cases(pps, workloads):
+        if label not in ("normality-n5-m2-defective", "condition-bn02"):
+            continue
+        calls, outs = {}, {}
+        for side, e in evaluators.items():
+            pp = pps[side]
+            start = e.point(x)
+
+            def run(pp=pp, e=e, start=start):
+                with np.errstate(all="ignore"):
+                    return pp.optimize._bfgs_restart(e, x, start, pp.OptOptions())
+
+            calls[side], outs[side] = run, run()
+        parent, change = outs["parent"], outs["change"]
+        identical = (parent[0].tobytes() == change[0].tobytes()
+                     and parent[1:] == change[1:])
+        steps = len(change[2]) - 1
+        per_step = {side: [[t / steps for t in run] for run in runs]
+                    for side, runs in interleaved(calls, REPEATS,
+                                                  ROUNDS).items()}
+        rows[label] = compare(per_step, f"restart {label} per step")
+        rows[label].update(steps=steps, bit_identical=identical)
+        print(f"  {steps} steps, bit-identical {identical}", flush=True)
+    return rows
+
+
+def placers(pps, workloads):
+    rows = {}
+    for label, n, m, gen, cls in INSTANCES:
+        calls = {}
+        for side, pp in pps.items():
+            placer = instance(pp, workloads, n, m, gen, cls,
+                              np.random.default_rng([1, n, m]))
+            calls[side] = lambda pp=pp, p=placer: pp.Placer(p.sys, p.spec)
+        rows[label] = compare(interleaved(calls, ROUND_TRIP_REPEATS, ROUNDS),
+                              f"placer {label}")
+    return rows
+
+
+# section: (question, repeats, rounds, key of the rows, function)
+SECTIONS = {
+    "operator_build": (
+        "wall time of one Placer.operator() build from empty caches",
+        REPEATS, ROUNDS, "instances", operator_builds),
+    "first_place": (
+        "wall time of one Placer.place from empty caches",
+        REPEATS, ROUNDS, "instances", first_places),
+    "round_trip": (
+        "wall time of one Placer.build_chains, one Placer.place and one "
+        "Placer.recover_parameters call per place_ladder cell",
+        ROUND_TRIP_REPEATS, ROUNDS, "cells", round_trips),
+    "evaluation": (
+        "wall time of one stacked _Evaluator.points call on k probes of "
+        "one line",
+        EVALUATION_REPEATS, EVALUATION_ROUNDS, "instances", evaluations),
+    "gradient": (
+        "wall time of one _Evaluator.grad at an accepted point",
+        EVALUATION_REPEATS, EVALUATION_ROUNDS, "instances", gradients),
+    "certificate": (
+        "wall time of one linalg.nonsingular_inverses call on a stack of k "
+        "real V or complex X matrices",
+        EVALUATION_REPEATS, EVALUATION_ROUNDS, "stacks", certificates),
+    "restart": (
+        "wall time per BFGS iteration of one _bfgs_restart run to its stop",
+        REPEATS, ROUNDS, "instances", restarts),
+    "placer": (
+        "wall time of one Placer() build",
+        ROUND_TRIP_REPEATS, ROUNDS, "instances", placers),
+}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--sections", nargs="+", choices=list(SECTIONS),
+                        default=list(SECTIONS),
+                        help="the sections to run (default: all)")
     args = parser.parse_args(argv)
     trees = {side: getattr(args, side).resolve() for side in ("parent", "change")}
     pps = {side: load_tree(tree, side) for side, tree in trees.items()}
@@ -381,33 +466,10 @@ def main(argv=None):
     common = {"blas_threads": "1",
               "timing": "both trees in one interpreter, calls interleaved"}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["operator_build"] = dict(
-        question="wall time of one Placer.operator() build from empty caches",
-        repeats=REPEATS, rounds=ROUNDS, **common,
-        instances=operator_builds(pps, workloads))
-    doc["first_place"] = dict(
-        question="wall time of one Placer.place from empty caches",
-        repeats=REPEATS, rounds=ROUNDS, **common,
-        instances=first_places(pps, workloads))
-    doc["round_trip"] = dict(
-        question="wall time of one Placer.build_chains, one Placer.place and "
-                 "one Placer.recover_parameters call per place_ladder cell",
-        repeats=ROUND_TRIP_REPEATS, rounds=ROUNDS, **common,
-        cells=round_trips(pps, workloads))
-    doc["evaluation"] = dict(
-        question="wall time of one stacked _Evaluator.points call on k "
-                 "probes of one line",
-        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
-        instances=evaluations(pps, workloads))
-    doc["gradient"] = dict(
-        question="wall time of one _Evaluator.grad at an accepted point",
-        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
-        instances=gradients(pps, workloads))
-    doc["certificate"] = dict(
-        question="wall time of one linalg.nonsingular_inverses call on a "
-                 "stack of k real V or complex X matrices",
-        repeats=EVALUATION_REPEATS, rounds=EVALUATION_ROUNDS, **common,
-        stacks=certificates(pps, workloads))
+    for name in args.sections:
+        question, repeats, rounds, key, section = SECTIONS[name]
+        doc[name] = dict(question=question, repeats=repeats, rounds=rounds,
+                         **common, **{key: section(pps, workloads)})
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

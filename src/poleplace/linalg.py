@@ -29,11 +29,12 @@ products of their norms would raise them; it runs its work under
 np.errstate(all="ignore").  That work without the error state is
 `_nonsingular_inverses`, the one copy of the rule, which a caller already
 in that state (the optimizer, once per restart) calls directly.
-`kernel_and_pseudo_inverse` takes a stack of matrices through one SVD, as
-`Placer` builds its pencils.
+`kernel_and_pseudo_inverse` takes a stack of matrices through one SVD, one
+rank test and one pseudoinverse product, as `Placer` builds its pencils.
 """
 
 import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,8 @@ def _inverse_gufunc(module):
 # tests/test_linalg.py pins its contract
 _umath_linalg = getattr(np.linalg, "_umath_linalg", None)
 _INV = _inverse_gufunc(_umath_linalg)
+# np.finfo(float).eps, looked up once: each np.finfo call costs ~1 us
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class ToleranceConfig:
             raise ValueError("singular_cond_limit must be strictly positive")
 
     def rank_threshold(self, shape, sigma_max):
-        return self.rank_tol_factor * max(shape) * np.finfo(float).eps * sigma_max
+        return self.rank_tol_factor * max(shape) * _EPS * sigma_max
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -131,6 +134,13 @@ def certified_rows(sq_V, sq_Vi, tol=DEFAULT_TOL):
     return [i for i, certified in enumerate(ok) if certified]
 
 
+@functools.cache
+def _signature(dtype):
+    """The signature `np.linalg.inv` passes the inverse gufunc for a stack
+    of dtype, picked once per dtype."""
+    return "D->D" if dtype.kind == "c" else "d->d"
+
+
 def _stack_inverses(V):
     """The inverse of every matrix of a stack V, in double (complex double
     for complex V), each row with the bits of its own `np.linalg.inv` call;
@@ -141,9 +151,9 @@ def _stack_inverses(V):
     with NaN; without it, `np.linalg.inv` inverts row by row, and a row on
     which it raises stays NaN.
     """
-    dtype = complex if V.dtype.kind == "c" else float
     if _INV is not None:
-        return _INV(V, signature="D->D" if dtype is complex else "d->d")
+        return _INV(V, signature=_signature(V.dtype))
+    dtype = complex if V.dtype.kind == "c" else float
     Vi = np.full(V.shape, np.nan, dtype)
     for i, v in enumerate(V.astype(dtype, copy=False)):
         with contextlib.suppress(np.linalg.LinAlgError):
@@ -229,8 +239,20 @@ def checked_svals(M, tol=DEFAULT_TOL):
 
 
 def fro_norm(M):
-    """Frobenius norm."""
-    return float(np.linalg.norm(M, "fro"))
+    """Frobenius norm: `np.linalg.norm(M, "fro")` as a float, bit for bit.
+
+    A real or complex matrix takes numpy's own sum, the square root of the
+    dot of its raveled entries with themselves (real and imaginary parts
+    apart), without the wrapper's argument handling; any other input
+    (another dimension or dtype) goes to numpy, which casts or raises.
+    """
+    x = np.asarray(M)
+    if x.ndim != 2 or x.dtype.kind not in "fc":
+        return float(np.linalg.norm(x, "fro"))
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        return float(np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)))
+    return float(np.sqrt(x.dot(x)))
 
 
 def two_norm(M):
@@ -238,16 +260,19 @@ def two_norm(M):
     return float(np.linalg.norm(M, 2))
 
 
-def _numerical_rank(shape, s, tol):
-    """Number of singular values s (largest first) at or above the threshold."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s >= tol.rank_threshold(shape, s[0])))
+def _kept(shape, s, tol):
+    """Which singular values of each row of s (one row per matrix of the
+    given shape, largest first) are at or above the rank threshold: a
+    prefix of each row, as long as its matrix's numerical rank, and empty
+    for a zero matrix."""
+    top = s[:, :1]
+    return (s >= tol.rank_threshold(shape, top)) & (top > 0)
 
 
 def numerical_rank(M, tol=DEFAULT_TOL):
     """Numerical rank of a 2-D array under the package rank threshold."""
-    return _numerical_rank(M.shape, np.linalg.svd(M, compute_uv=False), tol)
+    s = np.linalg.svd(M, compute_uv=False)[None]
+    return int(np.count_nonzero(_kept(M.shape, s, tol)))
 
 
 def kernel_basis(M, tol=DEFAULT_TOL):
@@ -282,26 +307,24 @@ def kernel_and_pseudo_inverse(M, tol=DEFAULT_TOL):
     The kernel basis is the trailing right singular vectors; the
     pseudoinverse uses the leading ones and the singular values at or above
     the rank threshold.  M may also be a stack (k, r, c) of matrices: then
-    one stacked SVD serves them all, and the result is a list of k
-    (kernel, pseudoinverse) pairs, each with the bits of its own call.
+    the result is a list of k (kernel, pseudoinverse) pairs, each with the
+    bits of its own call.  A matrix is the one-member stack: one SVD, one
+    rank test and one product serve the whole stack, and only the kernels,
+    whose widths differ with the ranks, are cut member by member.
     """
     M = np.asarray(M)
-    if M.ndim == 3:
-        return [_kernel_and_pseudo_inverse(M.shape[1:], *usv, tol)
-                for usv in zip(*np.linalg.svd(M))]
-    M = np.atleast_2d(M)
-    return _kernel_and_pseudo_inverse(M.shape, *np.linalg.svd(M), tol)
-
-
-def _kernel_and_pseudo_inverse(shape, u, s, vh, tol):
-    """The kernel basis and pseudoinverse of one matrix of the given shape
-    from its full SVD u, s, vh."""
-    rank = _numerical_rank(shape, s, tol)
-    inv_s = np.zeros_like(s)
-    inv_s[:rank] = 1.0 / s[:rank]
-    # u and vh are full: only their leading s.size vectors enter
-    k = s.size
-    return vh[rank:].conj().T.copy(), (vh[:k].conj().T * inv_s) @ u[:, :k].conj().T
+    stack = M if M.ndim == 3 else np.atleast_2d(M)[None]
+    u, s, vh = np.linalg.svd(stack)
+    keep = _kept(stack.shape[1:], s, tol)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    # u and vh are full: only their leading k = min(r, c) vectors enter
+    k = s.shape[1]
+    vh = vh.conj()
+    uh = u[:, :, :k].conj().swapaxes(1, 2)
+    pinv = (vh[:, :k].swapaxes(1, 2) * inv_s[:, None]) @ uh
+    pairs = [(v[rank:].T.copy(), p)
+             for v, rank, p in zip(vh, keep.sum(axis=1).tolist(), pinv)]
+    return pairs if M.ndim == 3 else pairs[0]
 
 
 def schur_triangular(A):

@@ -7,15 +7,19 @@ never increase the objective.  The backtracking probes t = 1, 1/2, ... of a
 step are checked in stacked chunks of up to _MAX_STACK rows, one numpy call
 per chunk instead of one per probe (see `_backtrack`); the search accepts
 the probe, and counts the evaluations, that one probe at a time would.  A
-restart ends "grad_tol" when the gradient is below tol_grad, "max_iters" at
-the iteration cap, "line_search" when all _MAX_BACKTRACKS probes are
+chunk's evaluations form one record (`_Points`), and the step reads its
+value and its gradient from the accepted row of that record, so an
+accepted probe is never copied out or evaluated again.  A restart ends
+"grad_tol" when the gradient is below tol_grad, "max_iters" at the
+iteration cap, "line_search" when all _MAX_BACKTRACKS probes are
 singular or rejected, "zero_slope" when the steepest-descent fallback has
 zero slope, and "roundoff" when the full step is rejected and the Armijo
 threshold of the next shorter step rounds to the current value: no shorter
 step can certify a decrease in floating point, so the restart sits at the
 objective's roundoff floor.  A restart whose _RESAMPLE_LIMIT start draws
 are all singular is reported as "singular_start" with an empty trace and
-value +inf.
+value +inf; a structure that is not admissible for (A, B) makes every draw
+singular, and is named (StructureError) at the first singular draw.
 
 The chains are linear in K, so [V; W] = L x for one operator L built once
 per placer (`Placer.operator`, a scatter of the placer's stored placement
@@ -80,7 +84,7 @@ from .metrics import (  # noqa: F401
     kappa_fro,
     spectrum_mass,
 )
-from .placement import ParameterMatrix, Placer, residual_ok
+from .placement import ParameterMatrix, Placer, _residual_scale
 
 _ARMIJO_C1 = 1e-4
 _MAX_BACKTRACKS = 60
@@ -180,25 +184,15 @@ def unique_parameter(spec, m):
     return ParameterMatrix(blocks, spec.sigma)
 
 
-class _Point(NamedTuple):
-    """One nonsingular evaluation: V, its inverse, the feedback (None where
-    the objective reads V alone), value and, for the normality objective,
-    the loop M = V Lambda_R V^-1 its value was read from (else None)."""
-
-    V: np.ndarray
-    Vi: np.ndarray
-    F: np.ndarray
-    value: float
-    M: np.ndarray = None
-
-
 class _Points(NamedTuple):
     """The evaluations at the rows of one stacked call (`_Evaluator.points`).
 
     rows lists the rows of X whose V is nonsingular, in order; values (a
     list of floats), V, Vi, F and M hold one entry per such row.  F is None
-    where the objective reads V alone (`_Evaluator.v_only`), and M unless
-    the value is the normality objective's own (see `_Point`).
+    where the objective reads V alone (`_Evaluator.v_only`).  M is the
+    loop V Lambda_R V^-1 the normality value was read from, None for the
+    condition objective.  The line search keeps the record of its accepted
+    chunk, and `_Evaluator.grad` reads a row of it.
     """
 
     rows: list
@@ -207,12 +201,6 @@ class _Points(NamedTuple):
     Vi: np.ndarray
     F: np.ndarray
     M: np.ndarray = None
-
-    def at(self, j):
-        """The `_Point` of the j-th nonsingular row."""
-        F = None if self.F is None else self.F[j]
-        M = None if self.M is None else self.M[j]
-        return _Point(self.V[j], self.Vi[j], F, self.values[j], M)
 
 
 class _Evaluator:
@@ -230,11 +218,13 @@ class _Evaluator:
     and `point` is its one-row case, so a line search checks several
     probes for the numpy call overhead of one; every stacked step (the
     product with L, `inv`, the matrix products and the squared norms)
-    gives each row the bits of a one-row call.  The normality value and
-    gradient both use Henrici's identity with the assigned spectrum, whose
-    mass sum mult |lambda|^2 is computed once here.  Calling the evaluator
-    returns (value, ok); singular placements yield (+inf, False) so line
-    searches reject the step and move on.  For an F-only objective on an
+    gives each row the bits of a one-row call.  What an evaluation reads
+    of the placer and the objective (n, the tolerances, the method and
+    alpha, and on first use Lambda_R and L) is bound once, here.  The
+    normality value and gradient both use Henrici's identity with the
+    assigned spectrum, whose mass sum mult |lambda|^2 is computed once
+    here.  Calling the evaluator returns (value, ok); singular placements
+    yield (+inf, False) so line searches reject the step and move on.  For an F-only objective on an
     F-unique structure the value is computed once at K* (see
     `unique_parameter`), from the Schur form of A + B F*, and returned for
     every nonsingular x; x is still checked first, so a singular draw
@@ -251,12 +241,15 @@ class _Evaluator:
         self.placer = placer
         self.sys = placer.sys
         self.spec = placer.spec
-        self.m = placer.sys.m
+        self.n, self.m = placer.sys.n, placer.sys.m
+        self.tol = placer.tol
+        self.alpha = obj.alpha
+        self.normality = obj.method == "normality"
         self.mass = spectrum_mass(self.spec)
         # at alpha = 1 both robustness terms read V alone
         self.v_only = obj.alpha == 1.0
         self.K_star = self.placement_star = self.fixed = None
-        f_only = obj.method == "normality" or obj.alpha == 0.0
+        f_only = self.normality or obj.alpha == 0.0
         if f_only and is_f_unique(self.spec, self.m):
             K_star = unique_parameter(self.spec, self.m)
             try:
@@ -270,7 +263,7 @@ class _Evaluator:
                 # once per evaluator, off the search path: the Schur form;
                 # an F-only condition objective has alpha = 0, the gain alone
                 robust = 0.0
-                if obj.method == "normality":
+                if self.normality:
                     Acl = self.sys.A + self.sys.B @ self.placement_star.F
                     robust = departure_from_normality(Acl) ** 2
                 self.fixed = self._blend(robust, self.placement_star.F)
@@ -285,11 +278,17 @@ class _Evaluator:
     @functools.cached_property
     def L_V(self):
         """The V block of L, its first n^2 rows: V.ravel() = L_V x."""
-        return self.L[: self.sys.n ** 2]
+        return self.L[: self.n ** 2]
+
+    @functools.cached_property
+    def LR(self):
+        """Lambda_R, the real Jordan form in V's column layout
+        (`Placer._real_jordan`), bound on first use."""
+        return self.placer._real_jordan[0]
 
     def _blend(self, robust, F):
         """alpha robust + (1 - alpha) ||F||_F^2 for one row, in float order."""
-        alpha = self.obj.alpha
+        alpha = self.alpha
         if alpha == 1.0:
             # the gain term is +0.0 here, so skip its norm
             return robust
@@ -320,22 +319,24 @@ class _Evaluator:
 
     def _points(self, X):
         """`points` without its error state."""
-        n, k = self.sys.n, len(X)
-        # at alpha = 1 only the V block is applied, and W is empty
-        L = self.L_V if self.v_only else self.L
-        VW = np.matmul(L, X[:, :, None]).reshape(k, len(L) // n, n)
-        V, W = VW[:, :n], VW[:, n:]
-        rows, Vi, sq_V, sq_Vi = _nonsingular_inverses(V, self.placer.tol)
+        n, k = self.n, len(X)
+        if self.v_only:
+            # at alpha = 1 only the V block is applied
+            V = np.matmul(self.L_V, X[:, :, None]).reshape(k, n, n)
+        else:
+            VW = np.matmul(self.L, X[:, :, None]).reshape(k, -1, n)
+            V, W = VW[:, :n], VW[:, n:]
+        rows, Vi, sq_V, sq_Vi = _nonsingular_inverses(V, self.tol)
         if len(rows) < k:
-            V, W = V[rows], W[rows]
-        F = None if self.v_only else W @ Vi
+            V = V[rows]
+        F = None if self.v_only else (W if len(rows) == k else W[rows]) @ Vi
         if self.fixed is not None:
             return _Points(rows, [self.fixed] * len(rows), V, Vi, F)
         M = None
-        if self.obj.method == "normality":
-            M = V @ self.placer._real_jordan[0] @ Vi
+        if self.normality:
+            M = V @ self.LR @ Vi
             values = assigned_departure_sq(M, self.mass)
-        elif self.obj.alpha > 0.0:
+        elif self.alpha > 0.0:
             values = (sq_V + sq_Vi).tolist()
         else:
             # condition at alpha = 0 is the gain alone: alpha * robust is
@@ -346,18 +347,22 @@ class _Evaluator:
         return _Points(rows, values, V, Vi, F, M)
 
     def point(self, x):
-        """The evaluation at x, or None when V is singular: `points` on
-        the one row x."""
+        """The evaluation at x, a one-row `_Points`, or None when V is
+        singular: `points` on the one row x."""
         with np.errstate(all="ignore"):
             return self._point(x)
 
     def _point(self, x):
         """`point` without its error state."""
         pts = self._points(x[None])
-        return pts.at(0) if pts.rows else None
+        return pts if pts.rows else None
 
-    def grad(self, pt):
-        """Exact gradient at an evaluated point.
+    def grad(self, pts, j=0):
+        """Exact gradient at the j-th evaluated row of a `_Points` record.
+
+        The row's V, V^-1 and, where the record holds them, F and the loop
+        M are read from the record in place, so the line search hands over
+        its accepted chunk and no row is copied out of it.
 
         The robustness term's partial in V: for the condition method
         2 (V - V^-T V^-1 V^-T), the derivative of ||V||_F^2 + ||V^-1||_F^2;
@@ -372,21 +377,23 @@ class _Evaluator:
         Not defined for an evaluator with a value fixed at K*: `minimize`
         does not search there.
         """
-        alpha, V, Vi, F, M = self.obj.alpha, pt.V, pt.Vi, pt.F, pt.M
-        if self.obj.method == "condition":
-            dV = 2.0 * (V - Vi.T @ Vi @ Vi.T)
-        else:
+        V, Vi = pts.V[j], pts.Vi[j]
+        if self.normality:
+            M = pts.M[j]
             P = M @ Vi.T
-            dV = 2.0 * (P @ self.placer._real_jordan[0].T - M.T @ P)
+            dV = 2.0 * (P @ self.LR.T - M.T @ P)
+        else:
+            dV = 2.0 * (V - Vi.T @ Vi @ Vi.T)
         if self.v_only:
             return dV.ravel() @ self.L_V
+        alpha, F = self.alpha, pts.F[j]
         dW = 2.0 * (1.0 - alpha) * F @ Vi.T
         dV = alpha * dV - F.T @ dW
         return np.concatenate((dV, dW)).ravel() @ self.L
 
     def __call__(self, x):
-        pt = self.point(x)
-        return (float("inf"), False) if pt is None else (pt.value, True)
+        pts = self.point(x)
+        return (float("inf"), False) if pts is None else (pts.values[0], True)
 
 
 def _objective(method, K, sys, spec, alpha, tol):
@@ -413,7 +420,9 @@ def objective_f2(K, sys, spec, alpha, tol=DEFAULT_TOL):
     (see `unique_parameter`), from the Schur form of A + B F*, as
     `minimize` evaluates it.  Elsewhere delta_fro^2 is evaluated as
     `minimize` evaluates it, by Henrici's identity on the loop
-    V Lambda_R V^-1, which equals A + B F up to rounding.
+    V Lambda_R V^-1, which equals A + B F up to rounding.  That value
+    carries ~n eps cond(V) relative rounding, as any formula for the loop
+    does: at cond(V) ~ 1e9 a minimum is known to ~1e-6 relative only.
     """
     return _objective("normality", K, sys, spec, alpha, tol)
 
@@ -479,10 +488,12 @@ def _backtrack(evaluate, x, p, fx, slope, size):
     with the thresholds fx + c1 t slope of one probe at a time, is
     accepted, so the search ends where a one-probe-at-a-time search ends.
 
-    Returns (t, point, probes, stop): the accepted step and its `_Point`,
-    or None for both and stop "roundoff" or "line_search"; probes counts
-    the probes up to the one that ended the search, not the rows of its
-    chunk after that probe.
+    Returns (t, pts, j, probes, stop): the accepted step, the `_Points`
+    record of its chunk and the index j of its row there, or None for the
+    first three and stop "roundoff" or "line_search"; probes counts the
+    probes up to the one that ended the search, not the rows of its chunk
+    after that probe.  A one-probe chunk is formed as (x + t p)[None],
+    which has the bits of the row of x + outer(steps, p).
     """
     t, done = 1.0, 0
     while True:
@@ -495,25 +506,30 @@ def _backtrack(evaluate, x, p, fx, slope, size):
                 stop = "roundoff"
             elif done + len(steps) == _MAX_BACKTRACKS:
                 stop = "line_search"
-        pts = evaluate._points(x + np.multiply.outer(steps, p))
+        X = ((x + steps[0] * p)[None] if len(steps) == 1
+             else x + np.multiply.outer(steps, p))
+        pts = evaluate._points(X)
         for j, (i, value) in enumerate(zip(pts.rows, pts.values)):
             if value <= bounds[i]:
-                return steps[i], pts.at(j), done + i + 1, None
+                return steps[i], pts, j, done + i + 1, None
         done += len(steps)
         if stop is not None:
-            return None, None, done, stop
+            return None, None, None, done, stop
         size = _MAX_STACK
 
 
-def _bfgs_restart(evaluate, x0, pt0, opts):
-    """One monotone quasi-Newton descent from the evaluated start pt0.
+def _bfgs_restart(evaluate, x0, pts0, opts):
+    """One monotone quasi-Newton descent from the evaluated start, the
+    one-row `_Points` record pts0 of x0.
 
     Returns (x, value, trace, termination, probes).  Line-search probes are
     value-only; the gradient is formed only at accepted points.  A step's
     first chunk of probes (`_backtrack`) is as long as the previous step's
     search, capped at _MAX_STACK: after a step whose full step passed, the
     full step is probed alone.  A restart's first step, taken with the
-    inverse Hessian still I, starts with a whole chunk of _MAX_STACK.
+    inverse Hessian still I, starts with a whole chunk of _MAX_STACK.  The
+    value and the gradient of an accepted step are read from the row of
+    the line search's record that passed.
     """
     dim = x0.size
     eye = np.eye(dim)
@@ -522,14 +538,14 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
     probes = 0
     # the previous step's probe count
     last = _MAX_STACK
-    fx, g = pt0.value, evaluate.grad(pt0)
+    fx, g = pts0.values[0], evaluate.grad(pts0)
     trace = [fx]
     termination = "max_iters"
     for _ in range(opts.max_iters):
         if np.abs(g).max() <= opts.tol_grad:
             termination = "grad_tol"
             break
-        p = -Hinv @ g
+        p = -(Hinv @ g)
         slope = float(g @ p)
         if slope >= 0.0:
             Hinv = eye.copy()
@@ -538,23 +554,23 @@ def _bfgs_restart(evaluate, x0, pt0, opts):
             if slope == 0.0:
                 termination = "zero_slope"
                 break
-        t, accepted, last, stop = _backtrack(
+        t, pts, j, last, stop = _backtrack(
             evaluate, x, p, fx, slope, min(last, _MAX_STACK)
         )
         probes += last
-        if accepted is None:
+        if pts is None:
             termination = stop
             break
         s = t * p
         x_new = x + s
-        g_new = evaluate.grad(accepted)
+        g_new = evaluate.grad(pts, j)
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * math.sqrt(s @ s) * math.sqrt(y @ y):
             rho = 1.0 / sy
             left = eye - rho * np.multiply.outer(s, y)
             Hinv = left @ Hinv @ left.T + rho * np.multiply.outer(s, s)
-        x, fx, g = x_new, accepted.value, g_new
+        x, fx, g = x_new, pts.values[j], g_new
         trace.append(fx)
     else:
         if np.abs(g).max() <= opts.tol_grad:
@@ -567,7 +583,9 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
 
     Each restart draws standard-normal free coordinates (resampling the
     rare singular starts), runs BFGS with backtracking, and the best
-    restart wins.  Deterministic for a fixed seed.
+    restart wins.  Deterministic for a fixed seed.  A structure that is
+    not admissible for (A, B) makes every draw singular: the first
+    singular draw raises StructureError with `check_admissible`'s message.
 
     For an F-only objective on an F-unique structure every nonsingular
     point has the value at K*, so there is nothing to search: best_K is K*
@@ -589,15 +607,16 @@ def minimize(obj, sys, spec, opts=OptOptions(), tol=DEFAULT_TOL):
             with np.errstate(all="ignore"):
                 for draws in range(1, _RESAMPLE_LIMIT + 1):
                     x0 = rng.standard_normal(sys.m * sys.n)
-                    pt0 = evaluate._point(x0)
-                    if pt0 is not None:
+                    pts0 = evaluate._point(x0)
+                    if pts0 is not None:
                         break
+                    placer._require_admissible()
                 else:
                     runs.append(
                         ((), float("inf"), "singular_start", _RESAMPLE_LIMIT))
                     continue
                 x, val, trace, termination, probes = _bfgs_restart(
-                    evaluate, x0, pt0, opts
+                    evaluate, x0, pts0, opts
                 )
             runs.append((tuple(trace), val, termination, draws + probes))
             if val < best_val:
@@ -619,20 +638,26 @@ def placement_metrics(sys, spec, res, tol):
 
     delta_fro uses Henrici's identity with the assigned spectrum of spec
     (`assigned_departure_sq`); a placement that fails `residual_ok` need
-    not carry that spectrum, so there the Schur form decides.
+    not carry that spectrum, so there the Schur form decides.  The norms
+    of the acceptance test are taken once, ||F||_F serving as gain_fro too.
+    Without conjugate pairs X is a copy of V, so its condition number is
+    read from V's singular values, with the bits of `kappa_fro(res.X)`.
     """
     Acl = sys.A + sys.B @ res.F
-    if residual_ok(sys, res, tol):
+    gain = fro_norm(res.F)
+    # the test of `residual_ok`, with ||F||_F taken once
+    if res.residual <= tol.residual_tol * _residual_scale(sys, gain):
         delta = float(np.sqrt(assigned_departure_sq(Acl, spectrum_mass(spec))))
     else:
         delta = departure_from_normality(Acl)
     # both condition numbers of V from one SVD, as `kappa_fro` and `kappa_2`
     # form them
     s = checked_svals(res.V, tol)
+    kappa = float(np.sqrt(np.sum(s**2) * np.sum(s**-2)))
     return {
-        "kappa_fro": float(np.sqrt(np.sum(s**2) * np.sum(s**-2))),
+        "kappa_fro": kappa,
         "kappa_2": float(s[0] / s[-1]),
-        "kappa_fro_X": kappa_fro(res.X, tol),
+        "kappa_fro_X": kappa_fro(res.X, tol) if spec.sigma else kappa,
         "delta_fro": delta,
-        "gain_fro": fro_norm(res.F),
+        "gain_fro": gain,
     }

@@ -54,14 +54,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChainConsistencyError, NotReachableError, StructureError
+from .errors import (
+    ChainConsistencyError,
+    NotReachableError,
+    SingularMatrixError,
+    StructureError,
+)
 from .linalg import (
     DEFAULT_TOL,
     fro_norm,
     kernel_and_pseudo_inverse,
     nonsingular_inverse,
 )
-from .structure import conformable_column_blocks, jordan_matrix
+from .structure import check_admissible, conformable_column_blocks, jordan_matrix
 
 # Unused here since build_pencil takes both from one SVD, but kept bound:
 # perfbench/tracing.py wraps these two names on this module.
@@ -316,7 +321,8 @@ class Placer:
     (`_reps`), the placement map (`_map`, the one run of the chain
     recursion per record) that `place` and `build_chains` apply, the real
     Jordan form `place` takes its residual against, the dense operator L
-    scattered from the map, and the recovery's column data.
+    scattered from the map, the recovery's column data, and, after a
+    singular V only, the structure's admissibility verdict.
     """
 
     def __init__(self, sys, spec, tol=DEFAULT_TOL):
@@ -344,6 +350,21 @@ class Placer:
             self.pencils += [first, first.conjugate()]
         if pairs < len(eigs):
             self.pencils += _build_pencils(sys, eigs[pairs:], tol)
+
+    @functools.cached_property
+    def _inadmissible(self):
+        """`check_admissible`'s message when the structure is not
+        admissible for (A, B), else ""; taken on first use only."""
+        report = check_admissible(self.spec, self.sys, self.tol)
+        return "" if report.satisfied else report.message
+
+    def _require_admissible(self):
+        """Name the cause of a singular V when it is the structure: raise
+        StructureError when the structure is not admissible.  Called on
+        singular results only, so success paths never pay for the test,
+        and a placer takes it at most once."""
+        if self._inadmissible:
+            raise StructureError(f"inadmissible structure: {self._inadmissible}")
 
     def _check_param(self, K):
         if (K.sigma, K._shapes) != self._param_layout:
@@ -485,7 +506,9 @@ class Placer:
         Gaussian elimination on F V = W.  A rejected V raises
         SingularMatrixError with the condition number its singular values
         read, or cond=inf when they pass and the inverse is not finite (an
-        exact zero pivot, or an overflow).
+        exact zero pivot, or an overflow); when the structure is not
+        admissible for (A, B), which makes every V singular, it raises
+        StructureError with `check_admissible`'s message instead.
 
         The residual ||(A+BF)X - X Lambda||_F is taken as
         ||((A+BF)V - V Lambda_R) w||_F, against the real Jordan form
@@ -503,7 +526,11 @@ class Placer:
         n = self.sys.n
         VW = pmap.vw(K._x)
         V, W = VW[:n], VW[n:]
-        Vi = nonsingular_inverse(V, self.tol)
+        try:
+            Vi = nonsingular_inverse(V, self.tol)
+        except SingularMatrixError:
+            self._require_admissible()
+            raise
         F = W @ Vi
         F += (W - F @ V) @ Vi
         LR, P = self._real_jordan
@@ -753,7 +780,12 @@ def recover_parameters(sys, spec, chain_set, tol=DEFAULT_TOL):
 
 def residual_scale(sys, F):
     """1 + ||A||_F + ||B||_F ||F||_F, the scale residual_tol is relative to."""
-    return 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * fro_norm(F)
+    return _residual_scale(sys, fro_norm(F))
+
+
+def _residual_scale(sys, f_norm):
+    """`residual_scale` from ||F||_F = f_norm, for a caller that has it."""
+    return 1.0 + fro_norm(sys.A) + fro_norm(sys.B) * f_norm
 
 
 def residual_ok(sys, res, tol):

@@ -171,11 +171,27 @@ class TestKernelAndPseudoInverse:
         assert Mdag.shape == (2, 3) and not Mdag.any()
 
 
+    @staticmethod
+    def per_matrix(M, tol=ToleranceConfig()):
+        """The kernel and pseudoinverse of one matrix, formed one matrix at
+        a time from its own SVD: the rank from the package threshold, 1/s
+        on the kept values, the trailing right singular vectors and one
+        product."""
+        u, s, vh = np.linalg.svd(M)
+        rank = 0
+        if s.size and s[0] > 0.0:
+            rank = int(np.sum(s >= tol.rank_threshold(M.shape, s[0])))
+        inv_s = np.zeros_like(s)
+        inv_s[:rank] = 1.0 / s[:rank]
+        k = s.size
+        return (vh[rank:].conj().T.copy(),
+                (vh[:k].conj().T * inv_s) @ u[:, :k].conj().T)
+
     @pytest.mark.parametrize("complex_", (False, True), ids=("real", "complex"))
     def test_stack_has_the_bits_of_each_call(self, complex_):
-        # pencils of several sizes, one of them rank deficient, and a zero
+        # pencils of several sizes, two of them rank deficient, and a zero
         # matrix: one stacked SVD, each matrix's kernel and pseudoinverse
-        # with the bits of its own call
+        # with the bits of its own call and of the one-matrix formula
         rng = np.random.default_rng(6)
         for n, m in ((1, 1), (4, 2), (6, 2), (16, 4)):
             S = rng.standard_normal((5, n, n + m))
@@ -183,15 +199,18 @@ class TestKernelAndPseudoInverse:
                 S = S + 1j * rng.standard_normal((5, n, n + m))
             S[1] = S[1][:, :1] @ S[1][:1]  # rank one
             S[2] = 0.0
+            S[3, -1] = S[3, 0]  # rank n - 1: a pencil that is not reachable
             pairs = kernel_and_pseudo_inverse(S)
             assert len(pairs) == len(S)
             for M, (N, Mdag) in zip(S, pairs):
-                want_N, want_Mdag = kernel_and_pseudo_inverse(M)
-                for got, want in ((N, want_N), (Mdag, want_Mdag)):
-                    assert got.dtype == want.dtype and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
-                    assert got.flags.c_contiguous == want.flags.c_contiguous
+                one = kernel_and_pseudo_inverse(M)
+                for want_N, want_Mdag in (one, self.per_matrix(M)):
+                    for got, want in ((N, want_N), (Mdag, want_Mdag)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                        assert got.flags.c_contiguous == want.flags.c_contiguous
             assert pairs[1][0].shape == (n + m, n + m - 1)
+            assert pairs[3][0].shape == (n + m, m + (n > 1))
 
 
 class TestSchur:
@@ -236,6 +255,56 @@ class TestNorms:
         M = np.array([[3.0, 4.0]])
         assert fro_norm(M) == pytest.approx(5.0)
         assert two_norm(M) == pytest.approx(5.0)
+
+    @staticmethod
+    def fro_inputs():
+        rng = np.random.default_rng(7)
+        M = rng.standard_normal((5, 4))
+        Z = M + 1j * rng.standard_normal((5, 4))
+        return {
+            "real": M,
+            "complex": Z,
+            "fortran": np.asfortranarray(M),
+            "complex_fortran": np.asfortranarray(Z),
+            "strided": M[::2, ::3],
+            "transposed": Z.T,
+            "row": M[:1],
+            "float32": M.astype(np.float32),
+            "complex64": Z.astype(np.complex64),
+            "int": np.arange(12).reshape(3, 4) - 5,
+            "bool": M > 0,
+            "nested_list": M.tolist(),
+            "empty": np.zeros((0, 3)),
+            "empty_complex": np.zeros((3, 0), complex),
+            "huge": np.full((2, 2), 1e300),
+            "nan": np.array([[1.0, np.nan]]),
+        }
+
+    @pytest.mark.parametrize("name", sorted(fro_inputs.__func__().keys()))
+    def test_fro_norm_has_the_bits_of_numpy(self, name):
+        # the same value, and the same warnings (an overflowing sum of
+        # squares warns in either)
+        M = self.fro_inputs()[name]
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = float(np.linalg.norm(M, "fro"))
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = fro_norm(M)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert ([(w.category, str(w.message)) for w in got_warnings]
+                == [(w.category, str(w.message)) for w in want_warnings])
+
+    @pytest.mark.parametrize("M", (np.ones(3), np.ones((2, 2, 2)), np.float64(2.0),
+                                   np.array(["a", "b"]).reshape(1, 2)),
+                             ids=("vector", "stack", "scalar", "strings"))
+    def test_fro_norm_raises_where_numpy_does(self, M):
+        with pytest.raises(Exception) as want:
+            np.linalg.norm(M, "fro")
+        with pytest.raises(type(want.value)) as got:
+            fro_norm(M)
+        assert str(got.value) == str(want.value)
 
     def test_norm_inequality_chain(self):
         rng = np.random.default_rng(6)

@@ -161,6 +161,29 @@ class TestAssignedDeparture:
         assert delta == pp.departure_from_normality(sys.A + sys.B @ res.F)
 
 
+class TestPlacementMetrics:
+    @pytest.mark.parametrize("eigs", ((-1.0, -2.0, -3.0, -4.0),
+                                      (complex(-1, 2), complex(-1, -2), -3.0, -4.0)),
+                             ids=("reals", "pair"))
+    def test_bits_of_the_one_figure_calls(self, monkeypatch, eigs):
+        # kappa_fro_X is read from V's singular values when X is a copy of
+        # V (no pairs), and is kappa_fro(X) with pairs; gain_fro is ||F||_F
+        rng = np.random.default_rng(58)
+        sys = random_reachable(rng, 4, 2)
+        spec = pp.EigStructure(eigs, ((1,),) * 4)
+        tol = pp.ToleranceConfig()
+        for _ in range(5):
+            _, res = place_random(rng, sys, spec)
+            calls = count_calls(monkeypatch, optimize, "kappa_fro")
+            got = optimize.placement_metrics(sys, spec, res, tol)
+            assert len(calls) == spec.sigma
+            want = {"kappa_fro": pp.kappa_fro(res.V), "kappa_2": pp.kappa_2(res.V),
+                    "kappa_fro_X": pp.kappa_fro(res.X), "gain_fro": fro_norm(res.F)}
+            for key, value in want.items():
+                assert np.float64(got[key]).tobytes() == np.float64(value).tobytes()
+            monkeypatch.undo()
+
+
 class TestSensitivityBound:
     def test_zero_perturbation(self):
         spec = pp.EigStructure((-1.0, -2.0), ((1,), (1,)))

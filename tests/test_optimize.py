@@ -1,4 +1,5 @@
 import math
+import types
 import warnings
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import poleplace as pp
-from poleplace import linalg, optimize
+from poleplace import linalg, optimize, placement
 from poleplace.bench import defective_zero_structure
 from poleplace.linalg import checked_svals, fro_norm
 from poleplace.metrics import (
@@ -30,6 +31,17 @@ from conftest import (
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def row(pts, j=0):
+    """Row j of an evaluator's `_Points` record, as the fields of one
+    evaluation: value, V, Vi, F and M (F and M None where the record has
+    none)."""
+    def pick(a):
+        return None if a is None else a[j]
+
+    return types.SimpleNamespace(value=pts.values[j], V=pts.V[j], Vi=pts.Vi[j],
+                                 F=pick(pts.F), M=pick(pts.M))
 
 
 def double_integrator():
@@ -339,8 +351,8 @@ class TestAnalyticGradient:
                         # F-unique: minimize does not search, FD is zero
                         assert not fd.any()
                         continue
-                    pt = evaluate.point(x)
-                    g = evaluate.grad(pt)
+                    pts = evaluate.point(x)
+                    g, pt = evaluate.grad(pts), row(pts)
                     assert pt.value == evaluate(x)[0]
                     err = np.linalg.norm(g - fd)
                     assert err <= 1e-5 * np.linalg.norm(fd), (method, alpha)
@@ -562,7 +574,7 @@ class TestTerminations:
                 raise AssertionError("no probe is evaluated")
 
         x0 = np.array([0.5, -0.5])
-        pt0 = optimize._Point(None, None, None, 2.0)
+        pt0 = optimize._Points([0], [2.0], None, None, None)
         x, value, trace, termination, probes = optimize._bfgs_restart(
             Flat(), x0, pt0, pp.OptOptions(tol_grad=1e-300))
         assert termination == "zero_slope"
@@ -702,6 +714,49 @@ F_UNIQUE_CASES = {
     "real_defective": pp.EigStructure((-1.7,), ((2, 2),)),
     "complex_pair": pp.EigStructure((-1 + 2j, -1 - 2j), ((1, 1), (1, 1))),
 }
+
+
+class TestInadmissibleStructure:
+    """minimize names an inadmissible structure at its first singular
+    draw, where it used to resample every restart's draws to the limit."""
+
+    def test_first_singular_draw_raises(self, monkeypatch):
+        point, draws = _Evaluator._point, []
+
+        def counted(self, x):
+            draws.append(x)
+            return point(self, x)
+
+        monkeypatch.setattr(_Evaluator, "_point", counted)
+        spec = pp.EigStructure((-1.0,), ((1, 1),))
+        with pytest.raises(pp.StructureError,
+                           match="^inadmissible structure: eigenvalue"):
+            pp.minimize(pp.ObjectiveSpec("condition", 1.0), double_integrator(),
+                        spec, pp.OptOptions(restarts=3))
+        assert len(draws) == 1
+
+    def test_f_unique_structure_raises(self):
+        # indices (3, 1) and two blocks of order 2 at 0: F-unique, and its
+        # partial degree sum 2 < 3 fails; the value at K* is never formed
+        A = np.zeros((4, 4))
+        A[0, 1] = A[1, 2] = 1.0
+        sys = pp.System(A, np.eye(4)[:, 2:])
+        spec = pp.EigStructure((0.0,), ((2, 2),))
+        assert is_f_unique(spec, 2)
+        with pytest.raises(pp.StructureError,
+                           match="partial degree sum 2 < index sum 3"):
+            pp.minimize(pp.ObjectiveSpec("normality", 1.0), sys, spec)
+
+    def test_success_path_skips_the_check(self, monkeypatch):
+        # an admissible search never singular at its starts runs no check
+        calls = []
+        monkeypatch.setattr(placement, "check_admissible",
+                            lambda *args: calls.append(args))
+        sys = random_reachable(np.random.default_rng(64), 4, 2)
+        spec = gradient_structures(2)["simple"]
+        pp.minimize(pp.ObjectiveSpec("condition", 1.0), sys, spec,
+                    pp.OptOptions(restarts=2, max_iters=5))
+        assert calls == []
 
 
 class TestFUnique:
@@ -902,7 +957,7 @@ class TestStackedPoints:
         # both values at alpha = 1 read V alone: no F is formed
         v_only = alpha == 1.0
         for j, i in enumerate(pts.rows):
-            got, one, ref = pts.at(j), singles[i], references[i]
+            got, one, ref = row(pts, j), row(singles[i]), references[i]
             assert type(got.value) is float
             assert got.value == one.value == ref[3]
             for field, want in zip(("V", "Vi", "F")[:2 if v_only else 3], ref[:3]):
@@ -957,7 +1012,7 @@ class TestStackedPoints:
         # of its rows
         assert 0 < len(rows) < len(X)
         assert any(0 < certified < k for k, certified in calls)
-        got = [p.at(j) for p in pts for j in range(len(p.rows))]
+        got = [row(p, j) for p in pts for j in range(len(p.rows))]
         for pt, i in zip(got, rows):
             assert pt.value == references[i][3]
             assert same_bits(pt.Vi, references[i][1])
@@ -984,7 +1039,7 @@ class TestStackedPoints:
         pts = evaluate.points(X)
         assert pts.rows == [0, 1]
         assert pts.values == [evaluate.fixed] * 2
-        assert pts.at(1).value == evaluate.point(X[1]).value == evaluate.fixed
+        assert row(pts, 1).value == row(evaluate.point(X[1])).value == evaluate.fixed
 
 
 def full_formula(evaluate, x):
@@ -1029,9 +1084,9 @@ class TestConditionOnV:
         assert pts.rows == rows and pts.F is None
         for j, i in enumerate(rows):
             value, g = full_formula(evaluate, X[i])
-            pt = pts.at(j)
+            pt = row(pts, j)
             assert pt.value == value and pt.F is None
-            assert same_bits(evaluate.grad(pt), g)
+            assert same_bits(evaluate.grad(pts, j), g)
 
     @pytest.mark.parametrize("name", ("bn02", "random_6x2"))
     def test_certified_rows(self, name):
@@ -1085,7 +1140,7 @@ def sequential_bfgs_restart(evaluate, x0, pt0, opts):
     Hinv = eye.copy()
     x = x0.copy()
     probes = 0
-    fx, g = pt0.value, evaluate.grad(pt0)
+    fx, g = pt0.values[0], evaluate.grad(pt0)
     trace = [fx]
     termination = "max_iters"
     for _ in range(opts.max_iters):
@@ -1107,7 +1162,7 @@ def sequential_bfgs_restart(evaluate, x0, pt0, opts):
         for _ in range(optimize._MAX_BACKTRACKS):
             pc = evaluate.point(x + t * p)
             probes += 1
-            if pc is not None and pc.value <= fx + optimize._ARMIJO_C1 * t * slope:
+            if pc is not None and pc.values[0] <= fx + optimize._ARMIJO_C1 * t * slope:
                 accepted = pc
                 break
             t *= 0.5
@@ -1126,7 +1181,7 @@ def sequential_bfgs_restart(evaluate, x0, pt0, opts):
             rho = 1.0 / sy
             left = eye - rho * np.outer(s, y)
             Hinv = left @ Hinv @ left.T + rho * np.outer(s, s)
-        x, fx, g = x_new, accepted.value, g_new
+        x, fx, g = x_new, accepted.values[0], g_new
         trace.append(fx)
     else:
         if np.linalg.norm(g, np.inf) <= opts.tol_grad:
@@ -1171,7 +1226,7 @@ class TestStackedLineSearch:
         def logged_backtrack(evaluate, x, p, fx, slope, size):
             searches.append([size, []])
             out = backtrack(evaluate, x, p, fx, slope, size)
-            searches[-1] += [out[2], out[3]]
+            searches[-1] += [out[3], out[4]]
             return out
 
         def logged_points(self, X):
@@ -1274,7 +1329,7 @@ class TestStackedLineSearch:
 
         monkeypatch.setattr(optimize, "_MAX_BACKTRACKS", count + budget_offset)
         evaluate = Rejecting()
-        t, pt, probes, why = optimize._backtrack(
+        t, pt, _, probes, why = optimize._backtrack(
             evaluate, np.zeros(2), np.ones(2), fx, slope, 3)
         assert (t, pt, why) == (None, None, stop)
         assert probes == sum(evaluate.calls) == count + budget_offset

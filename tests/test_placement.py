@@ -718,7 +718,8 @@ class TestPlace:
             np.array([[0.0], [0.0], [1.0]]),
         )
         bad = pp.EigStructure((0.0,), ((2, 1),))
-        with pytest.raises(pp.SingularMatrixError):
+        # V is singular, and the error names the structure as the cause
+        with pytest.raises(pp.StructureError, match="inadmissible structure"):
             for _ in range(10):
                 pp.place(sys3, bad, pp.ParameterMatrix.random(bad, 1, rng))
 
@@ -756,6 +757,54 @@ class TestPlace:
             assert weyr_ranks_ok(sys, res.F, spec)
             _, cluster = eigenvalue_match_errors(sys, res.F, spec)
             assert max(cluster) < 1e-6
+
+
+class TestInadmissibleCause:
+    """A singular V whose cause is the structure names it: after a
+    singular result, and only then, the placer runs `check_admissible`
+    once and raises StructureError with its message."""
+
+    MESSAGE = ("inadmissible structure: eigenvalue (-1+0j) requests 2 "
+               "mini-blocks but only 1 inputs are available")
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        calls = []
+        check = placement.check_admissible
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(placement, "check_admissible", counted)
+        return calls
+
+    def test_place_names_the_structure(self, monkeypatch):
+        # two blocks at -1 with one input: every V is singular
+        calls = self.counted_checks(monkeypatch)
+        spec = pp.EigStructure((-1.0,), ((1, 1),))
+        placer = pp.Placer(double_integrator(), spec)
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            with pytest.raises(pp.StructureError) as exc:
+                placer.place(pp.ParameterMatrix.random(spec, 1, rng))
+            assert str(exc.value) == self.MESSAGE
+            assert isinstance(exc.value.__context__, pp.SingularMatrixError)
+        assert len(calls) == 1
+
+    def test_admissible_structure_stays_singular(self, monkeypatch):
+        # K = 0 gives V = 0 on an admissible structure: a resample signal,
+        # with the structure checked once per placer and never on success
+        calls = self.counted_checks(monkeypatch)
+        spec = pp.EigStructure((-1.0, -2.0), ((1,), (1,)))
+        placer = pp.Placer(double_integrator(), spec)
+        placer.place(pp.ParameterMatrix.from_vector(spec, 1, np.array([0.9, -1.1])))
+        assert calls == []
+        zero = pp.ParameterMatrix.from_vector(spec, 1, np.zeros(2))
+        for _ in range(2):
+            with pytest.raises(pp.SingularMatrixError):
+                placer.place(zero)
+        assert len(calls) == 1
 
 
 class TestResidualOp:
